@@ -245,7 +245,7 @@ def _horizon_enumerate(inst, groups, blocks_patients, weights, config) -> Soluti
         if d not in cont_cache:
             entries: dict[tuple, tuple[int, ...]] = {}
             for seq in _sequences(groups, qplus_first=False):
-                if not budget.spend():
+                if budget.exhausted or not budget.spend():
                     break
                 wait, idle, p_end, _ = _score_block(groups, seq, p0=d,
                                                     p_started=True)
@@ -269,6 +269,8 @@ def _horizon_enumerate(inst, groups, blocks_patients, weights, config) -> Soluti
             best_seqs = None
             for (wait, idle, d_out), seq in continuations(d).items():
                 tail_cost, tail_seqs = best_completion(c + 1, d_out)
+                if tail_cost is None:  # budget ran out below this block
+                    continue
                 cost = w_alpha * wait + w_bp * idle + tail_cost
                 if best is None or cost < best:
                     best, best_seqs = cost, [seq] + tail_seqs
@@ -279,9 +281,14 @@ def _horizon_enumerate(inst, groups, blocks_patients, weights, config) -> Soluti
     best_seqs = None
     for (wait, idle, d_out), seq in first.items():
         tail_cost, tail_seqs = best_completion(2, d_out)
+        if tail_cost is None:
+            continue
         cost = w_alpha * wait + w_bp * idle + tail_cost
         if best is None or cost < best:
             best, best_seqs = cost, [seq] + tail_seqs
+    if best is None:
+        raise ValueError(f"node limit {config.node_limit} ran out before any "
+                         "complete horizon was found; raise the node limit")
     best += overtime_a
     template = _horizon_template(groups, best_seqs, blocks_patients)
     return Solution(template, _objective_fraction(best, denom),

@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .heuristics import MAX_WIDTH
 from .instance import ClinicInstance, CostWeights, expand_horizon
-from .timeline import (AppointmentTemplate, ServiceRealization, evaluate,
-                       total_cost)
+from .timeline import (METRICS, AppointmentTemplate, ServiceRealization,
+                       evaluate_paths)
 from .units import Scalar
 
 
@@ -35,6 +36,9 @@ class DistributionSpec:
             raise ValueError(f"unknown family: {self.family}")
         if self.width < 0:
             raise ValueError("width must be >= 0")
+        if self.width > MAX_WIDTH:
+            raise ValueError(f"uniform width {self.width} is above "
+                             f"{MAX_WIDTH}: service times would go negative")
 
     @classmethod
     def uniform(cls, width) -> "DistributionSpec":
@@ -75,6 +79,12 @@ def _uniform_bounds(mean: int, width: Fraction) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _uniform_bound_arrays(means: np.ndarray, width: Fraction):
+    """Per-patient (lo, hi) clamp vectors of the uniform family."""
+    bounds = [_uniform_bounds(int(m), width) for m in means]
+    return np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+
+
 def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                    seed: int, tag: str = "scenario",
                    replication: int = 0) -> ScenarioSet:
@@ -90,6 +100,11 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                       dtype=np.int64)
     qplus = np.array([p.qplus for p in patients])
 
+    if dist.family == "uniform_width":
+        w = float(dist.width)
+        lam_lo, lam_hi = _uniform_bound_arrays(means_lam, dist.width)
+        mu_lo, mu_hi = _uniform_bound_arrays(means_mu, dist.width)
+
     lam_out = np.empty((K, n), dtype=np.int64)
     mu_out = np.empty((K, n), dtype=np.int64)
     key = _tag_int(tag)
@@ -104,15 +119,10 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
             np.clip(mu, 0, None, out=mu)
         else:
             u = rng.random((n, 2))
-            w = float(dist.width)
             lam = np.rint(means_lam * (1 - w / 2 + w * u[:, 0])).astype(np.int64)
             mu = np.rint(means_mu * (1 - w / 2 + w * u[:, 1])).astype(np.int64)
-            for i, p in enumerate(patients):
-                lo, hi = _uniform_bounds(int(p.lam), dist.width)
-                lam[i] = min(max(lam[i], lo), hi)
-                if qplus[i]:
-                    lo, hi = _uniform_bounds(int(p.mu), dist.width)
-                    mu[i] = min(max(mu[i], lo), hi)
+            np.clip(lam, lam_lo, lam_hi, out=lam)
+            np.clip(mu, mu_lo, mu_hi, out=mu)
         mu[~qplus] = 0
         lam_out[s] = lam
         mu_out[s] = mu
@@ -134,21 +144,36 @@ def realization_for_template(scenario_set: ScenarioSet, s: int,
     return ServiceRealization(lams, mus, shows)
 
 
+def _slot_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
+                shows=None, regular_time: Scalar | None = None):
+    """evaluate_paths over a scenario set, reading each slot's draws as a
+    column.  Overbooked duplicates (ids beyond the instance horizon) take
+    their mean times."""
+    lam, mu = scenario_set.lam, scenario_set.mu
+    n = lam.shape[1]
+    lams = [lam[:, p.uid] if p.uid < n else p.lam for p in template.slots]
+    mus = [(mu[:, p.uid] if p.uid < n else p.mu) if p.qplus else 0
+           for p in template.slots]
+    if shows is not None:
+        shows = np.asarray(shows, dtype=bool)
+    return evaluate_paths(template, lams, mus, scenario_set.K, shows,
+                          regular_time)
+
+
 def scenario_average_cost(template: AppointmentTemplate,
                           scenario_set: ScenarioSet, weights: CostWeights,
                           regular_time: Scalar | None = None) -> Fraction:
-    total = Fraction(0)
-    for s in range(scenario_set.K):
-        ev = evaluate(template, realization_for_template(scenario_set, s, template),
-                      regular_time)
-        total += total_cost(ev, weights)
-    return total / scenario_set.K
+    rows, scale = _slot_paths(template, scenario_set,
+                              regular_time=regular_time)
+    wait_a, wait_p, idle_a, idle_p, ot_a, ot_p = map(int, rows.sum(axis=0))
+    w = weights
+    tenths_cost = (w.alpha * (wait_a + wait_p) + w.beta_a * idle_a
+                   + w.beta_p * idle_p + w.o_a * ot_a + w.o_p * ot_p)
+    return Fraction(tenths_cost) / (10 * scale * scenario_set.K)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo evaluation of fixed templates
-
-METRICS = ("wait_a", "wait_p", "idle_a", "idle_p", "overtime_a", "overtime_p")
 
 
 @dataclass(frozen=True)
@@ -162,15 +187,13 @@ class MetricStats:
 def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
                  regular_time: Scalar | None,
                  shows_per_path=None) -> list[tuple[Scalar, ...]]:
-    rows = []
-    for s in range(scenario_set.K):
-        shows = shows_per_path[s] if shows_per_path is not None else None
-        ev = evaluate(template,
-                      realization_for_template(scenario_set, s, template, shows),
-                      regular_time)
-        rows.append((ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
-                     ev.overtime_a, ev.overtime_p))
-    return rows
+    """One row of METRICS (tenths) per path; shows_per_path is a K x slots
+    boolean mask, or None when everyone shows."""
+    rows, scale = _slot_paths(template, scenario_set, shows_per_path,
+                              regular_time)
+    if scale == 1:
+        return [tuple(row) for row in rows.tolist()]
+    return [tuple(Fraction(v, scale) for v in row) for row in rows.tolist()]
 
 
 def summarize_paths(rows, weights: CostWeights) -> MetricStats:
@@ -215,12 +238,10 @@ def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,
     if noshow_probs is not None:
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, _tag_int(tag + "-shows")]))
-        shows_per_path = []
-        for _ in range(scenario_set.K):
-            u = rng.random(len(template.slots))
-            shows_per_path.append(tuple(
-                bool(u[t] >= float(noshow_probs.for_patient(p)))
-                for t, p in enumerate(template.slots)))
+        thresholds = np.array([float(noshow_probs.for_patient(p))
+                               for p in template.slots])
+        u = rng.random((scenario_set.K, len(template.slots)))
+        shows_per_path = u >= thresholds
     rows = metric_paths(template, scenario_set, regular_time, shows_per_path)
     return summarize_paths(rows, weights)
 
@@ -279,8 +300,9 @@ class SAAConfig:
             raise ValueError("nu0 must be >= 2")
         if not 0 < self.xi < 1:
             raise ValueError("xi must be in (0, 1)")
-        if not 0 < self.confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
+        if self.confidence not in _T_TABLE:
+            raise ValueError(f"confidence {self.confidence} has no t table; "
+                             "supported levels: 0.90, 0.95, 0.99")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .instance import CostWeights, Patient, PatientList
 from .units import Scalar, fmt_minutes, fmt_number
@@ -203,6 +206,76 @@ def evaluate(template: AppointmentTemplate,
         wait_a, wait_p, idle_a, idle_p,
         overtime_a, overtime_p, completion, first_a, last_a, first_p, last_p,
         template.block_bounds)
+
+
+METRICS = ("wait_a", "wait_p", "idle_a", "idle_p", "overtime_a", "overtime_p")
+
+_INT64_SAFE = 2 ** 62
+
+
+def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
+                   shows: np.ndarray | None = None,
+                   regular_time: Scalar | None = None
+                   ) -> tuple[np.ndarray, int]:
+    """The recurrence of `evaluate` for n_paths sample paths at once.
+
+    lams[t] and mus[t] are slot t's service times: a length-n_paths integer
+    array, or one number shared by every path.  shows is an n_paths x slots
+    boolean mask (None: everyone shows); a no-show takes no time and no wait
+    and moves neither resource.  Returns (rows, scale): rows is an
+    n_paths x 6 integer array of METRICS, and rows / scale are the values in
+    tenths.  scale is the common denominator of the Fraction inputs (1 when
+    every input is an integer); values that could overflow int64 are kept as
+    Python integers.
+    """
+    taus = template.taus
+    fixed = [x for x in (*(taus or ()), regular_time) if x is not None]
+    fractions = [x for x in (*fixed, *lams, *mus) if isinstance(x, Fraction)]
+    scale = lcm(*(x.denominator for x in fractions))
+    dtype = np.int64
+    if fractions:
+        biggest = (max((abs(x) for x in fixed), default=0)
+                   + sum(abs(int(np.max(x, initial=0)))
+                         for x in (*lams, *mus)))
+        if biggest * scale * max(n_paths, 1) >= _INT64_SAFE:
+            dtype = object
+        up = lambda x: (x.astype(dtype) * scale if isinstance(x, np.ndarray)
+                        else int(x * scale))
+        lams, mus = [up(x) for x in lams], [up(x) for x in mus]
+        if taus is not None:
+            taus = [up(x) for x in taus]
+        if regular_time is not None:
+            regular_time = up(regular_time)
+
+    zeros = np.zeros(n_paths, dtype)
+    pa = pp = zeros                      # assistant / physician free
+    wait_a = wait_p = idle_a = idle_p = zeros
+    started_a = started_p = np.zeros(n_paths, bool)
+    everyone = np.ones(n_paths, bool)
+    for t, slot in enumerate(template.slots):
+        shown = everyone if shows is None else shows[:, t]
+        ea = pa if taus is None else np.maximum(pa, taus[t])
+        fa = ea + lams[t]
+        if taus is not None:
+            wait_a = wait_a + np.where(shown, ea - taus[t], 0)
+        idle_a = idle_a + np.where(shown & started_a, ea - pa, 0)
+        started_a = started_a | shown
+        pa = np.where(shown, fa, pa)
+        if slot.qplus:
+            ep = np.maximum(fa, pp)
+            wait_p = wait_p + np.where(shown, ep - fa, 0)
+            idle_p = idle_p + np.where(shown & started_p, ep - pp, 0)
+            started_p = started_p | shown
+            pp = np.where(shown, ep + mus[t], pp)
+
+    if regular_time is None:
+        overtime_a = overtime_p = zeros
+    else:
+        overtime_a = np.where(started_a, np.maximum(pa - regular_time, 0), 0)
+        overtime_p = np.where(started_p, np.maximum(pp - regular_time, 0), 0)
+    rows = np.stack([wait_a, wait_p, idle_a, idle_p, overtime_a, overtime_p],
+                    axis=1)
+    return rows, scale
 
 
 def total_cost(ev: ScheduleEvaluation, weights: CostWeights) -> Fraction:

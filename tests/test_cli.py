@@ -141,6 +141,36 @@ class TestStochasticCommands:
         assert payload["optimal"] is True
 
 
+class TestRejectedInputs:
+    def test_uniform_width_above_two_exits_one(self, table7_path, capsys):
+        assert run(["simulate", "--instance", table7_path, "--method", "alg4",
+                    "--paths", "50", "--dist", "uniform", "--w", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "width 3" in captured.err
+
+    def test_saa_confidence_without_table_exits_before_drawing(
+            self, ex1_path, capsys, monkeypatch):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        assert run(["saa", "--instance", ex1_path, "--inner", "alg4",
+                    "--conf", "0.975"]) == 1
+        assert drawn == []
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_horizon_budget_out_has_no_traceback(self, tmp_path, capsys):
+        # the first ex2 block alone has 110880 sequences, so no complete
+        # horizon fits in the budget (an incumbent case is in test_exact)
+        ex2_path = tmp_path / "ex2.json"
+        shutil.copy(str(FIXDIR / "ex2.json"), ex2_path)
+        assert run(["exact", "--instance", str(ex2_path), "--scope", "horizon",
+                    "--mode", "enumerate", "--node-limit", "100000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node limit 100000 ran out")
+
+
 def test_validate_hard_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -16,7 +16,8 @@ from blocksched.stochastic import DistributionSpec, draw_scenarios, \
 from blocksched.timeline import AppointmentTemplate, pa_prefix_taus
 from blocksched.units import tenths
 
-from conftest import mk_instance, oracle_timeline, random_conformant_instance
+from conftest import (mk_instance, oracle_cost, oracle_timeline,
+                      random_conformant_instance)
 
 
 def distinct_sequences(block, qplus_first=True):
@@ -336,6 +337,23 @@ class TestHorizonRandomizedDifferential:
             bnb = solve_horizon_exact(inst, w,
                                       SearchConfig(mode="branch_and_bound"))
             assert dp.optimal and dp.objective == best == bnb.objective
+
+
+class TestHorizonBudget:
+    def test_budget_out_in_continuations_returns_incumbent(self, ex2):
+        # 110880 first-block sequences, then the budget runs out while the
+        # second block's continuations are being enumerated
+        sol = solve_horizon_exact(ex2, ex2.costs,
+                                  SearchConfig(node_limit=150_000))
+        assert not sol.optimal
+        assert sol.nodes_explored == 150_001
+        m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                            regular_time=ex2.regular_time)
+        assert oracle_cost(m, ex2.costs) == sol.objective
+
+    def test_budget_out_before_any_horizon_raises(self, ex1):
+        with pytest.raises(ValueError, match="node limit 50"):
+            solve_horizon_exact(ex1, ex1.costs, SearchConfig(node_limit=50))
 
 
 def test_horizon_exact_all_q_instance():

@@ -11,7 +11,8 @@ from blocksched.stochastic import (DistributionSpec, SAAConfig,
                                    confidence_halfwidth, draw_scenarios,
                                    evaluate_template_mc, incumbent_selection,
                                    metric_paths, saa_procedure,
-                                   fixed_template_inner, t_critical)
+                                   fixed_template_inner, t_critical,
+                                   _tag_int, _uniform_bounds)
 from conftest import mk_instance
 
 
@@ -63,6 +64,49 @@ class TestDrawScenarios:
                     == base.lam).all()
         assert not (draw_scenarios(ex1, d, 2, seed=9, tag="a",
                                    replication=1).lam == base.lam).all()
+
+
+def reference_uniform_draws(inst, width, K, seed, tag):
+    """The per-patient clamp loop the vectorised uniform branch replaced."""
+    patients = [p for b in expand_horizon(inst) for p in b]
+    means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
+    means_mu = np.array([int(p.mu) for p in patients], dtype=np.int64)
+    w = float(width)
+    lam_rows, mu_rows = [], []
+    for s in range(K):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed, _tag_int(tag), 0, s]))
+        u = rng.random((len(patients), 2))
+        lam = np.rint(means_lam * (1 - w / 2 + w * u[:, 0])).astype(np.int64)
+        mu = np.rint(means_mu * (1 - w / 2 + w * u[:, 1])).astype(np.int64)
+        for i, p in enumerate(patients):
+            lo, hi = _uniform_bounds(int(p.lam), width)
+            lam[i] = min(max(lam[i], lo), hi)
+            if p.qplus:
+                lo, hi = _uniform_bounds(int(p.mu), width)
+                mu[i] = min(max(mu[i], lo), hi)
+            else:
+                mu[i] = 0
+        lam_rows.append(lam)
+        mu_rows.append(mu)
+    return np.array(lam_rows), np.array(mu_rows)
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("width", ["0.4", "2"])
+    def test_draws_equal_the_per_patient_clamp(self, table7, width):
+        w = Fraction(width)
+        sset = draw_scenarios(table7, DistributionSpec.uniform(w), 40, seed=4,
+                              tag="ref")
+        lam, mu = reference_uniform_draws(table7, w, 40, seed=4, tag="ref")
+        assert np.array_equal(sset.lam, lam) and np.array_equal(sset.mu, mu)
+
+    def test_width_above_two_rejected(self):
+        DistributionSpec.uniform(2)
+        with pytest.raises(ValueError, match="width 3"):
+            DistributionSpec.uniform(3)
+        with pytest.raises(ValueError, match="width 201/100"):
+            DistributionSpec("uniform_width", Fraction("2.01"))
 
 
 class TestHalfwidth:
@@ -212,6 +256,32 @@ class TestNoshowFallback:
             <= 4 * stats.se["overtime_a"] + 1e-9
 
 
+    def test_show_masks_equal_row_by_row_draws(self, table7, monkeypatch):
+        from blocksched import stochastic
+        from blocksched.noshow import NoShowProbs, build_overbook_plan
+        probs = NoShowProbs.of("0.2", "0.3")
+        tpl = build_overbook_plan(algorithm4(table7), "lf", probs).template()
+        seen = []
+        real_metric_paths = stochastic.metric_paths
+
+        def spy(template, scenario_set, regular_time, shows_per_path=None):
+            seen.append(shows_per_path)
+            return real_metric_paths(template, scenario_set, regular_time,
+                                     shows_per_path)
+
+        monkeypatch.setattr(stochastic, "metric_paths", spy)
+        evaluate_template_mc(tpl, table7, DistributionSpec("normal"), 300,
+                             seed=12, tag="masks", noshow_probs=probs)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([12, _tag_int("masks-shows")]))
+        rows = []
+        for _ in range(300):
+            u = rng.random(len(tpl.slots))
+            rows.append(tuple(bool(u[t] >= float(probs.for_patient(p)))
+                              for t, p in enumerate(tpl.slots)))
+        assert [tuple(row) for row in seen[0].tolist()] == rows
+
+
 class TestKGrowth:
     def test_unconverged_run_grows_k_and_flags(self, ex1):
         cfg = SAAConfig(K=3, nu0=2, nu_max=3, xi=0.0005, k_step=5,
@@ -223,3 +293,10 @@ class TestKGrowth:
         assert not res.stopped and not res.converged
         assert res.K == 3 + 5  # one growth round applied
         assert res.replications_used == 3
+
+
+def test_saa_config_rejects_confidence_without_t_table():
+    for conf in (0.9, 0.95, 0.99):
+        SAAConfig(confidence=conf)
+    with pytest.raises(ValueError, match="confidence 0.975"):
+        SAAConfig(confidence=0.975)

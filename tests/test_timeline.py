@@ -7,7 +7,12 @@ from blocksched import (CostWeights, ServiceRealization, algorithm1,
                         algorithm2, algorithm3, balance_workload,
                         balanced_blocks, concatenate, evaluate, expand_block,
                         sections, single_block_template, total_cost)
-from blocksched.timeline import AppointmentTemplate
+from blocksched.heuristics import robust_template
+from blocksched.noshow import NoShowProbs, build_overbook_plan
+from blocksched.stochastic import (DistributionSpec, draw_scenarios,
+                                   metric_paths, realization_for_template,
+                                   scenario_average_cost)
+from blocksched.timeline import AppointmentTemplate, evaluate_paths
 from blocksched.units import tenths
 
 from conftest import mk_instance, oracle_timeline, random_conformant_instance
@@ -227,3 +232,74 @@ def test_junction_clamps_to_assistant_availability_when_stage2_light():
     # physician finishes block 1 at 25 and resumes at 80 in block 2
     assert ev.idle_p == tenths(55)
     assert ev.completion == tenths(140)    # assistant, not physician, ends last
+
+
+class TestEvaluatePaths:
+    """The batched kernel, row by row, against `evaluate` and the oracle."""
+
+    @staticmethod
+    def check_rows(tpl, sset, shows=None, regular_time=None):
+        rows = metric_paths(tpl, sset, regular_time, shows)
+        assert len(rows) == sset.K
+        costs = []
+        for s, row in enumerate(rows):
+            show_row = None if shows is None else tuple(bool(x) for x in shows[s])
+            real = realization_for_template(sset, s, tpl, show_row)
+            ev = evaluate(tpl, real, regular_time)
+            assert row == (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
+                           ev.overtime_a, ev.overtime_p)
+            ref = oracle_timeline(tpl.slots, taus=tpl.taus, lams=list(real.lams),
+                                  mus=list(real.mus), shows=show_row,
+                                  regular_time=regular_time)
+            assert row == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
+                           ref["idle_p"], ref["b_a"], ref["b_p"])
+            costs.append(total_cost(ev, CostWeights.of(1, 2, 3, 4, 5)))
+        if shows is None:
+            assert scenario_average_cost(
+                tpl, sset, CostWeights.of(1, 2, 3, 4, 5), regular_time) \
+                == sum(costs) / len(costs)
+
+    @staticmethod
+    def templates(inst):
+        seq = algorithm1(expand_block(inst))
+        probs = NoShowProbs.of("0.2", "0.3")
+        yield algorithm3(inst)
+        yield AppointmentTemplate(tuple(seq), None, (0, len(seq)))
+        yield robust_template(seq, Fraction(1, 3))           # Fraction taus
+        yield build_overbook_plan(algorithm2(expand_block(inst)), "lf",
+                                  probs).template()          # duplicates
+
+    def test_matches_evaluate_and_oracle_on_random_instances(self):
+        rng = np.random.default_rng(31)
+        for case in range(12):
+            inst = random_conformant_instance(rng, max_r=8, blocks=2)
+            width = ("0", "2", "0.4")[case % 3]
+            sset = draw_scenarios(inst, DistributionSpec.uniform(width), 12,
+                                  seed=case)
+            for tpl in self.templates(inst):
+                for R in (None, 0, inst.regular_time):
+                    self.check_rows(tpl, sset, regular_time=R)
+
+    def test_show_masks(self):
+        rng = np.random.default_rng(32)
+        for case in range(8):
+            inst = random_conformant_instance(rng, max_r=8, blocks=2)
+            sset = draw_scenarios(inst, DistributionSpec.uniform("2"), 10,
+                                  seed=case)
+            for tpl in self.templates(inst):
+                shows = rng.random((sset.K, len(tpl.slots))) >= 0.3
+                shows[0] = False            # nobody shows
+                shows[1, 0] = False         # the first slot is absent
+                for R in (None, -10, 0, inst.regular_time):
+                    self.check_rows(tpl, sset, shows, R)
+
+    def test_huge_denominators_stay_exact(self, ex1):
+        # scaled times overflow int64, so the kernel keeps Python integers
+        seq = algorithm1(expand_block(ex1))
+        tpl = robust_template(seq, Fraction(1, 10 ** 17))
+        sset = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 5, seed=1)
+        rows, scale = evaluate_paths(tpl, [sset.lam[:, p.uid] for p in seq],
+                                     [sset.mu[:, p.uid] for p in seq], sset.K,
+                                     regular_time=ex1.regular_time)
+        assert rows.dtype == object and scale > 2 ** 40
+        self.check_rows(tpl, sset, regular_time=ex1.regular_time)
