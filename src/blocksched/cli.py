@@ -23,7 +23,7 @@ from . import heuristics, noshow as noshow_mod, stochastic
 from .instance import (ClinicInstance, CostWeights, InstanceFormatError,
                        InvalidInstanceError, balance_workload, expand_block,
                        load_instance, validate_instance)
-from .timeline import evaluate, evaluation_rows
+from .timeline import METRICS, evaluate, evaluation_rows, weighted_cost
 from .units import fmt_minutes, fmt_number, tenths
 
 RESULT_COLUMNS = ("method", "alpha", "beta_a", "beta_p", "o_a", "o_p",
@@ -46,11 +46,7 @@ def result_row(method: str, weights: CostWeights, means: dict,
         ("pa_overtime", "overtime_a"), ("p_overtime", "overtime_p"),
         ("pa_idle", "idle_a"), ("p_idle", "idle_p"),
         ("wait_stage1", "wait_a"), ("wait_stage2", "wait_p"))}
-    objective = (weights.alpha * (metrics["wait_stage1"] + metrics["wait_stage2"])
-                 + weights.beta_a * metrics["pa_idle"]
-                 + weights.beta_p * metrics["p_idle"]
-                 + weights.o_a * metrics["pa_overtime"]
-                 + weights.o_p * metrics["p_overtime"])
+    objective = weighted_cost(weights, (_q6(means[m]) for m in METRICS))
     row = {"method": method,
            "alpha": fmt_number(weights.alpha),
            "beta_a": fmt_number(weights.beta_a),

@@ -53,16 +53,21 @@ class _Budget:
     def __init__(self, config: SearchConfig):
         self.node_limit = config.node_limit
         self.deadline = time.monotonic() + config.time_limit
+        self.time_limit = config.time_limit
         self.nodes = 0
         self.exhausted = False
+        self.spent_limit = None   # the limit that ran out first
 
     def spend(self, amount: int = 1) -> bool:
         """Count nodes; False once the budget is gone."""
         self.nodes += amount
+        if self.exhausted:
+            return False
         if self.nodes > self.node_limit:
-            self.exhausted = True
+            self.spent_limit = f"node limit ({self.node_limit} nodes)"
         elif self.nodes % 4096 < amount and time.monotonic() > self.deadline:
-            self.exhausted = True
+            self.spent_limit = f"time limit ({self.time_limit:g} s)"
+        self.exhausted = self.spent_limit is not None
         return not self.exhausted
 
 
@@ -287,8 +292,8 @@ def _horizon_enumerate(inst, groups, blocks_patients, weights, config) -> Soluti
         if best is None or cost < best:
             best, best_seqs = cost, [seq] + tail_seqs
     if best is None:
-        raise ValueError(f"node limit {config.node_limit} ran out before any "
-                         "complete horizon was found; raise the node limit")
+        raise ValueError(f"the {budget.spent_limit} ran out before any "
+                         "complete horizon was found; raise it")
     best += overtime_a
     template = _horizon_template(groups, best_seqs, blocks_patients)
     return Solution(template, _objective_fraction(best, denom),

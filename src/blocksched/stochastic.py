@@ -20,7 +20,7 @@ import numpy as np
 from .heuristics import MAX_WIDTH
 from .instance import ClinicInstance, CostWeights, expand_horizon
 from .timeline import (METRICS, AppointmentTemplate, ServiceRealization,
-                       evaluate_paths)
+                       evaluate_paths, metric_coefficients, weighted_cost)
 from .units import Scalar
 
 
@@ -129,31 +129,34 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
     return ScenarioSet(K, lam_out, mu_out, seed, tag, replication)
 
 
+def _slot_times(template: AppointmentTemplate, lam: np.ndarray,
+                mu: np.ndarray) -> tuple[list, list]:
+    """Slot-aligned stage-1 and stage-2 times from per-patient draws whose
+    last axis is the canonical patient id: one path's row, or a K x n block
+    read one column per slot.  Overbooked duplicates (ids beyond the
+    instance horizon) take their mean times; Q- slots take no stage-2 time."""
+    n = lam.shape[-1]
+    lams = [lam[..., p.uid] if p.uid < n else p.lam for p in template.slots]
+    mus = [(mu[..., p.uid] if p.uid < n else p.mu) if p.qplus else 0
+           for p in template.slots]
+    return lams, mus
+
+
 def realization_for_template(scenario_set: ScenarioSet, s: int,
                              template: AppointmentTemplate,
                              shows: tuple[bool, ...] | None = None
                              ) -> ServiceRealization:
-    """Slot-aligned realization via canonical patient ids.  Overbooked
-    duplicates (ids beyond the instance horizon) take their mean times."""
-    lam_by_uid, mu_by_uid = scenario_set.draws(s)
-    n = len(lam_by_uid)
-    lams = tuple(int(lam_by_uid[p.uid]) if p.uid < n else p.lam
-                 for p in template.slots)
-    mus = tuple((int(mu_by_uid[p.uid]) if p.uid < n else p.mu) if p.qplus
-                else 0 for p in template.slots)
-    return ServiceRealization(lams, mus, shows)
+    """Path s of the scenario set, slot-aligned via canonical patient ids."""
+    lams, mus = _slot_times(template, *scenario_set.draws(s))
+    plain = lambda xs: tuple(x.item() if isinstance(x, np.ndarray) else x
+                             for x in xs)
+    return ServiceRealization(plain(lams), plain(mus), shows)
 
 
 def _slot_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
                 shows=None, regular_time: Scalar | None = None):
-    """evaluate_paths over a scenario set, reading each slot's draws as a
-    column.  Overbooked duplicates (ids beyond the instance horizon) take
-    their mean times."""
-    lam, mu = scenario_set.lam, scenario_set.mu
-    n = lam.shape[1]
-    lams = [lam[:, p.uid] if p.uid < n else p.lam for p in template.slots]
-    mus = [(mu[:, p.uid] if p.uid < n else p.mu) if p.qplus else 0
-           for p in template.slots]
+    """evaluate_paths over every path of a scenario set."""
+    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
     if shows is not None:
         shows = np.asarray(shows, dtype=bool)
     return evaluate_paths(template, lams, mus, scenario_set.K, shows,
@@ -165,10 +168,7 @@ def scenario_average_cost(template: AppointmentTemplate,
                           regular_time: Scalar | None = None) -> Fraction:
     rows, scale = _slot_paths(template, scenario_set,
                               regular_time=regular_time)
-    wait_a, wait_p, idle_a, idle_p, ot_a, ot_p = map(int, rows.sum(axis=0))
-    w = weights
-    tenths_cost = (w.alpha * (wait_a + wait_p) + w.beta_a * idle_a
-                   + w.beta_p * idle_p + w.o_a * ot_a + w.o_p * ot_p)
+    tenths_cost = weighted_cost(weights, map(int, rows.sum(axis=0)))
     return Fraction(tenths_cost) / (10 * scale * scenario_set.K)
 
 
@@ -207,12 +207,8 @@ def summarize_paths(rows, weights: CostWeights) -> MetricStats:
         mu = float(mean[name])
         var = sum((float(v) / 10 - mu) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
         se[name] = math.sqrt(var / n)
-    w = weights
-    mean["objective"] = (w.alpha * (mean["wait_a"] + mean["wait_p"])
-                         + w.beta_a * mean["idle_a"] + w.beta_p * mean["idle_p"]
-                         + w.o_a * mean["overtime_a"] + w.o_p * mean["overtime_p"])
-    coeffs = [float(w.alpha), float(w.alpha), float(w.beta_a), float(w.beta_p),
-              float(w.o_a), float(w.o_p)]
+    mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
+    coeffs = [float(c) for c in metric_coefficients(weights)]
     objs = [sum(c * float(v) / 10 for c, v in zip(coeffs, row)) for row in rows]
     mu = sum(objs) / n
     var = sum((o - mu) ** 2 for o in objs) / (n - 1) if n > 1 else 0.0

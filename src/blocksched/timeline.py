@@ -210,7 +210,17 @@ def evaluate(template: AppointmentTemplate,
 
 METRICS = ("wait_a", "wait_p", "idle_a", "idle_p", "overtime_a", "overtime_p")
 
-_INT64_SAFE = 2 ** 62
+
+def metric_coefficients(weights: CostWeights) -> tuple[Fraction, ...]:
+    """Cost per unit of each METRICS entry: alpha for both waits, then the
+    idle and overtime weights."""
+    return (weights.alpha, weights.alpha, weights.beta_a, weights.beta_p,
+            weights.o_a, weights.o_p)
+
+
+def weighted_cost(weights: CostWeights, values) -> Scalar:
+    """Weighted cost of values given in METRICS order, in their units."""
+    return sum(c * v for c, v in zip(metric_coefficients(weights), values))
 
 
 def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
@@ -225,21 +235,17 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
     and moves neither resource.  Returns (rows, scale): rows is an
     n_paths x 6 integer array of METRICS, and rows / scale are the values in
     tenths.  scale is the common denominator of the Fraction inputs (1 when
-    every input is an integer); values that could overflow int64 are kept as
-    Python integers.
+    every input is an integer).  All-integer inputs run as int64; Fraction
+    inputs are scaled to Python integers (object arrays), so no sum over
+    slots or paths can overflow.
     """
     taus = template.taus
-    fixed = [x for x in (*(taus or ()), regular_time) if x is not None]
-    fractions = [x for x in (*fixed, *lams, *mus) if isinstance(x, Fraction)]
+    fractions = [x for x in (*(taus or ()), regular_time, *lams, *mus)
+                 if isinstance(x, Fraction)]
     scale = lcm(*(x.denominator for x in fractions))
-    dtype = np.int64
+    dtype = object if fractions else np.int64
     if fractions:
-        biggest = (max((abs(x) for x in fixed), default=0)
-                   + sum(abs(int(np.max(x, initial=0)))
-                         for x in (*lams, *mus)))
-        if biggest * scale * max(n_paths, 1) >= _INT64_SAFE:
-            dtype = object
-        up = lambda x: (x.astype(dtype) * scale if isinstance(x, np.ndarray)
+        up = lambda x: (x.astype(object) * scale if isinstance(x, np.ndarray)
                         else int(x * scale))
         lams, mus = [up(x) for x in lams], [up(x) for x in mus]
         if taus is not None:
@@ -282,9 +288,7 @@ def total_cost(ev: ScheduleEvaluation, weights: CostWeights) -> Fraction:
     """Weighted cost in minute units: alpha*(stage-1 + stage-2 wait) plus idle
     and overtime terms.  Overtime terms vanish in single-block mode because
     the evaluation computed them as zero."""
-    tenths_cost = (weights.alpha * (ev.wait_a + ev.wait_p)
-                   + weights.beta_a * ev.idle_a + weights.beta_p * ev.idle_p
-                   + weights.o_a * ev.overtime_a + weights.o_p * ev.overtime_p)
+    tenths_cost = weighted_cost(weights, (getattr(ev, m) for m in METRICS))
     return Fraction(tenths_cost) / 10
 
 

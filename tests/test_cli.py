@@ -168,7 +168,7 @@ class TestRejectedInputs:
         assert run(["exact", "--instance", str(ex2_path), "--scope", "horizon",
                     "--mode", "enumerate", "--node-limit", "100000"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: node limit 100000 ran out")
+        assert err.startswith("error: the node limit (100000 nodes) ran out")
 
 
 def test_validate_hard_error_exits_one(tmp_path, capsys):

@@ -352,8 +352,14 @@ class TestHorizonBudget:
         assert oracle_cost(m, ex2.costs) == sol.objective
 
     def test_budget_out_before_any_horizon_raises(self, ex1):
-        with pytest.raises(ValueError, match="node limit 50"):
+        with pytest.raises(ValueError, match=r"node limit \(50 nodes\)"):
             solve_horizon_exact(ex1, ex1.costs, SearchConfig(node_limit=50))
+
+    def test_time_limit_out_names_the_time_limit(self, ex2):
+        # the deadline is checked every 4096 nodes, all inside the first
+        # block's 110880 sequences
+        with pytest.raises(ValueError, match=r"time limit \(1e-09 s\)"):
+            solve_horizon_exact(ex2, ex2.costs, SearchConfig(time_limit=1e-9))
 
 
 def test_horizon_exact_all_q_instance():
