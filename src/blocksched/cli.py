@@ -253,6 +253,7 @@ def _cmd_saa(args):
         "K": result.K,
         "stopped": result.stopped,
         "converged": result.converged,
+        "all_inner_optimal": result.all_inner_optimal,
         "incumbent_average": fmt_number(result.incumbent_average),
         "incumbent_objective": fmt_number(result.incumbent.objective),
     }, args.output)

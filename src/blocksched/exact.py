@@ -1,11 +1,15 @@
 """Desk-scale exact optimization over multiset type sequences.
 
-The assignment models are solved as search over distinct type sequences plus
-the closed-form timeline recurrence, with appointments pinned to the planned
-stage-1 starts (zero stage-1 wait; delaying an appointment below its start
-only adds wait).  Distinct sequences are enumerated over type multisets, not
-labeled patients; same-type patients take replicates in order of appearance.
-Idle time is the span-based definition used everywhere else in the package.
+The deterministic models pin appointments to the planned stage-1 starts
+(zero stage-1 wait; delaying an appointment below its start only adds wait).
+``mode="enumerate"`` solves the single-block and horizon models with one
+memoised dynamic program over (block, type counts left, physician lag), and
+``nodes_explored`` counts its transitions; ``mode="branch_and_bound"``
+searches slot assignments depth first.  Both return the lexicographically
+first optimal sequence.  The scenario-averaged block model enumerates
+distinct sequences.  Sequences are over type multisets, not labeled
+patients; same-type patients take replicates in order of appearance.  Idle
+time is the span-based definition used everywhere else in the package.
 
 Costs are compared in exact scaled-integer arithmetic; reported objectives
 are Fractions in minute units.
@@ -58,22 +62,26 @@ class _Budget:
         self.exhausted = False
         self.spent_limit = None   # the limit that ran out first
 
-    def spend(self, amount: int = 1) -> bool:
-        """Count nodes; False once the budget is gone."""
-        self.nodes += amount
+    def spend(self) -> bool:
+        """Count one node; False once the budget is gone.  The clock is read
+        on the first node and every 4096 nodes after it."""
+        self.nodes += 1
         if self.exhausted:
             return False
         if self.nodes > self.node_limit:
             self.spent_limit = f"node limit ({self.node_limit} nodes)"
-        elif self.nodes % 4096 < amount and time.monotonic() > self.deadline:
+        elif self.nodes % 4096 == 1 and time.monotonic() > self.deadline:
             self.spent_limit = f"time limit ({self.time_limit:g} s)"
         self.exhausted = self.spent_limit is not None
         return not self.exhausted
 
+    def out_of_budget(self) -> ValueError:
+        return ValueError(f"the {self.spent_limit} ran out before any "
+                          "complete schedule was found; raise it")
+
 
 @dataclass(frozen=True)
 class _TypeGroup:
-    tid: int
     lam: Scalar
     mu: Scalar
     qplus: bool
@@ -82,13 +90,10 @@ class _TypeGroup:
 
 def _groups(block: PatientList) -> list[_TypeGroup]:
     by_type: dict[int, list[Patient]] = {}
-    for p in block:
+    for p in sorted(block, key=lambda p: (p.type_index, p.replicate)):
         by_type.setdefault(p.type_index, []).append(p)
-    out = []
-    for tid in sorted(by_type):
-        ps = sorted(by_type[tid], key=lambda p: p.replicate)
-        out.append(_TypeGroup(tid, ps[0].lam, ps[0].mu, ps[0].qplus, tuple(ps)))
-    return out
+    return [_TypeGroup(ps[0].lam, ps[0].mu, ps[0].qplus, tuple(ps))
+            for ps in by_type.values()]
 
 
 def _sequences(groups: list[_TypeGroup], qplus_first: bool):
@@ -103,9 +108,7 @@ def _sequences(groups: list[_TypeGroup], qplus_first: bool):
             yield tuple(seq)
             return
         for i, g in enumerate(groups):
-            if counts[i] == 0:
-                continue
-            if depth == 0 and qplus_first and not g.qplus:
+            if counts[i] == 0 or (depth == 0 and qplus_first and not g.qplus):
                 continue
             counts[i] -= 1
             seq.append(i)
@@ -116,13 +119,9 @@ def _sequences(groups: list[_TypeGroup], qplus_first: bool):
     yield from rec(0)
 
 
-def _patients_for(groups: list[_TypeGroup], seq: tuple[int, ...]) -> PatientList:
-    taken = [0] * len(groups)
-    out = []
-    for gi in seq:
-        out.append(groups[gi].patients[taken[gi]])
-        taken[gi] += 1
-    return tuple(out)
+def _patients_for(groups: list[_TypeGroup], seq) -> PatientList:
+    replicates = [iter(g.patients) for g in groups]
+    return tuple(next(replicates[gi]) for gi in seq)
 
 
 def _scale(weights: CostWeights) -> tuple[int, tuple[int, int, int, int, int]]:
@@ -138,27 +137,28 @@ def _objective_fraction(scaled_cost, denom) -> Fraction:
     return Fraction(scaled_cost, denom * 10)
 
 
-def _score_block(groups, seq, p0: Scalar = 0, p_started: bool = False):
-    """Tight recurrence over one block with the assistant continuous from 0
-    and the physician available at p0.  Returns (wait, span idle increments,
-    physician finish relative to block start, whether the physician has
-    worked)."""
-    pa: Scalar = 0
-    p = p0
-    wait: Scalar = 0
-    idle: Scalar = 0
-    started = p_started
-    for gi in seq:
-        g = groups[gi]
-        pa = pa + g.lam
-        if g.qplus:
-            ep = pa if pa >= p else p
-            wait += ep - pa
-            if started:
-                idle += ep - p
-            started = True
-            p = ep + g.mu
-    return wait, idle, p, started
+def _solution(seq, cost, denom, budget, blocks_patients) -> Solution:
+    """The solution that gives each block its slice of the type-id sequence,
+    with appointments at the stage-1 prefix sums."""
+    slots: tuple[Patient, ...] = ()
+    bounds = [0]
+    for block in blocks_patients:
+        part = seq[len(slots):len(slots) + len(block)]
+        slots += _patients_for(_groups(block), part)
+        bounds.append(len(slots))
+    template = AppointmentTemplate(slots, pa_prefix_taus(slots), tuple(bounds))
+    return Solution(template, _objective_fraction(cost, denom),
+                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
+
+
+def _solver(config: SearchConfig):
+    """The deterministic solver of config.mode; appointment rules other
+    than "earliest" belong to the saa scope."""
+    if config.tau_rule != "earliest":
+        raise ValueError(f"tau rule {config.tau_rule!r} applies to the saa "
+                         "scope only; the deterministic models pin "
+                         "appointments to the earliest starts")
+    return _bnb if config.mode == "branch_and_bound" else _lag_dp
 
 
 def solve_block_exact(block: PatientList, weights: CostWeights,
@@ -166,39 +166,7 @@ def solve_block_exact(block: PatientList, weights: CostWeights,
     """Minimize alpha*stage-2 wait + idle costs over all distinct block
     sequences with a Q+ patient first (whenever one exists)."""
     config = config or SearchConfig()
-    if config.mode == "branch_and_bound":
-        return _bnb(_groups(block), blocks=1, weights=weights, config=config,
-                    regular_time=None)
-    groups = _groups(block)
-    qplus_first = any(g.qplus for g in groups)
-    denom, (w_alpha, _, w_bp, _, _) = _scale(weights)
-    budget = _Budget(config)
-    best = None
-    best_seq = None
-    for seq in _sequences(groups, qplus_first):
-        if not budget.spend():
-            break
-        wait, idle, _, _ = _score_block(groups, seq)
-        cost = w_alpha * wait + w_bp * idle
-        if best is None or cost < best:
-            best, best_seq = cost, seq
-    patients = _patients_for(groups, best_seq)
-    template = AppointmentTemplate(patients, pa_prefix_taus(patients),
-                                   (0, len(patients)))
-    return Solution(template, _objective_fraction(best, denom),
-                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
-
-
-def _horizon_template(groups, seqs: list[tuple[int, ...]],
-                      blocks_patients: list[PatientList]) -> AppointmentTemplate:
-    slots: list[Patient] = []
-    bounds = [0]
-    for c, seq in enumerate(seqs):
-        block_groups = _groups(blocks_patients[c])
-        slots.extend(_patients_for(block_groups, seq))
-        bounds.append(len(slots))
-    return AppointmentTemplate(tuple(slots), pa_prefix_taus(tuple(slots)),
-                               tuple(bounds))
+    return _solver(config)(_groups(block), 1, weights, config, None, [block])
 
 
 def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
@@ -209,99 +177,92 @@ def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
     exists."""
     config = config or SearchConfig()
     blocks_patients = [expand_block(inst, c) for c in range(inst.blocks)]
-    groups = _groups(blocks_patients[0])
-    if config.mode == "branch_and_bound":
-        return _bnb(groups, blocks=inst.blocks, weights=weights, config=config,
-                    regular_time=inst.regular_time,
-                    blocks_patients=blocks_patients)
-    return _horizon_enumerate(inst, groups, blocks_patients, weights, config)
+    return _solver(config)(_groups(blocks_patients[0]), inst.blocks, weights,
+                           config, inst.regular_time, blocks_patients)
 
 
-def _horizon_enumerate(inst, groups, blocks_patients, weights, config) -> Solution:
-    k = inst.blocks
-    R = inst.regular_time
+def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
+            regular_time: Scalar | None, blocks_patients) -> Solution:
+    """Memoised dynamic program over (block, remaining type counts, lag d),
+    d = physician free - assistant free, or None until the physician starts
+    (Held-Karp-style state merging: the assistant never idles).  A Q type
+    moves d down by its lambda; a Q+ type with lag = d - lambda adds
+    alpha*max(lag, 0) wait and, once the physician has started,
+    beta_p*max(-lag, 0) idle, and leaves d = max(lag, 0) + mu.  The memo
+    keeps (cost-to-go, chosen group) per state; children go in type order
+    with a strict <, so the choices read back give the lexicographically
+    first optimum.  States are generators on an explicit stack, so the
+    Python stack stays flat however long the day."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
-    block_lam = sum(len(g.patients) * g.lam for g in groups)
+    R = regular_time
+    full = tuple(len(g.patients) for g in groups)
+    day_lam = blocks * sum(n * g.lam for n, g in zip(full, groups))
     has_qplus = any(g.qplus for g in groups)
-    overtime_a = w_oa * max(0, k * block_lam - R)
+    memo: dict[tuple, tuple] = {}   # state -> (cost-to-go or None, group)
 
-    if not has_qplus:
-        seq = tuple(gi for gi, g in enumerate(groups) for _ in g.patients)
-        template = _horizon_template(groups, [seq] * k, blocks_patients)
-        return Solution(template, _objective_fraction(overtime_a, denom),
-                        True, 0)
+    def move(state, i):
+        """(step cost, next state) of giving the next slot to group i."""
+        c, counts, d = state
+        g = groups[i]
+        if d is None:   # the physician has not started
+            cost, d = 0, (g.mu if g.qplus else None)
+        elif not g.qplus:
+            cost, d = 0, d - g.lam
+        else:
+            lag = d - g.lam
+            cost, d = ((w_alpha * lag, lag + g.mu) if lag >= 0
+                       else (-w_bp * lag, g.mu))
+        counts = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+        if not any(counts):
+            c, counts = c + 1, full
+        return cost, (c, counts, d)
 
-    # first block from scratch; dedupe on (wait, idle, relative physician lag)
-    first: dict[tuple, tuple[int, ...]] = {}
-    for seq in _sequences(groups, qplus_first=True):
-        if not budget.spend():
-            break
-        wait, idle, p_end, _ = _score_block(groups, seq)
-        key = (wait, idle, p_end - block_lam)
-        if key not in first:
-            first[key] = seq
+    def solve(state):
+        """Fill memo[state]; yields each unsolved child state first."""
+        c, counts, d = state
+        if c == blocks:   # end of the day: physician overtime
+            memo[state] = (0 if R is None or d is None
+                           else w_op * max(0, day_lam + d - R), None)
+            return
+        best = choice = None
+        for i, g in enumerate(groups):
+            if not counts[i] or (d is None and has_qplus and not g.qplus):
+                continue
+            if budget.exhausted or not budget.spend():
+                break
+            step, child = move(state, i)
+            if child not in memo:
+                yield child
+            tail = memo[child][0]
+            if tail is not None and (best is None or step + tail < best):
+                best, choice = step + tail, i
+        memo[state] = (best, choice)
 
-    # continuation blocks: evaluated lazily per distinct incoming lag d
-    # (physician availability minus assistant availability at the junction)
-    cont_cache: dict[Scalar, dict[tuple, tuple[int, ...]]] = {}
+    root = (0 if any(full) else blocks, full, None)   # no slots: done
+    stack = [solve(root)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(solve(child))
+    if memo[root][0] is None:
+        raise budget.out_of_budget()
+    seq, state = [], root
+    while state[0] < blocks:
+        seq.append(memo[state][1])
+        state = move(state, seq[-1])[1]
+    overtime_a = 0 if R is None else w_oa * max(0, day_lam - R)
+    return _solution(seq, memo[root][0] + overtime_a, denom, budget,
+                     blocks_patients)
 
-    def continuations(d: Scalar) -> dict[tuple, tuple[int, ...]]:
-        if d not in cont_cache:
-            entries: dict[tuple, tuple[int, ...]] = {}
-            for seq in _sequences(groups, qplus_first=False):
-                if budget.exhausted or not budget.spend():
-                    break
-                wait, idle, p_end, _ = _score_block(groups, seq, p0=d,
-                                                    p_started=True)
-                key = (wait, idle, p_end - block_lam)
-                if key not in entries:
-                    entries[key] = seq
-            cont_cache[d] = entries
-        return cont_cache[d]
 
-    value_cache: dict[tuple[int, Scalar], tuple] = {}
-
-    def best_completion(c: int, d: Scalar):
-        """Min scaled cost of blocks c..k given incoming lag d, plus the
-        closing stage-2 overtime; returns (cost, seqs)."""
-        if c > k:
-            fp_abs = k * block_lam + d
-            return w_op * max(0, fp_abs - R), []
-        key = (c, d)
-        if key not in value_cache:
-            best = None
-            best_seqs = None
-            for (wait, idle, d_out), seq in continuations(d).items():
-                tail_cost, tail_seqs = best_completion(c + 1, d_out)
-                if tail_cost is None:  # budget ran out below this block
-                    continue
-                cost = w_alpha * wait + w_bp * idle + tail_cost
-                if best is None or cost < best:
-                    best, best_seqs = cost, [seq] + tail_seqs
-            value_cache[key] = (best, best_seqs)
-        return value_cache[key]
-
-    best = None
-    best_seqs = None
-    for (wait, idle, d_out), seq in first.items():
-        tail_cost, tail_seqs = best_completion(2, d_out)
-        if tail_cost is None:
-            continue
-        cost = w_alpha * wait + w_bp * idle + tail_cost
-        if best is None or cost < best:
-            best, best_seqs = cost, [seq] + tail_seqs
-    if best is None:
-        raise ValueError(f"the {budget.spent_limit} ran out before any "
-                         "complete horizon was found; raise it")
-    best += overtime_a
-    template = _horizon_template(groups, best_seqs, blocks_patients)
-    return Solution(template, _objective_fraction(best, denom),
-                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
+BNB_MAX_SLOTS = 500   # _bnb recurses once per slot
 
 
 def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
-         regular_time: Scalar | None, blocks_patients=None) -> Solution:
+         regular_time: Scalar | None, blocks_patients) -> Solution:
     """Depth-first branch and bound over the slot assignments, pruning on the
     accumulated-cost lower bound against the incumbent (no epsilon)."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
@@ -313,6 +274,10 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     total_mu = blocks * sum(len(g.patients) * g.mu for g in groups)
     has_qplus = any(g.qplus for g in groups)
     n_slots = blocks * block_size
+    if n_slots > BNB_MAX_SLOTS:
+        raise ValueError(f"branch and bound recurses once per slot and takes "
+                         f"at most {BNB_MAX_SLOTS} slots, not {n_slots}; "
+                         "use --mode enumerate")
     overtime_a = 0 if R is None else w_oa * max(0, blocks * block_lam - R)
 
     incumbent: list = [None, None]  # scaled cost, sequence of type ids
@@ -363,37 +328,10 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 
     rec(0, list(counts0), 0, 0, False, 0, 0, total_mu)
 
-    if incumbent[1] is None:  # budget gone before the first leaf
-        filler = tuple(gi for gi, g in enumerate(groups) for _ in g.patients)
-        if has_qplus and not groups[filler[0]].qplus:
-            qp = next(gi for gi, g in enumerate(groups) if g.qplus)
-            pos = filler.index(qp)
-            filler = (qp,) + filler[:pos] + filler[pos + 1:]
-        incumbent[1] = filler * blocks
-        wait = idle = 0
-        lag = 0
-        started = False
-        for _ in range(blocks):
-            w, i, p_end, started = _score_block(groups, filler, p0=lag,
-                                                p_started=started)
-            wait += w
-            idle += i
-            lag = p_end - block_lam
-        cost = w_alpha * wait + w_bp * idle + overtime_a
-        if R is not None and started:
-            cost += w_op * max(0, blocks * block_lam + lag - R)
-        incumbent[0] = cost
-    seqs = [tuple(incumbent[1][c * block_size:(c + 1) * block_size])
-            for c in range(blocks)]
-    if blocks_patients is None:
-        blocks_patients = [groups_patients(groups)] * blocks
-    template = _horizon_template(groups, seqs, blocks_patients)
-    return Solution(template, _objective_fraction(incumbent[0], denom),
-                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
-
-
-def groups_patients(groups) -> PatientList:
-    return tuple(p for g in groups for p in g.patients)
+    if incumbent[1] is None:   # budget gone before the first leaf
+        raise budget.out_of_budget()
+    return _solution(incumbent[1], incumbent[0], denom, budget,
+                     blocks_patients)
 
 
 def node_lower_bound(prefix: PatientList, weights: CostWeights,
@@ -445,6 +383,9 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     to the sequence search given the appointment rule.
     """
     config = config or SearchConfig()
+    if config.mode != "enumerate":
+        raise ValueError(f"mode {config.mode!r} is not available for the "
+                         "saa scope, which enumerates; use --mode enumerate")
     block = expand_block(inst)
     groups = _groups(block)
     qplus_first = any(g.qplus for g in groups)

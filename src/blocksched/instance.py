@@ -261,9 +261,22 @@ _TIME_FIELDS = ("lambda_mean", "lambda_sd", "mu_mean", "mu_sd")
 
 
 def _need(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise InstanceFormatError(f"{where}: must be an object")
     if key not in mapping:
         raise InstanceFormatError(f"{where}.{key} missing")
     return mapping[key]
+
+
+def _number(mapping, key, where, integer: bool = False):
+    """mapping[key] when it is a JSON number (an int when integer is set);
+    booleans and strings are not numbers, and the error names the field."""
+    raw = _need(mapping, key, where)
+    kinds = int if integer else (int, float, Fraction)
+    if isinstance(raw, bool) or not isinstance(raw, kinds):
+        kind = "an integer" if integer else "a number"
+        raise InstanceFormatError(f"{where}.{key}: must be {kind}, not {raw!r}")
+    return raw
 
 
 def load_instance(path) -> ClinicInstance:
@@ -276,7 +289,8 @@ def load_instance(path) -> ClinicInstance:
 
 
 def instance_from_dict(data: dict) -> ClinicInstance:
-    if not isinstance(data.get("types"), list) or not data["types"]:
+    if (not isinstance(data, dict) or not isinstance(data.get("types"), list)
+            or not data["types"]):
         raise InstanceFormatError("types missing or empty")
     types = []
     for i, td in enumerate(data["types"]):
@@ -287,25 +301,21 @@ def instance_from_dict(data: dict) -> ClinicInstance:
             if fieldname in ("lambda_sd", "mu_sd") and fieldname not in td:
                 values[fieldname] = 0
                 continue
-            raw = _need(td, fieldname, where)
+            raw = _number(td, fieldname, where)
             if not on_grid(raw):
                 raise InstanceFormatError(
                     f"{where}.{fieldname}: finer than 0.1-minute resolution")
             values[fieldname] = tenths(raw)
-        ratio = _need(td, "ratio", where)
-        if not isinstance(ratio, int):
-            raise InstanceFormatError(f"{where}.ratio: must be an integer")
+        ratio = _number(td, "ratio", where, integer=True)
         types.append(PatientType(str(name), values["lambda_mean"], values["lambda_sd"],
                                  values["mu_mean"], values["mu_sd"], ratio))
     costs_d = _need(data, "costs", "instance")
-    costs = CostWeights(*(Fraction(_need(costs_d, k, "costs"))
+    costs = CostWeights(*(Fraction(_number(costs_d, k, "costs"))
                           for k in ("alpha", "beta_a", "beta_p", "o_a", "o_p")))
-    regular = _need(data, "regular_time", "instance")
+    regular = _number(data, "regular_time", "instance")
     if not on_grid(regular):
         raise InstanceFormatError("regular_time: finer than 0.1-minute resolution")
-    blocks = _need(data, "blocks", "instance")
-    if not isinstance(blocks, int):
-        raise InstanceFormatError("blocks: must be an integer")
+    blocks = _number(data, "blocks", "instance", integer=True)
     return ClinicInstance(tuple(types), costs, tenths(regular), blocks)
 
 

@@ -313,6 +313,7 @@ class SAAResult:
     K: int
     stopped: bool                # stopping rule satisfied (vs. limits hit)
     converged: bool
+    all_inner_optimal: bool      # every replication of this K certified
 
 
 def incumbent_selection(solutions, scenario_sets, evaluator):
@@ -367,6 +368,8 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
     inner_solver(inst, weights, scenario_set) must return an object with
     .objective (the replication optimum) and an evaluate(scenario_set)
     counterpart is derived from its .template via scenario_average_cost.
+    A replication counts as certified only when its .optimal is true, so
+    fixed-template replications never do.
     """
     dist = dist or DistributionSpec("normal")
     K = config.K
@@ -400,8 +403,11 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
             lambda sol, sset: scenario_average_cost(
                 sol.template, sset, weights,
                 regular_time=getattr(sol, "regular_time", None)))
-        last_state = SAAResult(psi_bar, h, nu, incumbent, running,
-                               tuple(psis), S2, K, stopped, converged=stopped)
+        last_state = SAAResult(
+            psi_bar, h, nu, incumbent, running, tuple(psis), S2, K, stopped,
+            converged=stopped,
+            all_inner_optimal=all(getattr(sol, "optimal", False)
+                                  for sol in sols))
         if stopped:
             return last_state
         K += config.k_step

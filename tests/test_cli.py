@@ -161,14 +161,49 @@ class TestRejectedInputs:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_horizon_budget_out_has_no_traceback(self, tmp_path, capsys):
-        # the first ex2 block alone has 110880 sequences, so no complete
-        # horizon fits in the budget (an incumbent case is in test_exact)
+        # a complete ex2 horizon is 26 slots deep, so none fits in the
+        # budget (an incumbent case is in test_exact)
         ex2_path = tmp_path / "ex2.json"
         shutil.copy(str(FIXDIR / "ex2.json"), ex2_path)
         assert run(["exact", "--instance", str(ex2_path), "--scope", "horizon",
-                    "--mode", "enumerate", "--node-limit", "100000"]) == 1
+                    "--mode", "enumerate", "--node-limit", "20"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the node limit (100000 nodes) ran out")
+        assert err.startswith("error: the node limit (20 nodes) ran out")
+
+    def test_bnb_horizon_too_deep_exits_one(self, ex1_path, capsys):
+        assert run(["exact", "--instance", ex1_path, "--scope", "horizon",
+                    "--k", "120", "--mode", "branch_and_bound",
+                    "--node-limit", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "1080" in captured.err and "--mode enumerate" in captured.err
+
+    def test_tau_rule_on_block_scope_exits_one(self, ex1_path, capsys):
+        assert run(["exact", "--instance", ex1_path, "--scope", "block",
+                    "--tau-rule", "quantile_grid"]) == 1
+        assert capsys.readouterr().err.startswith("error: tau rule")
+
+    def test_bnb_on_saa_scope_exits_one(self, ex1_path, capsys):
+        assert run(["exact", "--instance", ex1_path, "--scope", "saa",
+                    "--mode", "branch_and_bound", "--K", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: mode")
+
+
+@pytest.mark.parametrize("fixture, args, certified", [
+    # the budget cuts every table7 replication short
+    ("table7", ["--inner", "exact", "--K", "3", "--node-limit", "1000"], False),
+    ("ex1", ["--inner", "exact", "--K", "2", "--dist", "uniform"], True),
+    # a fixed template bounds the replication optimum, never certifies it
+    ("ex1", ["--inner", "alg4", "--K", "2"], False),
+])
+def test_saa_reports_whether_replications_certified(fixture, args, certified,
+                                                    tmp_path, capsys):
+    path = tmp_path / f"{fixture}.json"
+    shutil.copy(str(FIXDIR / f"{fixture}.json"), path)
+    assert run(["saa", "--instance", str(path), "--nu0", "2", "--nu-max", "2"]
+               + args) == 0
+    assert json.loads(capsys.readouterr().out)["all_inner_optimal"] is certified
 
 
 def test_validate_hard_error_exits_one(tmp_path, capsys):

@@ -89,6 +89,13 @@ class TestBlockExact:
             sol = solve_block_exact(expand_block(inst), CostWeights.of(1, 1, 1))
             assert sol.template.slots[0].qplus
 
+    def test_node_limit_below_slot_count_raises_in_both_modes(self, ex1):
+        # a complete ex1 block is 9 slots deep
+        for mode in ("enumerate", "branch_and_bound"):
+            with pytest.raises(ValueError, match=r"node limit \(5 nodes\)"):
+                solve_block_exact(expand_block(ex1), ex1.costs,
+                                  SearchConfig(node_limit=5, mode=mode))
+
     def test_node_limit_returns_best_found(self, ex1):
         sol = solve_block_exact(expand_block(ex1), CostWeights.of(1, 1, 1),
                                 SearchConfig(node_limit=50))
@@ -279,6 +286,7 @@ class TestModeAgreement:
             b = solve_block_exact(expand_block(inst), w,
                                   SearchConfig(mode="branch_and_bound"))
             assert a.optimal and b.optimal and a.objective == b.objective
+            assert a.template == b.template
 
 
 class TestHorizonRandomizedDifferential:
@@ -312,6 +320,7 @@ class TestHorizonRandomizedDifferential:
                                       SearchConfig(mode="branch_and_bound"))
             assert dp.optimal and bnb.optimal
             assert dp.objective == best == bnb.objective
+            assert dp.template == bnb.template
             ev = evaluate(dp.template, regular_time=inst.regular_time)
             assert total_cost(ev, w) == dp.objective
 
@@ -337,29 +346,61 @@ class TestHorizonRandomizedDifferential:
             bnb = solve_horizon_exact(inst, w,
                                       SearchConfig(mode="branch_and_bound"))
             assert dp.optimal and dp.objective == best == bnb.objective
+            assert dp.template == bnb.template
 
 
 class TestHorizonBudget:
     def test_budget_out_in_continuations_returns_incumbent(self, ex2):
-        # 110880 first-block sequences, then the budget runs out while the
-        # second block's continuations are being enumerated
+        # the dynamic program certifies ex2 in 14079 transitions; the budget
+        # runs out after the first complete horizons (26 slots deep)
         sol = solve_horizon_exact(ex2, ex2.costs,
-                                  SearchConfig(node_limit=150_000))
+                                  SearchConfig(node_limit=5_000))
         assert not sol.optimal
-        assert sol.nodes_explored == 150_001
+        assert sol.nodes_explored == 5_001
         m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
                             regular_time=ex2.regular_time)
         assert oracle_cost(m, ex2.costs) == sol.objective
 
     def test_budget_out_before_any_horizon_raises(self, ex1):
-        with pytest.raises(ValueError, match=r"node limit \(50 nodes\)"):
-            solve_horizon_exact(ex1, ex1.costs, SearchConfig(node_limit=50))
+        # a complete ex1 horizon is 18 slots deep
+        with pytest.raises(ValueError, match=r"node limit \(10 nodes\)"):
+            solve_horizon_exact(ex1, ex1.costs, SearchConfig(node_limit=10))
 
     def test_time_limit_out_names_the_time_limit(self, ex2):
-        # the deadline is checked every 4096 nodes, all inside the first
-        # block's 110880 sequences
+        # the deadline is read on the first node, before any complete
+        # horizon is reached
         with pytest.raises(ValueError, match=r"time limit \(1e-09 s\)"):
             solve_horizon_exact(ex2, ex2.costs, SearchConfig(time_limit=1e-9))
+
+
+class TestRejectedConfigs:
+    def test_deterministic_scopes_reject_quantile_grid(self, ex1):
+        config = SearchConfig(tau_rule="quantile_grid")
+        with pytest.raises(ValueError, match="quantile_grid"):
+            solve_block_exact(expand_block(ex1), ex1.costs, config)
+        with pytest.raises(ValueError, match="quantile_grid"):
+            solve_horizon_exact(ex1, ex1.costs, config)
+
+    def test_saa_scope_rejects_branch_and_bound(self, ex1):
+        scen = draw_scenarios(ex1, DistributionSpec("normal"), 2, seed=2)
+        with pytest.raises(ValueError, match="branch_and_bound"):
+            solve_saa_replication(ex1, ex1.costs, scen,
+                                  SearchConfig(mode="branch_and_bound"))
+
+
+class TestLongHorizons:
+    def test_dp_certifies_a_thousand_slots(self, ex1):
+        inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 120)
+        sol = solve_horizon_exact(inst, inst.costs)
+        assert sol.optimal and sol.objective == 153395
+        assert len(sol.template.slots) == 1080
+
+    def test_bnb_rejects_horizons_deeper_than_its_recursion(self, ex1):
+        inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 120)
+        with pytest.raises(ValueError, match=r"not 1080; use --mode enumerate"):
+            solve_horizon_exact(inst, inst.costs,
+                                SearchConfig(mode="branch_and_bound",
+                                             node_limit=1000))
 
 
 def test_horizon_exact_all_q_instance():

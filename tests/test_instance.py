@@ -173,3 +173,38 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError, match="0.1-minute"):
             instance_from_dict(json.loads(json.dumps(data),
                                           parse_float=Fraction))
+
+    def test_booleans_rejected_in_numeric_fields(self):
+        sections = ((lambda d: d["types"][0],
+                     ("lambda_mean", "lambda_sd", "mu_mean", "mu_sd", "ratio")),
+                    (lambda d: d["costs"],
+                     ("alpha", "beta_a", "beta_p", "o_a", "o_p")),
+                    (lambda d: d, ("regular_time", "blocks")))
+        for section, keys in sections:
+            for key in keys:
+                data = instance_to_dict(mk_instance([("A", 10, 20, 1)]))
+                section(data)[key] = True
+                with pytest.raises(InstanceFormatError,
+                                   match=rf"\.{key}: must be an? (number|integer)"):
+                    instance_from_dict(data)
+
+    def test_non_numeric_cost_names_field(self):
+        data = instance_to_dict(mk_instance([("A", 10, 20, 1)]))
+        data["costs"]["beta_p"] = "x"
+        with pytest.raises(InstanceFormatError,
+                           match=r"costs\.beta_p: must be a number, not 'x'"):
+            instance_from_dict(data)
+
+    def test_non_object_sections_name_their_field(self):
+        data = instance_to_dict(mk_instance([("A", 10, 20, 1)]))
+        data["costs"] = 5
+        with pytest.raises(InstanceFormatError,
+                           match=r"^costs: must be an object"):
+            instance_from_dict(data)
+        data = instance_to_dict(mk_instance([("A", 10, 20, 1)]))
+        data["types"][0] = "A"
+        with pytest.raises(InstanceFormatError,
+                           match=r"^types\[0\]: must be an object"):
+            instance_from_dict(data)
+        with pytest.raises(InstanceFormatError, match="types missing"):
+            instance_from_dict([])
