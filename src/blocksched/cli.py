@@ -278,11 +278,20 @@ def _cmd_simulate(args):
 
 
 def _cmd_noshow(args):
+    try:
+        R = tenths(args.R)
+    except (ValueError, ZeroDivisionError):
+        R = None
+    if not isinstance(R, int) or R < 0:
+        raise ValueError(f"--R {args.R}: must be a non-negative number of "
+                         "minutes on the 0.1-minute grid")
     inst = load_instance(args.instance)
     probs = noshow_mod.NoShowProbs.of(Fraction(args.p_plus), Fraction(args.p))
-    base = heuristics.algorithm2(expand_block(inst))
+    if args.k is None:
+        base = heuristics.algorithm2(expand_block(inst))
+    else:
+        base = heuristics.algorithm4(_with_k(inst, args.k))
     plan = noshow_mod.build_overbook_plan(base, args.plan, probs)
-    R = tenths(args.R)
     metrics = noshow_mod.enumerate_expected_metrics(plan, probs, R)
     payload = {
         "plan": plan.strategy, "listing": plan.listing(),
@@ -414,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-grid",
                    default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
     p.add_argument("--R", default="150")
+    p.add_argument("--k", type=int, default=None)
     p.add_argument("--o", default="1.2")
     p.add_argument("--beta", default="1")
     p.add_argument("--csv", default=None)

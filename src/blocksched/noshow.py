@@ -6,10 +6,11 @@ block, the fully-front-load strategy (FF) stacks all duplicates on the
 single earliest slot per group.  Duplicates share the host slot's
 appointment time and type and are served in listed order.
 
-Expected metrics are exact: show patterns are enumerated with rational
-probabilities, aggregated per slot by how many of its copies show (copies
-of one slot are exchangeable), and a no-show consumes zero time at both
-stages with zero wait while later patients stay gated by their own
+Expected metrics are exact: show patterns carry rational probabilities,
+are aggregated per slot by how many of its copies show (copies of one slot
+are exchangeable) and are merged on the resources' free times, since wait,
+idle and overtime add up along a pattern.  A no-show consumes zero time at
+both stages with zero wait while later patients stay gated by their own
 appointment times.
 """
 
@@ -23,7 +24,7 @@ from .instance import CostWeights, Patient
 from .timeline import AppointmentTemplate
 from .units import Scalar, round_half_away
 
-ENUMERATION_CAP = 24
+STATE_BUDGET = 50_000  # live merged states after any slot
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,7 @@ class ExpectedMetrics:
     overtime_p: Fraction
     path_count: int
     mass: Fraction        # total probability accounted for; exactly 1
+    states: int = 0       # merged states the exact pass visited
 
     def as_tuple(self):
         return (self.wait, self.idle_a, self.idle_p,
@@ -140,89 +142,81 @@ class ExpectedMetrics:
 
 def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
                                regular_time: Scalar,
-                               cap: int = ENUMERATION_CAP) -> ExpectedMetrics:
+                               cap: int = STATE_BUDGET) -> ExpectedMetrics:
     """Exact expectation over all show/no-show patterns.
 
     Patterns are grouped per slot by the number of its copies that show
-    (binomial weights); the depth-first walk shares prefix timelines between
-    patterns.  All probability arithmetic is integer-exact.
+    (binomial weights) and merged slot by slot on (assistant free,
+    physician free, assistant started, physician started).  Each merged
+    state carries integer-weighted sums of its weight, its wait and each
+    resource's first start plus busy time: all that idle and overtime need
+    at the end.  ``cap`` bounds the live states after any slot.
     """
-    n_total = plan.n_scheduled
-    if n_total > cap:
-        raise ValueError(
-            f"{n_total} scheduled patients exceeds the {cap}-patient "
-            "enumeration cap; use the Monte-Carlo fallback "
-            "(evaluate_template_mc with noshow_probs)")
-    base = plan.base
-    positions = []
+    # (a free, p free, a started, p started) -> (W, Σw·wait,
+    # Σw·(first stage-1 start + a busy), Σw·(first stage-2 start + p busy))
+    states = {(0, 0, False, False): (1, 0, 0, 0)}
     denominator = 1
-    for t, host in enumerate(base.slots):
+    visited = 0
+    for t, host in enumerate(plan.base.slots):
+        tau, lam, mu = plan.base.taus[t], host.lam, host.mu
         copies = plan.copies(t)
         ns = probs.for_patient(host)
-        den = ns.denominator
-        ns_num = ns.numerator
-        show_num = den - ns_num
-        # per-position binomial weights over the number of shown copies
+        show_num, ns_num = ns.denominator - ns.numerator, ns.numerator
+        denominator *= ns.denominator**copies
         weights = [comb(copies, j) * show_num**j * ns_num**(copies - j)
                    for j in range(copies + 1)]
-        denominator *= den**copies
-        positions.append((base.taus[t], host.lam, host.mu, host.qplus,
-                          copies, weights, den**copies))
+        nxt: dict = {}
+        while states:  # popping frees each state as its successors appear
+            (pa, p, sa, sp), (W, S_w, S_a, S_p) = states.popitem()
+            for j, w in enumerate(weights):
+                if not w:
+                    continue  # a show count that cannot happen (p = 0 or 1)
+                if j == 0:
+                    key, d_w, d_a, d_p = (pa, p, sa, sp), 0, 0, 0
+                else:
+                    ea = tau if tau >= pa else pa
+                    # j same-type copies served back to back from ea; each
+                    # waited from the shared appointment time
+                    d_w = j * (ea - tau) + lam * (j * (j - 1) // 2)
+                    d_a = (0 if sa else ea) + j * lam
+                    if host.qplus:
+                        pp = p
+                        for c in range(1, j + 1):
+                            fac = ea + c * lam
+                            ep = fac if fac >= pp else pp
+                            d_w += ep - fac
+                            pp = ep + mu
+                        first_p = ea + lam if ea + lam >= p else p
+                        d_p = (0 if sp else first_p) + j * mu
+                        key = (ea + j * lam, pp, True, True)
+                    else:
+                        key, d_p = (ea + j * lam, p, True, sp), 0
+                old = nxt.get(key, (0, 0, 0, 0))
+                nxt[key] = (old[0] + w * W, old[1] + w * (S_w + W * d_w),
+                            old[2] + w * (S_a + W * d_a),
+                            old[3] + w * (S_p + W * d_p))
+        if len(nxt) > cap:
+            raise ValueError(
+                f"{len(nxt)} merged show states after slot {t + 1} exceed the "
+                f"{cap}-state budget; use the Monte-Carlo fallback "
+                "(evaluate_template_mc with noshow_probs)")
+        visited += len(nxt)
+        states = nxt
 
-    acc = [0, 0, 0, 0, 0, 0]  # weighted wait, idle_a, idle_p, b_a, b_p, mass
     R = regular_time
-
-    def walk(i, weight, pa, p, first_a, last_a, busy_a, first_p, last_p,
-             busy_p, wait):
-        if i == len(positions):
-            idle_a = (last_a - first_a) - busy_a if last_a is not None else 0
-            idle_p = (last_p - first_p) - busy_p if last_p is not None else 0
-            b_a = max(0, last_a - R) if last_a is not None else 0
-            b_p = max(0, last_p - R) if last_p is not None else 0
-            acc[0] += weight * wait
-            acc[1] += weight * idle_a
-            acc[2] += weight * idle_p
-            acc[3] += weight * b_a
-            acc[4] += weight * b_p
-            acc[5] += weight
-            return
-        tau, lam, mu, qplus, copies, jweights, _ = positions[i]
-        for j in range(copies + 1):
-            wj = weight * jweights[j]
-            if j == 0:
-                walk(i + 1, wj, pa, p, first_a, last_a, busy_a, first_p,
-                     last_p, busy_p, wait)
-                continue
-            ea = tau if tau >= pa else pa
-            # j same-type copies served back to back from ea; each waited
-            # from the shared appointment time
-            w2 = wait + j * (ea - tau) + lam * (j * (j - 1) // 2)
-            fa = ea + j * lam
-            na = first_a if first_a is not None else ea
-            nb = busy_a + j * lam
-            if qplus:
-                pp = p
-                fp_first = None
-                for c in range(1, j + 1):
-                    fac = ea + c * lam
-                    ep = fac if fac >= pp else pp
-                    w2 += ep - fac
-                    if fp_first is None:
-                        fp_first = ep
-                    pp = ep + mu
-                np_first = first_p if first_p is not None else fp_first
-                walk(i + 1, wj, fa, pp, na, fa, nb, np_first, pp,
-                     busy_p + j * mu, w2)
-            else:
-                walk(i + 1, wj, fa, p, na, fa, nb, first_p, last_p,
-                     busy_p, w2)
-
-    walk(0, 1, 0, 0, None, None, 0, None, None, 0, 0)
-    mass = Fraction(acc[5], denominator)
+    acc = [0, 0, 0, 0, 0, 0]  # mass, wait, idle_a, idle_p, b_a, b_p
+    for (pa, p, sa, sp), (W, S_w, S_a, S_p) in states.items():
+        acc[0] += W
+        acc[1] += S_w
+        if sa:
+            acc[2] += W * pa - S_a
+            acc[4] += W * max(0, pa - R)
+        if sp:
+            acc[3] += W * p - S_p
+            acc[5] += W * max(0, p - R)
     to_minutes = lambda v: Fraction(v, denominator) / 10
-    return ExpectedMetrics(to_minutes(acc[0]), to_minutes(acc[1]),
-                           to_minutes(acc[2]), to_minutes(acc[3]),
-                           to_minutes(acc[4]), 2**n_total, mass)
+    return ExpectedMetrics(*map(to_minutes, acc[1:]), 2**plan.n_scheduled,
+                           Fraction(acc[0], denominator), visited)
 
 
 def expected_cost_per_patient(metrics: ExpectedMetrics, weights: CostWeights,

@@ -216,3 +216,21 @@ def test_validate_hard_error_exits_one(tmp_path, capsys):
     assert run(["validate", "--instance", str(bad)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert not payload["ok"]
+
+
+class TestNoshowCommand:
+    def test_k_overbooks_the_first_block_of_the_horizon(self, table7_path,
+                                                        capsys):
+        assert run(["noshow", "--instance", table7_path, "--plan", "lf",
+                    "--k", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_scheduled"] == 35
+        assert payload["mass"] == "1"
+
+    @pytest.mark.parametrize("R", ["-5", "0.05", "1/0"])
+    def test_negative_off_grid_or_malformed_R_exits_one(self, table7_path,
+                                                        capsys, R):
+        assert run(["noshow", "--instance", table7_path, "--R", R]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --R {R}:")

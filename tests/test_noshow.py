@@ -218,3 +218,73 @@ def test_class_aggregation_random_plans_match_brute_force():
         assert metrics.as_tuple() == (oracle["wait"], oracle["idle_a"],
                                       oracle["idle_p"], oracle["overtime_a"],
                                       oracle["overtime_p"])
+
+
+def test_state_budget_error_names_the_state_count(schedule_s):
+    plan = build_overbook_plan(schedule_s, "lf", PROBS)
+    with pytest.raises(ValueError, match=r"^\d+ merged show states .* "
+                                         r"10-state budget"):
+        enumerate_expected_metrics(plan, PROBS, tenths(150), cap=10)
+
+
+def test_merged_pass_matches_brute_force_on_seeded_random_plans():
+    """FF multi-copy slots, no-show probabilities 0, 1 and 1/3, and R
+    before the day, at its start and mid-day."""
+    import numpy as np
+    rng = np.random.default_rng(505)
+    levels = (Fraction(0), Fraction(1), Fraction(1, 3))
+    multi_copy = checked = 0
+    for p_plus, p in itertools.product(levels, levels):
+        for strategy in ("ff", "lf"):
+            while True:
+                types = [(f"Q{i}", int(rng.integers(3, 12)), 0,
+                          int(rng.integers(1, 4)))
+                         for i in range(int(rng.integers(0, 2)))]
+                types += [(f"A{i}", int(rng.integers(3, 12)),
+                           int(rng.integers(3, 25)), int(rng.integers(1, 6)))
+                          for i in range(int(rng.integers(1, 3)))]
+                tpl = algorithm2(expand_block(mk_instance(types)))
+                probs = NoShowProbs.of(p_plus, p)
+                try:
+                    plan = build_overbook_plan(tpl, strategy, probs)
+                except ValueError:  # LF capacity
+                    continue
+                if plan.n_scheduled <= 10:
+                    break
+            multi_copy += any(c > 1 for _, c in plan.duplicates)
+            for R in (-10, 0, tpl.taus[len(tpl.taus) // 2]):
+                metrics = enumerate_expected_metrics(plan, probs, R)
+                oracle, mass = brute_force_expected(plan, probs, R)
+                assert metrics.mass == mass == 1
+                assert metrics.as_tuple() == (
+                    oracle["wait"], oracle["idle_a"], oracle["idle_p"],
+                    oracle["overtime_a"], oracle["overtime_p"])
+                assert metrics.path_count == 2**plan.n_scheduled
+                assert metrics.states > 0
+                checked += 1
+    assert checked == 54 and multi_copy >= 4
+
+
+def test_table7_k2_lf_within_five_se_of_monte_carlo(table7):
+    """35 patients: beyond brute force, so check against the show-mask
+    Monte-Carlo fallback at mean service times (all sds zero)."""
+    from dataclasses import replace
+
+    from blocksched import DistributionSpec, algorithm4
+    from blocksched.stochastic import evaluate_template_mc
+    inst = replace(table7, blocks=2,
+                   types=tuple(replace(t, lam_sd=0, mu_sd=0)
+                               for t in table7.types))
+    plan = build_overbook_plan(algorithm4(inst), "lf", PROBS)
+    assert plan.n_scheduled == 35
+    exact = enumerate_expected_metrics(plan, PROBS, inst.regular_time)
+    assert exact.mass == 1
+    stats = evaluate_template_mc(plan.template(), inst,
+                                 DistributionSpec("normal"), 2000, seed=17,
+                                 tag="noshow-k2", noshow_probs=PROBS)
+    mc_wait = stats.mean["wait_a"] + stats.mean["wait_p"]
+    assert abs(float(mc_wait - exact.wait)) <= \
+        5 * (stats.se["wait_a"] + stats.se["wait_p"])
+    for name in ("idle_a", "idle_p", "overtime_a", "overtime_p"):
+        assert abs(float(stats.mean[name] - getattr(exact, name))) <= \
+            5 * stats.se[name], name
