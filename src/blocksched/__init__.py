@@ -15,9 +15,8 @@ from .heuristics import (BoundReport, RobustnessReport, algorithm1,
                          closed_form_wait, fcfa, junction_theta,
                          robust_template, robustness_report, w_threshold,
                          wait_bound_block, wait_bound_horizon)
-from .exact import (SearchConfig, Solution, node_lower_bound,
-                    solve_block_exact, solve_horizon_exact,
-                    solve_saa_replication)
+from .exact import (SearchConfig, Solution, solve_block_exact,
+                    solve_horizon_exact, solve_saa_replication)
 from .stochastic import (DistributionSpec, SAAConfig, SAAResult, ScenarioSet,
                          draw_scenarios, evaluate_template_mc,
                          incumbent_selection, realization_for_template,

@@ -31,8 +31,14 @@ RESULT_COLUMNS = ("method", "alpha", "beta_a", "beta_p", "o_a", "o_p",
                   "wait_stage1", "wait_stage2", "objective", "seed", "paths")
 
 
-def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+def _fraction(text: str, flag: str) -> Fraction:
+    """The value of a Fraction flag; a malformed value or a zero
+    denominator is an error that names the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} {text}: must be a number or a fraction "
+                         "with a nonzero denominator") from None
 
 
 def _q6(value) -> Fraction:
@@ -117,7 +123,7 @@ def _build_template(inst, method, seed=0):
 
 def _dist_from_args(args) -> stochastic.DistributionSpec:
     if getattr(args, "dist", "normal") == "uniform":
-        return stochastic.DistributionSpec.uniform(Fraction(args.w))
+        return stochastic.DistributionSpec.uniform(_fraction(args.w, "--w"))
     return stochastic.DistributionSpec("normal")
 
 
@@ -285,8 +291,12 @@ def _cmd_noshow(args):
     if not isinstance(R, int) or R < 0:
         raise ValueError(f"--R {args.R}: must be a non-negative number of "
                          "minutes on the 0.1-minute grid")
+    probs = noshow_mod.NoShowProbs.of(_fraction(args.p_plus, "--p-plus"),
+                                      _fraction(args.p, "--p"))
+    alphas = [_fraction(a, "--alpha-grid")
+              for a in args.alpha_grid.split(",") if a]
+    beta, o = _fraction(args.beta, "--beta"), _fraction(args.o, "--o")
     inst = load_instance(args.instance)
-    probs = noshow_mod.NoShowProbs.of(Fraction(args.p_plus), Fraction(args.p))
     if args.k is None:
         base = heuristics.algorithm2(expand_block(inst))
     else:
@@ -310,9 +320,8 @@ def _cmd_noshow(args):
     _write_json(payload, args.output)
     if args.csv:
         rows = []
-        for alpha in _fractions(args.alpha_grid):
-            weights = CostWeights(alpha, Fraction(args.beta), Fraction(args.beta),
-                                  Fraction(args.o), Fraction(args.o))
+        for alpha in alphas:
+            weights = CostWeights(alpha, beta, beta, o, o)
             cost = noshow_mod.expected_cost_per_patient(metrics, weights,
                                                         plan.n_scheduled)
             rows.append({"alpha": fmt_number(alpha),
@@ -322,14 +331,15 @@ def _cmd_noshow(args):
 
 
 def _cmd_compare(args):
+    alphas = [_fraction(a, "--alphas") for a in args.alphas.split(",") if a]
+    overtimes = [_fraction(o, "--overtimes")
+                 for o in args.overtimes.split(",") if o]
+    beta = _fraction(args.beta, "--beta")
     inst = load_instance(args.instance)
     methods = [m for m in args.methods.split(",") if m]
     dist = _dist_from_args(args)
     scenario_set = stochastic.draw_scenarios(inst, dist, args.paths, args.seed,
                                              tag="compare")
-    alphas = _fractions(args.alphas)
-    overtimes = _fractions(args.overtimes)
-    beta = Fraction(args.beta)
     rows = []
     for method in methods:
         template = _build_template(inst, method, args.seed)

@@ -5,11 +5,15 @@ The deterministic models pin appointments to the planned stage-1 starts
 ``mode="enumerate"`` solves the single-block and horizon models with one
 memoised dynamic program over (block, type counts left, physician lag), and
 ``nodes_explored`` counts its transitions; ``mode="branch_and_bound"``
-searches slot assignments depth first.  Both return the lexicographically
-first optimal sequence.  The scenario-averaged block model enumerates
-distinct sequences.  Sequences are over type multisets, not labeled
-patients; same-type patients take replicates in order of appearance.  Idle
-time is the span-based definition used everywhere else in the package.
+searches slot assignments depth first.  The scenario-averaged block model
+is one depth-first search over type prefixes that carries all K scenarios
+at each node; ``mode="enumerate"`` visits every prefix and
+``mode="branch_and_bound"`` prunes on the cost accumulated so far, and
+``nodes_explored`` counts prefix nodes.  Every solver returns the
+lexicographically first optimal sequence.  Sequences are over type
+multisets, not labeled patients; same-type patients take replicates in
+order of appearance.  Idle time is the span-based definition used
+everywhere else in the package.
 
 Costs are compared in exact scaled-integer arithmetic; reported objectives
 are Fractions in minute units.
@@ -21,10 +25,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 import numpy as np
 
-from .instance import ClinicInstance, CostWeights, Patient, PatientList, expand_block
+from .instance import (ClinicInstance, CostWeights, InvalidInstanceError,
+                       Patient, PatientList, expand_block)
 from .timeline import AppointmentTemplate, pa_prefix_taus
 from .units import Scalar
 
@@ -96,29 +102,6 @@ def _groups(block: PatientList) -> list[_TypeGroup]:
             for ps in by_type.values()]
 
 
-def _sequences(groups: list[_TypeGroup], qplus_first: bool):
-    """Yield every distinct type-id sequence of the multiset, optionally
-    restricted to a Q+ type in the first slot."""
-    counts = [len(g.patients) for g in groups]
-    total = sum(counts)
-    seq: list[int] = []
-
-    def rec(depth: int):
-        if depth == total:
-            yield tuple(seq)
-            return
-        for i, g in enumerate(groups):
-            if counts[i] == 0 or (depth == 0 and qplus_first and not g.qplus):
-                continue
-            counts[i] -= 1
-            seq.append(i)
-            yield from rec(depth + 1)
-            seq.pop()
-            counts[i] += 1
-
-    yield from rec(0)
-
-
 def _patients_for(groups: list[_TypeGroup], seq) -> PatientList:
     replicates = [iter(g.patients) for g in groups]
     return tuple(next(replicates[gi]) for gi in seq)
@@ -176,6 +159,8 @@ def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
     block multiset; the first slot of the day takes a Q+ patient whenever one
     exists."""
     config = config or SearchConfig()
+    if inst.blocks < 1:
+        raise InvalidInstanceError("blocks: must be >= 1")
     blocks_patients = [expand_block(inst, c) for c in range(inst.blocks)]
     return _solver(config)(_groups(blocks_patients[0]), inst.blocks, weights,
                            config, inst.regular_time, blocks_patients)
@@ -258,7 +243,7 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
                      blocks_patients)
 
 
-BNB_MAX_SLOTS = 500   # _bnb recurses once per slot
+BNB_MAX_SLOTS = 500   # _bnb and the saa search recurse once per slot
 
 
 def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
@@ -334,39 +319,6 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
                      blocks_patients)
 
 
-def node_lower_bound(prefix: PatientList, weights: CostWeights,
-                     remaining: PatientList = (),
-                     regular_time: Scalar | None = None) -> Fraction:
-    """Admissible lower bound for a partial sequence: cost accumulated by the
-    prefix (waits and span idle never shrink as patients are appended) plus
-    overtime lower bounds from the service time still owed.  Equals the exact
-    objective on a complete sequence."""
-    denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
-    pa: Scalar = 0
-    p: Scalar = 0
-    started = False
-    wait: Scalar = 0
-    idle: Scalar = 0
-    for pat in prefix:
-        pa += pat.lam
-        if pat.qplus:
-            ep = pa if pa >= p else p
-            wait += ep - pa
-            if started:
-                idle += ep - p
-            started = True
-            p = ep + pat.mu
-    bound = w_alpha * wait + w_bp * idle
-    if regular_time is not None:
-        lam_left = sum(pat.lam for pat in remaining)
-        mu_left = sum(pat.mu for pat in remaining)
-        bound += w_oa * max(0, pa + lam_left - regular_time)
-        base_p = p if (started or mu_left) else 0
-        if started or mu_left:
-            bound += w_op * max(0, base_p + mu_left - regular_time)
-    return _objective_fraction(bound, denom)
-
-
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
@@ -377,84 +329,116 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     """Minimize the scenario-average block cost over distinct sequences.
 
     Appointment times are first-stage (shared across scenarios): the rule
-    "earliest" pins them to the mean prefix sums of the candidate sequence;
+    "earliest" pins them to the mean prefix sums of the sequence;
     "quantile_grid" tries each decile (order statistic) of the scenario
-    prefix-sum distribution and keeps the best.  The optimality flag refers
-    to the sequence search given the appointment rule.
+    prefix-sum distribution and keeps the best.  Either way a slot's
+    appointment candidates depend only on the prefix, so one depth-first
+    search over type prefixes carries, per candidate, the K scenarios'
+    assistant-free and physician-free times and one summed scaled cost.
+    "enumerate" visits every prefix; "branch_and_bound" prunes a child
+    whose cheapest candidate costs at least the incumbent.  Children go in
+    type order and a leaf must be strictly better, so both modes return
+    the lexicographically first optimum, with the lowest decile on ties.
+    The optimality flag refers to the sequence search given the
+    appointment rule.
     """
     config = config or SearchConfig()
-    if config.mode != "enumerate":
-        raise ValueError(f"mode {config.mode!r} is not available for the "
-                         "saa scope, which enumerates; use --mode enumerate")
     block = expand_block(inst)
+    n_slots = len(block)
+    if n_slots > BNB_MAX_SLOTS:
+        raise ValueError(f"the saa search recurses once per slot and takes at "
+                         f"most {BNB_MAX_SLOTS} slots, not {n_slots}")
     groups = _groups(block)
-    qplus_first = any(g.qplus for g in groups)
+    has_qplus = any(g.qplus for g in groups)
     denom, (w_alpha, w_ba, w_bp, _, _) = _scale(weights)
     budget = _Budget(config)
+    prune = config.mode == "branch_and_bound"
+    K = scenario_set.K
+    lams = scenario_set.lam.T.tolist()   # per patient uid: K draws
+    mus = scenario_set.mu.T.tolist()
+    mu_sums = [sum(x) for x in mus]
 
-    scen_lams = []
-    scen_mus = []
-    for s in range(scenario_set.K):
-        lam_by_uid, mu_by_uid = scenario_set.draws(s)
-        scen_lams.append([int(x) for x in lam_by_uid])
-        scen_mus.append([int(x) for x in mu_by_uid])
+    if config.tau_rule == "quantile_grid":
+        # the prefix is the K scenarios' stage-1 draw sums; the decile ranks
+        # are those np.quantile(..., method="lower") picks from K values
+        ranks = [int(np.quantile(np.arange(K), q / 10, method="lower"))
+                 for q in range(1, 10)]
+        root_prefix = [0] * K
 
-    def avg_cost(patients: PatientList, taus) -> int:
-        total = 0
-        for lam_by_uid, mu_by_uid in zip(scen_lams, scen_mus):
-            pa: Scalar = 0
-            p: Scalar = 0
-            started_a = started_p = False
-            wait_a = wait_p = 0
-            idle_a: Scalar = 0
-            idle_p: Scalar = 0
-            for j, pat in enumerate(patients):
-                tau = taus[j]
-                ea = tau if tau >= pa else pa
-                wait_a += ea - tau
-                if started_a:
-                    idle_a += ea - pa
-                started_a = True
-                pa = ea + lam_by_uid[pat.uid]
-                if pat.qplus:
-                    ep = pa if pa >= p else p
-                    wait_p += ep - pa
-                    if started_p:
-                        idle_p += ep - p
-                    started_p = True
-                    p = ep + mu_by_uid[pat.uid]
-            total += (w_alpha * (wait_a + wait_p)
-                      + w_ba * idle_a + w_bp * idle_p)
-        return total
+        def taus_at(prefix):
+            ordered = sorted(prefix)
+            return [ordered[r] for r in ranks]
 
-    best = None
-    best_patients = None
-    best_taus = None
-    for seq in _sequences(groups, qplus_first):
-        if not budget.spend():
-            break
-        patients = _patients_for(groups, seq)
-        candidate_taus = [pa_prefix_taus(patients)]
-        if config.tau_rule == "quantile_grid":
-            prefix_by_scen = []
-            for lam_by_uid in scen_lams:
-                acc = 0
-                prefixes = []
-                for pat in patients:
-                    prefixes.append(acc)
-                    acc += lam_by_uid[pat.uid]
-                prefix_by_scen.append(prefixes)
-            matrix = np.array(prefix_by_scen, dtype=float)
-            candidate_taus = []
-            for q in range(1, 10):
-                qs = np.quantile(matrix, q / 10, axis=0, method="lower")
-                candidate_taus.append(tuple(int(x) for x in qs))
-        for taus in candidate_taus:
-            cost = avg_cost(patients, taus)
-            if best is None or cost < best:
-                best, best_patients, best_taus = cost, patients, taus
-    template = AppointmentTemplate(best_patients, tuple(best_taus),
-                                   (0, len(best_patients)))
-    objective = Fraction(best, denom * 10 * scenario_set.K)
-    return Solution(template, objective, optimal=not budget.exhausted,
-                    nodes_explored=budget.nodes)
+        def advance(prefix, g, lam):
+            return list(map(add, prefix, lam))
+    else:   # the prefix is the mean stage-1 sum
+        root_prefix = 0
+
+        def taus_at(prefix):
+            return (prefix,)
+
+        def advance(prefix, g, lam):
+            return prefix + g.lam
+
+    incumbent: list = [None, None, None]  # scaled cost, type ids, taus
+    seq: list[int] = []
+    tau_path: list = []   # each slot's candidate appointment times
+
+    def rec(depth, counts, prefix, states):
+        """states: per candidate, the K scenarios' assistant-free and
+        physician-free times and the summed cost so far."""
+        if depth == n_slots:
+            cost, c = min((s[2], c) for c, s in enumerate(states))
+            if incumbent[0] is None or cost < incumbent[0]:
+                incumbent[:] = cost, tuple(seq), tuple(t[c] for t in tau_path)
+            return
+        taus = taus_at(prefix)
+        tau_path.append(taus)
+        # the stage-1 starts of this slot do not depend on its type: each
+        # scenario either waits for the assistant or the assistant idles
+        starts = []
+        for (pa, p, cost), tau in zip(states, taus):
+            ea = [a if a > tau else tau for a in pa]
+            ea_sum = sum(ea)
+            cost += w_alpha * (ea_sum - K * tau) + w_ba * (ea_sum - sum(pa))
+            starts.append((ea, p, sum(p), cost))
+        for i, g in enumerate(groups):
+            if not counts[i] or (depth == 0 and has_qplus and not g.qplus):
+                continue
+            if budget.exhausted or not budget.spend():
+                break
+            uid = g.patients[len(g.patients) - counts[i]].uid
+            lam, mu = lams[uid], mus[uid]
+            children = []
+            for ea, p, p_sum, cost in starts:
+                pa = list(map(add, ea, lam))
+                if g.qplus:
+                    free = [(b if b > a else a) + x
+                            for a, b, x in zip(pa, p, mu)]
+                    ep_sum = sum(free) - mu_sums[uid]
+                    cost += w_alpha * (ep_sum - sum(pa))
+                    if depth:   # a Q+ slot 0 starts the physician
+                        cost += w_bp * (ep_sum - p_sum)
+                    p = free
+                children.append((pa, p, cost))
+            # waits and span idle never shrink, and there is no overtime
+            if (prune and incumbent[0] is not None
+                    and min(s[2] for s in children) >= incumbent[0]):
+                continue
+            counts[i] -= 1
+            seq.append(i)
+            rec(depth + 1, counts, advance(prefix, g, lam), children)
+            seq.pop()
+            counts[i] += 1
+        tau_path.pop()
+
+    zeros = [0] * K
+    rec(0, [len(g.patients) for g in groups], root_prefix,
+        [(zeros, zeros, 0)] * len(taus_at(root_prefix)))
+    if incumbent[1] is None:   # budget gone before the first leaf
+        raise budget.out_of_budget()
+    best, best_seq, best_taus = incumbent
+    template = AppointmentTemplate(_patients_for(groups, best_seq), best_taus,
+                                   (0, n_slots))
+    return Solution(template, Fraction(best, denom * 10 * K),
+                    optimal=not budget.exhausted, nodes_explored=budget.nodes)

@@ -90,6 +90,9 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                    replication: int = 0) -> ScenarioSet:
     """K independent realizations, one (stage-1, stage-2) draw per expanded
     patient, reproducible from (seed, tag, replication, scenario)."""
+    if K < 1:
+        raise ValueError(f"K = {K} scenarios (sample paths): at least one "
+                         "is needed")
     patients = [p for block in expand_horizon(inst) for p in block]
     n = len(patients)
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
@@ -98,7 +101,7 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                        dtype=np.int64)
     sds_mu = np.array([int(inst.types[p.type_index].mu_sd) for p in patients],
                       dtype=np.int64)
-    qplus = np.array([p.qplus for p in patients])
+    qplus = np.array([p.qplus for p in patients], dtype=bool)
 
     if dist.family == "uniform_width":
         w = float(dist.width)

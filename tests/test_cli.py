@@ -140,6 +140,21 @@ class TestStochasticCommands:
         payload = json.loads(out.read_text())
         assert payload["optimal"] is True
 
+    @pytest.mark.parametrize("tau_rule", ["earliest", "quantile_grid"])
+    def test_exact_saa_bnb_matches_enumerate(self, ex1_path, capsys,
+                                             tau_rule):
+        payloads = {}
+        for mode in ("enumerate", "branch_and_bound"):
+            assert run(["exact", "--instance", ex1_path, "--scope", "saa",
+                        "--mode", mode, "--tau-rule", tau_rule, "--K", "4",
+                        "--dist", "uniform", "--w", "0.4"]) == 0
+            payloads[mode] = json.loads(capsys.readouterr().out)
+        enum, bnb = payloads["enumerate"], payloads["branch_and_bound"]
+        assert enum["optimal"] is bnb["optimal"] is True
+        assert (enum["objective"], enum["template"]) == (bnb["objective"],
+                                                         bnb["template"])
+        assert bnb["nodes_explored"] < enum["nodes_explored"]
+
 
 class TestRejectedInputs:
     def test_uniform_width_above_two_exits_one(self, table7_path, capsys):
@@ -184,10 +199,62 @@ class TestRejectedInputs:
                     "--tau-rule", "quantile_grid"]) == 1
         assert capsys.readouterr().err.startswith("error: tau rule")
 
-    def test_bnb_on_saa_scope_exits_one(self, ex1_path, capsys):
-        assert run(["exact", "--instance", ex1_path, "--scope", "saa",
-                    "--mode", "branch_and_bound", "--K", "3"]) == 1
-        assert capsys.readouterr().err.startswith("error: mode")
+    @pytest.mark.parametrize("command", [
+        ["exact", "--scope", "saa"],
+        ["saa", "--nu0", "2", "--nu-max", "2"],
+    ])
+    def test_saa_budget_out_before_any_sequence_exits_one(self, ex1_path,
+                                                          capsys, command):
+        assert run(command + ["--instance", ex1_path, "--K", "3",
+                              "--time-limit", "1e-9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the time limit (1e-09 s) ran "
+                                       "out before any complete schedule")
+
+    @pytest.mark.parametrize("command", [
+        ["exact", "--scope", "saa", "--K", "0"],
+        ["exact", "--scope", "saa", "--K", "-1"],
+        ["saa", "--K", "0", "--nu0", "2", "--nu-max", "2"],
+        ["saa", "--K", "-1", "--nu0", "2", "--nu-max", "2", "--inner", "alg4"],
+        ["simulate", "--method", "alg4", "--paths", "0"],
+    ])
+    def test_fewer_than_one_scenario_exits_one(self, ex1_path, capsys,
+                                               command):
+        assert run(command + ["--instance", ex1_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: K = ")
+        assert "at least one is needed" in captured.err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_horizon_with_fewer_than_one_block_exits_one(self, ex1_path,
+                                                         capsys, k):
+        assert run(["exact", "--instance", ex1_path, "--scope", "horizon",
+                    "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: blocks: must be >= 1\n"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["noshow"], "--p", "1/0"),
+        (["noshow"], "--p-plus", "x"),
+        (["noshow"], "--o", "1/0"),
+        (["noshow"], "--beta", "1/0"),
+        (["noshow"], "--alpha-grid", "0.1,1/0"),
+        (["compare"], "--alphas", "0.5,x"),
+        (["compare"], "--overtimes", "1/0"),
+        (["compare"], "--beta", "x"),
+        (["simulate", "--method", "alg4", "--dist", "uniform"], "--w", "1/0"),
+    ])
+    def test_malformed_fraction_flag_exits_one(self, ex1_path, capsys,
+                                               command, flag, value):
+        assert run(command + ["--instance", ex1_path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = value.split(",")[-1]
+        assert captured.err == (f"error: {flag} {bad}: must be a number or "
+                                "a fraction with a nonzero denominator\n")
 
 
 @pytest.mark.parametrize("fixture, args, certified", [
@@ -204,6 +271,31 @@ def test_saa_reports_whether_replications_certified(fixture, args, certified,
     assert run(["saa", "--instance", str(path), "--nu0", "2", "--nu-max", "2"]
                + args) == 0
     assert json.loads(capsys.readouterr().out)["all_inner_optimal"] is certified
+
+
+@pytest.mark.parametrize("command, code", [
+    (["exact", "--scope", "saa", "--K", "2"], 0),
+    (["saa", "--K", "2", "--nu0", "2", "--nu-max", "2"], 0),
+    (["compare", "--paths", "5"], 1),
+])
+def test_instance_with_no_patients_has_no_traceback(tmp_path, capsys,
+                                                    command, code):
+    # every ratio 0: the block is empty, so the scenario draws have no
+    # columns
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "types": [{"name": "A", "lambda_mean": 10, "lambda_sd": 0,
+                   "mu_mean": 15, "mu_sd": 0, "ratio": 0}],
+        "costs": {"alpha": 1, "beta_a": 1, "beta_p": 1, "o_a": 1, "o_p": 1},
+        "regular_time": 300, "blocks": 1}))
+    assert run(command + ["--instance", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == "error: types[0] (A): ratio must be >= 1\n"
+    elif command[0] == "exact":
+        payload = json.loads(captured.out)
+        assert payload["objective"] == "0"
+        assert payload["template"]["slots"] == []
 
 
 def test_validate_hard_error_exits_one(tmp_path, capsys):

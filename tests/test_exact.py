@@ -4,17 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blocksched import (ClinicInstance, CostWeights, algorithm1,
-                        algorithm3, algorithm4, evaluate,
-                        expand_block, fcfa, node_lower_bound,
-                        single_block_template, solve_block_exact,
+from blocksched import (ClinicInstance, CostWeights, algorithm3, algorithm4,
+                        evaluate, expand_block, fcfa, solve_block_exact,
                         solve_horizon_exact, solve_saa_replication,
                         total_cost)
 from blocksched.exact import SearchConfig
 from blocksched.stochastic import DistributionSpec, draw_scenarios, \
     scenario_average_cost
 from blocksched.timeline import AppointmentTemplate, pa_prefix_taus
-from blocksched.units import tenths
 
 from conftest import (mk_instance, oracle_cost, oracle_timeline,
                       random_conformant_instance)
@@ -37,6 +34,38 @@ def oracle_block_cost(perm, weights):
     m = oracle_timeline(perm)
     return (weights.alpha * m["wait_p"] + weights.beta_a * m["idle_a"]
             + weights.beta_p * m["idle_p"]) / 10
+
+
+def oracle_saa(inst, weights, scen, tau_rule="earliest"):
+    """Test-side brute force: the least scenario-average block cost over
+    every distinct sequence and every appointment candidate of the rule,
+    with the slots and taus of its first occurrence (sequences in
+    lexicographic type order, deciles in increasing order)."""
+    draws = [scen.draws(s) for s in range(scen.K)]
+    best = None
+    for perm in distinct_sequences(expand_block(inst)):
+        lams = [[int(lam[p.uid]) for p in perm] for lam, _ in draws]
+        mus = [[int(mu[p.uid]) if p.qplus else 0 for p in perm]
+               for _, mu in draws]
+        if tau_rule == "earliest":
+            candidates = [pa_prefix_taus(perm)]
+        else:
+            matrix = np.array([[sum(row[:j]) for j in range(len(perm))]
+                               for row in lams], dtype=float)
+            candidates = [
+                [int(x) for x in np.quantile(matrix, q / 10, axis=0,
+                                             method="lower")]
+                for q in range(1, 10)]
+        for taus in candidates:
+            avg = sum(oracle_cost(oracle_timeline(perm, taus=taus, lams=lam,
+                                                  mus=mu), weights)
+                      for lam, mu in zip(lams, mus)) / scen.K
+            if best is None or avg < best[0]:
+                best = avg, tuple(perm), tuple(taus)
+    return best
+
+
+MODES = ("enumerate", "branch_and_bound")
 
 
 class TestBlockExact:
@@ -149,43 +178,16 @@ class TestHorizonExact:
             assert sol.objective <= total_cost(ev, w)
 
 
-class TestNodeLowerBound:
-    def test_empty_prefix_zero(self):
-        assert node_lower_bound((), CostWeights.of(1, 1, 1)) == 0
-
-    def test_full_sequence_exact(self, ex1):
-        w = CostWeights.of(1, 1, 1, "1.2", "1.2")
-        seq = algorithm1(expand_block(ex1))
-        bound = node_lower_bound(seq, w, remaining=(),
-                                 regular_time=ex1.regular_time)
-        tpl = single_block_template(seq)
-        assert bound == total_cost(evaluate(tpl, regular_time=ex1.regular_time), w)
-
-    def test_prefix_bound_below_all_completions(self):
-        rng = np.random.default_rng(42)
-        w = CostWeights.of(1, 1, 1, 1, 1)
-        for _ in range(15):
-            inst = random_conformant_instance(rng, max_r=6)
-            block = list(expand_block(inst))
-            cut = int(rng.integers(0, len(block)))
-            prefix, rest = tuple(block[:cut]), block[cut:]
-            bound = node_lower_bound(prefix, w, remaining=tuple(rest),
-                                     regular_time=tenths(60))
-            for completion in itertools.permutations(rest):
-                slots = prefix + completion
-                tpl = AppointmentTemplate(slots, pa_prefix_taus(slots),
-                                          (0, len(slots)))
-                cost = total_cost(evaluate(tpl, regular_time=tenths(60)), w)
-                assert bound <= cost
-
-
 class TestSaaReplication:
     def test_k1_mean_scenario_equals_deterministic(self, ex1):
         w = CostWeights.of(1, 1, 1)
         scen = draw_scenarios(ex1, DistributionSpec("normal"), 1, seed=2)
-        saa = solve_saa_replication(ex1, w, scen)
         det = solve_block_exact(expand_block(ex1), w)
-        assert saa.objective == det.objective
+        for mode in MODES:
+            saa = solve_saa_replication(ex1, w, scen, SearchConfig(mode=mode))
+            assert saa.objective == det.objective
+            # both return the lexicographically first optimum
+            assert saa.template == det.template
 
     def test_symmetric_perturbation_not_below_deterministic(self, ex1):
         w = CostWeights.of(1, 1, 1)
@@ -204,60 +206,76 @@ class TestSaaReplication:
         w = CostWeights.of("0.4", 1, 1)
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.2"), 5, seed=11,
                               tag="oracle")
-        sol = solve_saa_replication(ex1, w, scen)
-        block = expand_block(ex1)
-        best = None
-        for perm in distinct_sequences(block):
-            taus = pa_prefix_taus(perm)
-            total = Fraction(0)
-            for s in range(scen.K):
-                lam_by_uid, mu_by_uid = scen.draws(s)
-                lams = [int(lam_by_uid[p.uid]) for p in perm]
-                mus = [int(mu_by_uid[p.uid]) if p.qplus else 0 for p in perm]
-                m = oracle_timeline(perm, taus=taus, lams=lams, mus=mus)
-                total += Fraction(
-                    w.alpha * (m["wait_a"] + m["wait_p"])
-                    + w.beta_a * m["idle_a"] + w.beta_p * m["idle_p"]) / 10
-            avg = total / scen.K
-            best = avg if best is None else min(best, avg)
-        assert sol.objective == best
-        assert scenario_average_cost(sol.template, scen, w) == sol.objective
+        best, slots, taus = oracle_saa(ex1, w, scen)
+        for mode in MODES:
+            sol = solve_saa_replication(ex1, w, scen, SearchConfig(mode=mode))
+            assert sol.optimal and sol.objective == best
+            assert (sol.template.slots, sol.template.taus) == (slots, taus)
+            assert scenario_average_cost(sol.template, scen, w) == best
 
     def test_quantile_rule_matches_oracle_on_small_instance(self):
         inst = mk_instance([("Q", 8, 0, 1), ("A", 10, 20, 1), ("B", 6, 9, 2)])
         w = CostWeights.of(1, 1, 1)
         scen = draw_scenarios(inst, DistributionSpec.uniform("0.4"), 6, seed=5,
                               tag="qg")
-        sol = solve_saa_replication(inst, w, scen,
-                                    SearchConfig(tau_rule="quantile_grid"))
-        best = None
-        for perm in distinct_sequences(expand_block(inst)):
-            prefixes = []
-            for s in range(scen.K):
-                lam_by_uid, _ = scen.draws(s)
-                acc, row = 0, []
-                for p in perm:
-                    row.append(acc)
-                    acc += int(lam_by_uid[p.uid])
-                prefixes.append(row)
-            matrix = np.array(prefixes, dtype=float)
-            for q in range(1, 10):
-                taus = [int(x) for x in
-                        np.quantile(matrix, q / 10, axis=0, method="lower")]
-                total = Fraction(0)
-                for s in range(scen.K):
-                    lam_by_uid, mu_by_uid = scen.draws(s)
-                    m = oracle_timeline(
-                        perm, taus=taus,
-                        lams=[int(lam_by_uid[p.uid]) for p in perm],
-                        mus=[int(mu_by_uid[p.uid]) if p.qplus else 0
-                             for p in perm])
-                    total += Fraction(
-                        w.alpha * (m["wait_a"] + m["wait_p"])
-                        + w.beta_a * m["idle_a"] + w.beta_p * m["idle_p"]) / 10
-                avg = total / scen.K
-                best = avg if best is None else min(best, avg)
-        assert sol.objective == best
+        best, slots, taus = oracle_saa(inst, w, scen, "quantile_grid")
+        for mode in MODES:
+            sol = solve_saa_replication(
+                inst, w, scen, SearchConfig(mode=mode, tau_rule="quantile_grid"))
+            assert sol.optimal and sol.objective == best
+            assert (sol.template.slots, sol.template.taus) == (slots, taus)
+            assert scenario_average_cost(sol.template, scen, w) == best
+
+    def test_modes_match_bruteforce_on_random_instances(self):
+        rng = np.random.default_rng(61)
+        dists = (DistributionSpec("normal"), DistributionSpec.uniform("0.4"),
+                 DistributionSpec.uniform(2))
+        for trial in range(30):
+            inst = random_conformant_instance(rng, max_r=6)
+            w = CostWeights.of(Fraction(int(rng.integers(1, 11)), 10),
+                               Fraction(int(rng.integers(1, 11)), 10), 1)
+            scen = draw_scenarios(inst, dists[trial % 3],
+                                  (1, 3, 6)[trial // 10], seed=trial,
+                                  tag="modes")
+            for rule in ("earliest", "quantile_grid"):
+                best, slots, taus = oracle_saa(inst, w, scen, rule)
+                for mode in MODES:
+                    sol = solve_saa_replication(
+                        inst, w, scen, SearchConfig(mode=mode, tau_rule=rule))
+                    assert sol.optimal and sol.objective == best
+                    assert (sol.template.slots, sol.template.taus) == (slots,
+                                                                       taus)
+
+    def test_modes_agree_and_bnb_prunes(self, ex1):
+        scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 4, seed=3)
+        for rule in ("earliest", "quantile_grid"):
+            enum, bnb = (solve_saa_replication(
+                ex1, ex1.costs, scen, SearchConfig(mode=mode, tau_rule=rule))
+                for mode in MODES)
+            assert enum.optimal and bnb.optimal
+            assert (enum.objective, enum.template) == (bnb.objective,
+                                                       bnb.template)
+            assert bnb.nodes_explored < enum.nodes_explored
+
+    def test_budget_out_before_any_sequence_raises(self, ex1):
+        # a complete ex1 block is 9 slots deep; the clock is read on the
+        # first node
+        scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)
+        for mode in MODES:
+            with pytest.raises(ValueError, match=r"node limit \(5 nodes\)"):
+                solve_saa_replication(ex1, ex1.costs, scen,
+                                      SearchConfig(mode=mode, node_limit=5))
+            with pytest.raises(ValueError, match=r"time limit \(1e-09 s\)"):
+                solve_saa_replication(ex1, ex1.costs, scen,
+                                      SearchConfig(mode=mode, time_limit=1e-9))
+
+    def test_node_limit_returns_best_found(self, ex1):
+        scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)
+        sol = solve_saa_replication(ex1, ex1.costs, scen,
+                                    SearchConfig(node_limit=50))
+        assert not sol.optimal and sol.nodes_explored == 51
+        assert scenario_average_cost(sol.template, scen,
+                                     ex1.costs) == sol.objective
 
 
 class TestTauChoice:
@@ -381,11 +399,11 @@ class TestRejectedConfigs:
         with pytest.raises(ValueError, match="quantile_grid"):
             solve_horizon_exact(ex1, ex1.costs, config)
 
-    def test_saa_scope_rejects_branch_and_bound(self, ex1):
-        scen = draw_scenarios(ex1, DistributionSpec("normal"), 2, seed=2)
-        with pytest.raises(ValueError, match="branch_and_bound"):
-            solve_saa_replication(ex1, ex1.costs, scen,
-                                  SearchConfig(mode="branch_and_bound"))
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_horizon_rejects_fewer_than_one_block(self, ex1, blocks):
+        inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, blocks)
+        with pytest.raises(ValueError, match="blocks: must be >= 1"):
+            solve_horizon_exact(inst, inst.costs)
 
 
 class TestLongHorizons:
@@ -394,6 +412,12 @@ class TestLongHorizons:
         sol = solve_horizon_exact(inst, inst.costs)
         assert sol.optimal and sol.objective == 153395
         assert len(sol.template.slots) == 1080
+
+    def test_saa_rejects_blocks_deeper_than_its_recursion(self):
+        inst = mk_instance([("A", 10, 15, 501)])
+        scen = draw_scenarios(inst, DistributionSpec("normal"), 1, seed=0)
+        with pytest.raises(ValueError, match=r"at most 500 slots, not 501"):
+            solve_saa_replication(inst, inst.costs, scen)
 
     def test_bnb_rejects_horizons_deeper_than_its_recursion(self, ex1):
         inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 120)
