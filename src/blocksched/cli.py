@@ -201,7 +201,20 @@ def _cmd_bounds(args):
     return 0
 
 
+# the options of `exact` that only the saa scope reads, with their defaults
+EXACT_SAA_DEFAULTS = {"K": 15, "seed": 0, "dist": "normal", "w": "0.2"}
+
+
 def _cmd_exact(args):
+    given = [f for f in EXACT_SAA_DEFAULTS if getattr(args, f) is not None]
+    if args.scope != "saa" and given:
+        raise ValueError(f"--{given[0]} applies to --scope saa only")
+    if args.scope != "horizon" and args.k is not None:
+        raise ValueError(f"--k applies to --scope horizon only; the "
+                         f"{args.scope} scope solves one block")
+    for flag, default in EXACT_SAA_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     inst = _with_k(load_instance(args.instance), args.k)
     config = exact_mod.SearchConfig(node_limit=args.node_limit,
                                     time_limit=args.time_limit,
@@ -244,7 +257,8 @@ def _cmd_saa(args):
     weights = inst.costs
     if args.inner == "exact":
         search = exact_mod.SearchConfig(node_limit=args.node_limit,
-                                        time_limit=args.time_limit)
+                                        time_limit=args.time_limit,
+                                        mode="branch_and_bound")
         inner = lambda i, w, s: exact_mod.solve_saa_replication(i, w, s, search)
     else:
         template = heuristics.algorithm4(inst)
@@ -396,10 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-rule", choices=["earliest", "quantile_grid"],
                    default="earliest")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--K", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", choices=["normal", "uniform"], default="normal")
-    p.add_argument("--w", default="0.2")
+    # None: not given (see EXACT_SAA_DEFAULTS)
+    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--dist", choices=["normal", "uniform"], default=None)
+    p.add_argument("--w", default=None)
     p.add_argument("--csv", default=None)
 
     p = add("saa", _cmd_saa, help="sample-average-approximation procedure")

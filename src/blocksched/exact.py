@@ -5,12 +5,14 @@ The deterministic models pin appointments to the planned stage-1 starts
 ``mode="enumerate"`` solves the single-block and horizon models with one
 memoised dynamic program over (block, type counts left, physician lag), and
 ``nodes_explored`` counts its transitions; ``mode="branch_and_bound"``
-searches slot assignments depth first.  The scenario-averaged block model
-is one depth-first search over type prefixes that carries all K scenarios
-at each node; ``mode="enumerate"`` visits every prefix and
-``mode="branch_and_bound"`` prunes on the cost accumulated so far, and
-``nodes_explored`` counts prefix nodes.  Every solver returns the
-lexicographically first optimal sequence.  Sequences are over type
+searches slot assignments depth first, prunes on the incumbent bound and on
+dominance by an earlier prefix that reached the same state at no higher
+cost, and ``nodes_explored`` counts the nodes it examined.  The
+scenario-averaged block model is one depth-first search over type prefixes
+that carries all K scenarios at each node; ``mode="enumerate"`` visits
+every prefix and ``mode="branch_and_bound"`` prunes on the cost accumulated
+so far, and ``nodes_explored`` counts prefix nodes.  Every solver returns
+the lexicographically first optimal sequence.  Sequences are over type
 multisets, not labeled patients; same-type patients take replicates in
 order of appearance.  Idle time is the span-based definition used
 everywhere else in the package.
@@ -120,6 +122,17 @@ def _objective_fraction(scaled_cost, denom) -> Fraction:
     return Fraction(scaled_cost, denom * 10)
 
 
+def _radix(counts) -> tuple[list[int], int]:
+    """Mixed-radix place values of the type counts and the code of counts
+    itself: taking one patient of type i subtracts radix[i] from the code,
+    and the code is 0 once the block is placed."""
+    radix, place = [], 1
+    for n in counts:
+        radix.append(place)
+        place *= n + 1
+    return radix, sum(n * r for n, r in zip(counts, radix))
+
+
 def _solution(seq, cost, denom, budget, blocks_patients) -> Solution:
     """The solution that gives each block its slice of the type-id sequence,
     with appointments at the stage-1 prefix sums."""
@@ -170,25 +183,28 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             regular_time: Scalar | None, blocks_patients) -> Solution:
     """Memoised dynamic program over (block, remaining type counts, lag d),
     d = physician free - assistant free, or None until the physician starts
-    (Held-Karp-style state merging: the assistant never idles).  A Q type
-    moves d down by its lambda; a Q+ type with lag = d - lambda adds
-    alpha*max(lag, 0) wait and, once the physician has started,
-    beta_p*max(-lag, 0) idle, and leaves d = max(lag, 0) + mu.  The memo
-    keeps (cost-to-go, chosen group) per state; children go in type order
-    with a strict <, so the choices read back give the lexicographically
-    first optimum.  States are generators on an explicit stack, so the
-    Python stack stays flat however long the day."""
+    (Held-Karp-style state merging: the assistant never idles).  The counts
+    are one mixed-radix code (see _radix).  A Q type moves d down by its
+    lambda; a Q+ type with lag = d - lambda adds alpha*max(lag, 0) wait
+    and, once the physician has started, beta_p*max(-lag, 0) idle, and
+    leaves d = max(lag, 0) + mu.  The memo keeps (cost-to-go, chosen group)
+    per state; children go in type order with a strict <, so the choices
+    read back give the lexicographically first optimum.  States are
+    generators on an explicit stack, so the Python stack stays flat however
+    long the day."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
     R = regular_time
-    full = tuple(len(g.patients) for g in groups)
-    day_lam = blocks * sum(n * g.lam for n, g in zip(full, groups))
+    counts0 = [len(g.patients) for g in groups]
+    radix, full = _radix(counts0)
+    sizes = [n + 1 for n in counts0]
+    day_lam = blocks * sum(n * g.lam for n, g in zip(counts0, groups))
     has_qplus = any(g.qplus for g in groups)
     memo: dict[tuple, tuple] = {}   # state -> (cost-to-go or None, group)
 
     def move(state, i):
         """(step cost, next state) of giving the next slot to group i."""
-        c, counts, d = state
+        c, code, d = state
         g = groups[i]
         if d is None:   # the physician has not started
             cost, d = 0, (g.mu if g.qplus else None)
@@ -198,21 +214,22 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             lag = d - g.lam
             cost, d = ((w_alpha * lag, lag + g.mu) if lag >= 0
                        else (-w_bp * lag, g.mu))
-        counts = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-        if not any(counts):
-            c, counts = c + 1, full
-        return cost, (c, counts, d)
+        code -= radix[i]
+        if not code:
+            c, code = c + 1, full
+        return cost, (c, code, d)
 
     def solve(state):
         """Fill memo[state]; yields each unsolved child state first."""
-        c, counts, d = state
+        c, code, d = state
         if c == blocks:   # end of the day: physician overtime
             memo[state] = (0 if R is None or d is None
                            else w_op * max(0, day_lam + d - R), None)
             return
         best = choice = None
         for i, g in enumerate(groups):
-            if not counts[i] or (d is None and has_qplus and not g.qplus):
+            if (not code // radix[i] % sizes[i]
+                    or (d is None and has_qplus and not g.qplus)):
                 continue
             if budget.exhausted or not budget.spend():
                 break
@@ -224,7 +241,7 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
                 best, choice = step + tail, i
         memo[state] = (best, choice)
 
-    root = (0 if any(full) else blocks, full, None)   # no slots: done
+    root = (0 if full else blocks, full, None)   # no slots: done
     stack = [solve(root)]
     while stack:
         child = next(stack[-1], None)
@@ -248,12 +265,23 @@ BNB_MAX_SLOTS = 500   # _bnb and the saa search recurse once per slot
 
 def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
          regular_time: Scalar | None, blocks_patients) -> Solution:
-    """Depth-first branch and bound over the slot assignments, pruning on the
-    accumulated-cost lower bound against the incumbent (no epsilon)."""
+    """Depth-first branch and bound over the slot assignments.
+
+    A child is pruned when its accumulated cost plus the overtime it cannot
+    avoid reaches the incumbent (no epsilon), or when an earlier prefix
+    reached the same state at no higher accumulated cost (dominance).  The
+    state is (depth, remaining type counts of the current block, physician
+    lag p - pa or None before the physician starts): pa follows from the
+    depth and the counts, so the state fixes every later wait, idle and
+    overtime term.  Children go in type order and a leaf must be strictly
+    better, so the earlier, lexicographically smaller prefix keeps the
+    state and the search returns the lexicographically first optimum.
+    ``nodes_explored`` counts the children examined."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
     R = regular_time
     counts0 = [len(g.patients) for g in groups]
+    radix, code0 = _radix(counts0)
     block_size = sum(counts0)
     block_lam = sum(len(g.patients) * g.lam for g in groups)
     total_mu = blocks * sum(len(g.patients) * g.mu for g in groups)
@@ -267,19 +295,21 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 
     incumbent: list = [None, None]  # scaled cost, sequence of type ids
     seq: list[int] = []
+    seen: dict[tuple, int] = {}   # state -> least accumulated cost
 
-    def rec(depth, counts, pa, p, started, wait, idle, mu_left):
+    def rec(depth, counts, code, pa, p, started, cost, mu_left):
+        """cost: the accumulated w_alpha*wait + w_bp*idle of the prefix."""
         if budget.exhausted:
             return
         if depth == n_slots:
-            cost = w_alpha * wait + w_bp * idle + overtime_a
+            cost += overtime_a
             if R is not None and started:
                 cost += w_op * max(0, p - R)
             if incumbent[0] is None or cost < incumbent[0]:
                 incumbent[0], incumbent[1] = cost, tuple(seq)
             return
         if depth % block_size == 0:
-            counts = list(counts0)  # entering a fresh block
+            counts, code = list(counts0), code0  # entering a fresh block
         for gi, g in enumerate(groups):
             if counts[gi] == 0:
                 continue
@@ -290,28 +320,36 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             new_pa = pa + g.lam
             if g.qplus:
                 ep = new_pa if new_pa >= p else p
-                new_wait = wait + (ep - new_pa)
-                new_idle = idle + (ep - p if started else 0)
+                new_cost = cost + w_alpha * (ep - new_pa)
+                if started:
+                    new_cost += w_bp * (ep - p)
                 new_p, new_started = ep + g.mu, True
                 new_mu_left = mu_left - g.mu
             else:
-                new_wait, new_idle = wait, idle
+                new_cost = cost
                 new_p, new_started = p, started
                 new_mu_left = mu_left
-            bound = w_alpha * new_wait + w_bp * new_idle + overtime_a
+            bound = new_cost + overtime_a
             if R is not None and has_qplus:
                 base_p = new_p if new_started else 0
                 bound += w_op * max(0, base_p + new_mu_left - R)
             if incumbent[0] is not None and bound >= incumbent[0]:
                 continue
+            new_code = code - radix[gi]
+            key = (depth + 1, new_code,
+                   new_p - new_pa if new_started else None)
+            best = seen.get(key)
+            if best is not None and new_cost >= best:
+                continue
+            seen[key] = new_cost
             counts[gi] -= 1
             seq.append(gi)
-            rec(depth + 1, counts, new_pa, new_p, new_started,
-                new_wait, new_idle, new_mu_left)
+            rec(depth + 1, counts, new_code, new_pa, new_p, new_started,
+                new_cost, new_mu_left)
             seq.pop()
             counts[gi] += 1
 
-    rec(0, list(counts0), 0, 0, False, 0, 0, total_mu)
+    rec(0, list(counts0), code0, 0, 0, False, 0, total_mu)
 
     if incumbent[1] is None:   # budget gone before the first leaf
         raise budget.out_of_budget()

@@ -140,6 +140,27 @@ class TestStochasticCommands:
         payload = json.loads(out.read_text())
         assert payload["optimal"] is True
 
+    def test_exact_saa_scope_defaults(self, ex1_path, capsys):
+        assert run(["exact", "--instance", ex1_path, "--scope", "saa"]) == 0
+        implicit = capsys.readouterr().out
+        assert run(["exact", "--instance", ex1_path, "--scope", "saa",
+                    "--K", "15", "--seed", "0", "--dist", "normal"]) == 0
+        assert capsys.readouterr().out == implicit
+
+    def test_saa_exact_inner_solves_by_branch_and_bound(self, ex1_path,
+                                                        capsys, monkeypatch):
+        from blocksched import exact
+        modes = []
+        solve = exact.solve_saa_replication
+
+        def spy(inst, weights, scenario_set, config):
+            modes.append(config.mode)
+            return solve(inst, weights, scenario_set, config)
+        monkeypatch.setattr(exact, "solve_saa_replication", spy)
+        assert run(["saa", "--instance", ex1_path, "--K", "2", "--nu0", "2",
+                    "--nu-max", "2"]) == 0
+        assert modes and set(modes) == {"branch_and_bound"}
+
     @pytest.mark.parametrize("tau_rule", ["earliest", "quantile_grid"])
     def test_exact_saa_bnb_matches_enumerate(self, ex1_path, capsys,
                                              tau_rule):
@@ -163,6 +184,26 @@ class TestRejectedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "width 3" in captured.err
+
+    @pytest.mark.parametrize("scope, flag, value", [
+        ("saa", "--k", "3"),
+        ("block", "--k", "2"),
+        ("block", "--K", "5"),
+        ("block", "--dist", "uniform"),
+        ("block", "--w", "0.4"),
+        ("block", "--seed", "3"),
+        ("horizon", "--K", "5"),
+        ("horizon", "--dist", "uniform"),
+        ("horizon", "--w", "0.4"),
+        ("horizon", "--seed", "3"),
+    ])
+    def test_exact_option_its_scope_does_not_use_exits_one(
+            self, ex1_path, capsys, scope, flag, value):
+        assert run(["exact", "--instance", ex1_path, "--scope", scope,
+                    flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} applies to --scope ")
 
     def test_saa_confidence_without_table_exits_before_drawing(
             self, ex1_path, capsys, monkeypatch):

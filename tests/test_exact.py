@@ -8,9 +8,11 @@ from blocksched import (ClinicInstance, CostWeights, algorithm3, algorithm4,
                         evaluate, expand_block, fcfa, solve_block_exact,
                         solve_horizon_exact, solve_saa_replication,
                         total_cost)
+from blocksched import exact
 from blocksched.exact import SearchConfig
 from blocksched.stochastic import DistributionSpec, draw_scenarios, \
     scenario_average_cost
+from blocksched.instance import PatientType
 from blocksched.timeline import AppointmentTemplate, pa_prefix_taus
 
 from conftest import (mk_instance, oracle_cost, oracle_timeline,
@@ -365,6 +367,112 @@ class TestHorizonRandomizedDifferential:
                                       SearchConfig(mode="branch_and_bound"))
             assert dp.optimal and dp.objective == best == bnb.objective
             assert dp.template == bnb.template
+
+
+def oracle_horizon(inst, weights, regular_time):
+    """Test-side brute force over every horizon sequence (block 0 starts
+    with a Q+ type whenever one exists; later blocks are free): the least
+    cost and the lexicographically first type-id sequence that reaches it."""
+    per_block = [list(distinct_sequences(expand_block(inst, c),
+                                         qplus_first=c == 0))
+                 for c in range(inst.blocks)]
+    best = None
+    for parts in itertools.product(*per_block):
+        slots = [p for part in parts for p in part]
+        m = oracle_timeline(slots, regular_time=regular_time)
+        key = (oracle_cost(m, weights), tuple(p.type_index for p in slots))
+        best = key if best is None or key < best else best
+    return best
+
+
+def dominance_instance(rng, kind, blocks, max_r):
+    """A random instance of one of four kinds: "mixed" Q and Q+ types,
+    "ties" (two identical Q+ types on a coarse grid), "all_qplus" (no Q
+    type) and "single" (one Q+ type).  Q+ types need not be conformant."""
+    tenths_of = lambda lo, hi: int(rng.integers(lo, hi + 1))
+    weights = CostWeights(*(Fraction(int(rng.integers(0, 21)), 10)
+                            for _ in range(5)))
+    while True:
+        if kind == "single":
+            types = [PatientType("P0", tenths_of(30, 200), 0,
+                                 tenths_of(30, 300), 0, tenths_of(1, 4))]
+        elif kind == "ties":
+            lam, mu = 50 * tenths_of(1, 4), 50 * tenths_of(1, 5)
+            types = [PatientType(n, lam, 0, mu, 0, tenths_of(1, 2))
+                     for n in ("P0", "P1")]
+            if rng.integers(2):
+                types.insert(0, PatientType("Q0", 50 * tenths_of(1, 4), 0,
+                                            0, 0, 1))
+        else:
+            n_q = 0 if kind == "all_qplus" else tenths_of(1, 2)
+            types = [PatientType(f"Q{i}", tenths_of(30, 250), 0, 0, 0,
+                                 tenths_of(1, 2)) for i in range(n_q)]
+            types += [PatientType(f"P{i}", tenths_of(30, 250), 0,
+                                  tenths_of(30, 300), 0, tenths_of(1, 2))
+                      for i in range(tenths_of(1 + (kind == "all_qplus"), 3))]
+            rng.shuffle(types)
+        inst = ClinicInstance(tuple(types), weights, 0, blocks)
+        if inst.r <= max_r:
+            return inst
+
+
+def solve_both_modes(inst, regular_time):
+    """(DP, B&B) solutions: the block scope with no regular time at k=1,
+    the horizon scope with one, and the engines themselves for several
+    blocks with none (no public scope runs that case)."""
+    if regular_time is None and inst.blocks == 1:
+        def run(config):
+            return solve_block_exact(expand_block(inst), inst.costs, config)
+    elif regular_time is not None:
+        day = ClinicInstance(inst.types, inst.costs, regular_time, inst.blocks)
+
+        def run(config):
+            return solve_horizon_exact(day, inst.costs, config)
+    else:
+        blocks = [expand_block(inst, c) for c in range(inst.blocks)]
+
+        def run(config):
+            return exact._solver(config)(exact._groups(blocks[0]),
+                                         inst.blocks, inst.costs, config,
+                                         None, blocks)
+    return run(SearchConfig()), run(SearchConfig(mode="branch_and_bound"))
+
+
+class TestDominanceBranchAndBound:
+    @pytest.mark.parametrize("kind", ["mixed", "ties", "all_qplus", "single"])
+    def test_bnb_matches_dp_and_bruteforce(self, kind):
+        rng = np.random.default_rng({"mixed": 81, "ties": 82, "all_qplus": 83,
+                                     "single": 84}[kind])
+        for blocks, max_r, trials in ((1, 6, 6), (2, 4, 4), (3, 3, 3)):
+            for _ in range(trials):
+                inst = dominance_instance(rng, kind, blocks, max_r)
+                day_lam = blocks * sum(t.ratio * t.lam for t in inst.types)
+                for R in (None, 0, day_lam // 2):
+                    best, types = oracle_horizon(inst, inst.costs, R)
+                    dp, bnb = solve_both_modes(inst, R)
+                    assert dp.optimal and bnb.optimal
+                    assert dp.objective == bnb.objective == best
+                    assert tuple(p.type_index
+                                 for p in bnb.template.slots) == types
+                    assert bnb.template == dp.template
+
+    def test_ex2_three_blocks_certifies_the_dp_optimum(self, ex2):
+        inst = ClinicInstance(ex2.types, ex2.costs, ex2.regular_time, 3)
+        dp = solve_horizon_exact(inst, inst.costs)
+        bnb = solve_horizon_exact(inst, inst.costs,
+                                  SearchConfig(mode="branch_and_bound"))
+        assert dp.optimal and bnb.optimal
+        assert (bnb.objective, bnb.template) == (dp.objective, dp.template)
+
+    def test_dominance_prunes_the_fixture_searches(self, ex1, table7):
+        # an incumbent bound alone examines 507,007 and 1,025,037 nodes
+        config = SearchConfig(mode="branch_and_bound")
+        block = solve_block_exact(expand_block(table7), table7.costs, config)
+        ex1_k3 = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 3)
+        horizon = solve_horizon_exact(ex1_k3, ex1.costs, config)
+        assert block.optimal and horizon.optimal
+        assert (block.nodes_explored, horizon.nodes_explored) == (108_588,
+                                                                  8_203)
 
 
 class TestHorizonBudget:
