@@ -121,9 +121,16 @@ def _build_template(inst, method, seed=0):
     raise ValueError(f"unknown method: {method}")
 
 
+UNIFORM_WIDTH = "0.2"   # --w when --dist uniform is given without it
+
+
 def _dist_from_args(args) -> stochastic.DistributionSpec:
-    if getattr(args, "dist", "normal") == "uniform":
-        return stochastic.DistributionSpec.uniform(_fraction(args.w, "--w"))
+    if args.dist == "uniform":
+        width = UNIFORM_WIDTH if args.w is None else args.w
+        return stochastic.DistributionSpec.uniform(_fraction(width, "--w"))
+    if args.w is not None:
+        raise ValueError("--w applies to --dist uniform only; the normal "
+                         "family has no width")
     return stochastic.DistributionSpec("normal")
 
 
@@ -202,7 +209,7 @@ def _cmd_bounds(args):
 
 
 # the options of `exact` that only the saa scope reads, with their defaults
-EXACT_SAA_DEFAULTS = {"K": 15, "seed": 0, "dist": "normal", "w": "0.2"}
+EXACT_SAA_DEFAULTS = {"K": 15, "seed": 0, "dist": "normal", "w": None}
 
 
 def _cmd_exact(args):
@@ -429,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-limit", type=int, default=20_000_000)
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--dist", choices=["normal", "uniform"], default="normal")
-    p.add_argument("--w", default="0.2")
+    p.add_argument("--w", default=None)
     p.add_argument("--csv", default=None)
 
     p = add("simulate", _cmd_simulate, help="Monte-Carlo evaluate one method")
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--dist", choices=["normal", "uniform"], default="normal")
-    p.add_argument("--w", default="0.2")
+    p.add_argument("--w", default=None)
 
     p = add("noshow", _cmd_noshow, help="overbooking expected-cost analysis")
     p.add_argument("--plan", choices=["none", "lf", "ff"], default="none")
@@ -461,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overtimes", default="1.2,1.5,1.8")
     p.add_argument("--beta", default="1")
     p.add_argument("--dist", choices=["normal", "uniform"], default="normal")
-    p.add_argument("--w", default="0.2")
+    p.add_argument("--w", default=None)
 
     return parser
 

@@ -6,10 +6,18 @@ canonical patient order, so reordering evaluation or sharing sample paths
 across methods cannot change them.  Draws are quantized to the 0.1-minute
 grid (uniform draws stay inside their interval), which keeps every
 downstream evaluation exact.
+
+Scenario s draws from exactly default_rng(SeedSequence([seed, tag key,
+replication, s])), the tag key being the first 8 bytes of the tag's SHA-256.
+The seed states are hashed on numpy vectors, 256 scenarios at a time, by
+code that repeats SeedSequence's mixing.  Every call checks scenario 0's pool
+and seeded PCG64 state against numpy's own, so a numpy change cannot shift
+draws silently.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -85,11 +93,98 @@ def _uniform_bound_arrays(means: np.ndarray, width: Fraction):
     return np.array(bounds, dtype=np.int64).reshape(-1, 2).T
 
 
+# numpy.random.SeedSequence's hash constants.  _seed_pools and _pool_states
+# repeat its mixing (O'Neill's seed_seq) step by step on numpy vectors, with
+# 32-bit values held in uint64 and masked after every product.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_CHUNK = 256   # scenarios per post-processing pass (the float buffer's rows)
+
+
+def _words(n: int) -> list[int]:
+    """An entropy integer as SeedSequence splits it: 32-bit words, least
+    significant first, at least one."""
+    if n < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_pools(entropy: list[int], scenarios: np.ndarray) -> np.ndarray:
+    """SeedSequence(entropy + [s]).pool for every s in scenarios at once, as
+    a len(scenarios) x 4 uint32 array.  Each s must be below 2**32, so that it
+    is one entropy word."""
+    words = [w for e in entropy for w in _words(e)]
+    words.append(scenarios.astype(np.uint64))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return np.stack(pool, axis=1).astype(np.uint32)
+
+
+def _pool_states(pools: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of every pool row: eight hashed 32-bit
+    words, read pairwise as little-endian 64-bit values."""
+    pools = pools.astype(np.uint64)
+    const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pools[:, i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ (value >> 16))
+    return np.stack([halves[j] | (halves[j + 1] << 32) for j in range(0, 8, 2)],
+                    axis=1)
+
+
+@functools.cache
+def _precomputed_seed():
+    """The seed-sequence type that hands a bit generator its generate_state
+    row, computed beforehand.  Made on first use: numpy.random loads lazily,
+    and importing it (2 MB) in every command would cost those that draw
+    nothing."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        def __init__(self, state): self.state = state
+        def generate_state(self, n_words, dtype=np.uint32): return self.state
+    return PrecomputedSeed
+
+
 def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                    seed: int, tag: str = "scenario",
                    replication: int = 0) -> ScenarioSet:
     """K independent realizations, one (stage-1, stage-2) draw per expanded
-    patient, reproducible from (seed, tag, replication, scenario)."""
+    patient, reproducible from (seed, tag, replication, scenario).
+
+    Scenario s draws from default_rng(SeedSequence([seed, tag key,
+    replication, s])).  Each chunk of _CHUNK scenarios is seeded by one
+    vectorised hash, drawn into a reused float buffer and post-processed at
+    once; scenario 0's seeding is checked against numpy's SeedSequence."""
     if K < 1:
         raise ValueError(f"K = {K} scenarios (sample paths): at least one "
                          "is needed")
@@ -97,38 +192,60 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
     n = len(patients)
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
     means_mu = np.array([int(p.mu) for p in patients], dtype=np.int64)
-    sds_lam = np.array([int(inst.types[p.type_index].lam_sd) for p in patients],
-                       dtype=np.int64)
-    sds_mu = np.array([int(inst.types[p.type_index].mu_sd) for p in patients],
-                      dtype=np.int64)
     qplus = np.array([p.qplus for p in patients], dtype=bool)
 
     if dist.family == "uniform_width":
         w = float(dist.width)
         lam_lo, lam_hi = _uniform_bound_arrays(means_lam, dist.width)
         mu_lo, mu_hi = _uniform_bound_arrays(means_mu, dist.width)
+        stages = ((means_lam, None, lam_lo, lam_hi),
+                  (means_mu, None, mu_lo, mu_hi))
+    else:
+        sds_lam = np.array([int(inst.types[p.type_index].lam_sd)
+                            for p in patients], dtype=np.int64)
+        sds_mu = np.array([int(inst.types[p.type_index].mu_sd)
+                           for p in patients], dtype=np.int64)
+        stages = ((means_lam, sds_lam, 0, None), (means_mu, sds_mu, 0, None))
 
+    entropy = [seed, _tag_int(tag), replication]
+    seeded = _precomputed_seed()
     lam_out = np.empty((K, n), dtype=np.int64)
     mu_out = np.empty((K, n), dtype=np.int64)
-    key = _tag_int(tag)
-    for s in range(K):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, key, replication, s]))
-        if dist.family == "normal":
-            z = rng.standard_normal((n, 2))
-            lam = np.rint(means_lam + sds_lam * z[:, 0]).astype(np.int64)
-            mu = np.rint(means_mu + sds_mu * z[:, 1]).astype(np.int64)
-            np.clip(lam, 0, None, out=lam)
-            np.clip(mu, 0, None, out=mu)
-        else:
-            u = rng.random((n, 2))
-            lam = np.rint(means_lam * (1 - w / 2 + w * u[:, 0])).astype(np.int64)
-            mu = np.rint(means_mu * (1 - w / 2 + w * u[:, 1])).astype(np.int64)
-            np.clip(lam, lam_lo, lam_hi, out=lam)
-            np.clip(mu, mu_lo, mu_hi, out=mu)
-        mu[~qplus] = 0
-        lam_out[s] = lam
-        mu_out[s] = mu
+    buffer = np.empty((min(K, _CHUNK), n, 2))
+    for start in range(0, K, _CHUNK):
+        stop = min(start + _CHUNK, K)
+        pools = _seed_pools(entropy, np.arange(start, stop))
+        states = _pool_states(pools)
+        if start == 0:
+            reference = np.random.SeedSequence(entropy + [0])
+            if not (np.array_equal(pools[0], reference.pool)
+                    and np.random.PCG64(seeded(states[0])).state
+                    == np.random.PCG64(reference).state):
+                raise RuntimeError("vectorised seeding no longer matches "
+                                   "numpy's SeedSequence; draws would shift")
+        block = buffer[:stop - start]
+        for row, state in zip(block, states):
+            rng = np.random.Generator(np.random.PCG64(seeded(state)))
+            if dist.family == "normal":
+                rng.standard_normal(out=row)
+            else:
+                rng.random(out=row)
+        # in place, in the order of the per-scenario formulas:
+        # rint(mean + sd * z), rint(mean * (1 - w / 2 + w * u)), then clip
+        for j, out in enumerate((lam_out[start:stop], mu_out[start:stop])):
+            mean, sd, lo, hi = stages[j]
+            x = block[:, :, j]
+            if dist.family == "normal":
+                x *= sd
+                x += mean
+            else:
+                x *= w
+                x += 1 - w / 2
+                x *= mean
+            np.rint(x, out=x)
+            out[...] = x
+            np.clip(out, lo, hi, out=out)
+    mu_out[:, ~qplus] = 0
     return ScenarioSet(K, lam_out, mu_out, seed, tag, replication)
 
 
@@ -199,23 +316,34 @@ def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
     return [tuple(Fraction(v, scale) for v in row) for row in rows.tolist()]
 
 
+def _standard_error(values: np.ndarray, mean: float) -> float:
+    """sqrt(sample variance / n), the squared deviations summed in row order
+    and squared by the C library's pow, as a Python float loop takes them."""
+    n = len(values)
+    if n == 1:
+        return 0.0
+    squares = np.float_power(values - mean, 2)
+    return math.sqrt(np.cumsum(squares)[-1] / (n - 1) / n)
+
+
 def summarize_paths(rows, weights: CostWeights) -> MetricStats:
+    """Exact means from integer (or Fraction) column sums; float standard
+    errors equal to those of a plain Python loop over the rows."""
     n = len(rows)
-    mean = {}
-    se = {}
-    for i, name in enumerate(METRICS):
-        values = [row[i] for row in rows]
-        total = sum(values)
+    table = np.array(rows)   # int64, or object for Fraction rows
+    if table.dtype != object and n * int(np.abs(table).max()) >= 2 ** 63:
+        table = table.astype(object)   # column sums would wrap in int64
+    mean, se = {}, {}
+    objs = 0.0   # per path: sum of c * v / 10 over the metrics, in order
+    for name, c, total, column in zip(
+            METRICS, metric_coefficients(weights), table.sum(axis=0).tolist(),
+            table.T):
         mean[name] = Fraction(total, n) / 10
-        mu = float(mean[name])
-        var = sum((float(v) / 10 - mu) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
-        se[name] = math.sqrt(var / n)
+        column = column.astype(float)
+        objs = objs + float(c) * column / 10
+        se[name] = _standard_error(column / 10, float(mean[name]))
     mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
-    coeffs = [float(c) for c in metric_coefficients(weights)]
-    objs = [sum(c * float(v) / 10 for c, v in zip(coeffs, row)) for row in rows]
-    mu = sum(objs) / n
-    var = sum((o - mu) ** 2 for o in objs) / (n - 1) if n > 1 else 0.0
-    se["objective"] = math.sqrt(var / n)
+    se["objective"] = _standard_error(objs, np.cumsum(objs)[-1] / n)
     return MetricStats(n, mean, se, tuple(tuple(r) for r in rows))
 
 

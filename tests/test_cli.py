@@ -185,6 +185,39 @@ class TestRejectedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "width 3" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--method", "alg4", "--paths", "5"],
+        ["compare", "--paths", "5"],
+        ["saa", "--inner", "alg4", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+        ["exact", "--scope", "saa", "--K", "2"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("dist", [[], ["--dist", "normal"]],
+                             ids=["default", "normal"])
+    def test_width_under_normal_family_exits_one(self, ex1_path, capsys,
+                                                 command, dist):
+        assert run(command + dist + ["--instance", ex1_path, "--seed", "1",
+                                     "--w", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --w applies to --dist uniform")
+
+    def test_uniform_width_defaults_to_one_fifth(self, ex1_path, capsys):
+        outputs = []
+        for width in ([], ["--w", "0.2"]):
+            assert run(["simulate", "--instance", ex1_path, "--method",
+                        "alg4", "--paths", "20", "--seed", "3", "--dist",
+                        "uniform"] + width) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_negative_seed_exits_one(self, ex1_path, capsys):
+        assert run(["simulate", "--instance", ex1_path, "--method", "alg4",
+                    "--paths", "5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: seeds must be non-negative integers, "
+                                "got -1\n")
+
     @pytest.mark.parametrize("scope, flag, value", [
         ("saa", "--k", "3"),
         ("block", "--k", "2"),

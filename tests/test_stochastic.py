@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blocksched import (algorithm3, algorithm4, evaluate,
-                        expand_horizon, fcfa, solve_saa_replication)
+from blocksched import (ClinicInstance, CostWeights, algorithm3, algorithm4,
+                        evaluate, expand_horizon, fcfa, solve_saa_replication)
+from blocksched.timeline import METRICS, metric_coefficients, weighted_cost
 from blocksched.stochastic import (DistributionSpec, SAAConfig,
                                    confidence_halfwidth, draw_scenarios,
                                    evaluate_template_mc, incumbent_selection,
                                    metric_paths, saa_procedure,
                                    fixed_template_inner, t_critical,
-                                   _tag_int, _uniform_bounds)
+                                   summarize_paths, _pool_states,
+                                   _seed_pools, _tag_int, _uniform_bounds)
 from conftest import mk_instance
 
 
@@ -66,30 +68,105 @@ class TestDrawScenarios:
                                    replication=1).lam == base.lam).all()
 
 
-def reference_uniform_draws(inst, width, K, seed, tag):
-    """The per-patient clamp loop the vectorised uniform branch replaced."""
+def reference_draws(inst, dist, K, seed, tag, replication=0):
+    """The per-scenario loop draw_scenarios replaced: a fresh
+    default_rng(SeedSequence([seed, tag key, replication, s])) per scenario,
+    with the uniform family clamped patient by patient."""
     patients = [p for b in expand_horizon(inst) for p in b]
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
     means_mu = np.array([int(p.mu) for p in patients], dtype=np.int64)
-    w = float(width)
+    sds_lam = np.array([int(inst.types[p.type_index].lam_sd)
+                        for p in patients], dtype=np.int64)
+    sds_mu = np.array([int(inst.types[p.type_index].mu_sd)
+                       for p in patients], dtype=np.int64)
+    if dist.family == "uniform_width":
+        w = float(dist.width)
+        bounds = [(_uniform_bounds(int(p.lam), dist.width),
+                   _uniform_bounds(int(p.mu), dist.width)) for p in patients]
     lam_rows, mu_rows = [], []
     for s in range(K):
         rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _tag_int(tag), 0, s]))
-        u = rng.random((len(patients), 2))
-        lam = np.rint(means_lam * (1 - w / 2 + w * u[:, 0])).astype(np.int64)
-        mu = np.rint(means_mu * (1 - w / 2 + w * u[:, 1])).astype(np.int64)
-        for i, p in enumerate(patients):
-            lo, hi = _uniform_bounds(int(p.lam), width)
-            lam[i] = min(max(lam[i], lo), hi)
-            if p.qplus:
-                lo, hi = _uniform_bounds(int(p.mu), width)
-                mu[i] = min(max(mu[i], lo), hi)
-            else:
-                mu[i] = 0
+            np.random.SeedSequence([seed, _tag_int(tag), replication, s]))
+        if dist.family == "normal":
+            z = rng.standard_normal((len(patients), 2))
+            lam = np.rint(means_lam + sds_lam * z[:, 0]).astype(np.int64)
+            mu = np.rint(means_mu + sds_mu * z[:, 1]).astype(np.int64)
+            lam = np.maximum(lam, 0).tolist()
+            mu = np.maximum(mu, 0).tolist()
+        else:
+            u = rng.random((len(patients), 2))
+            lam = np.rint(means_lam * (1 - w / 2 + w * u[:, 0])).astype(np.int64)
+            mu = np.rint(means_mu * (1 - w / 2 + w * u[:, 1])).astype(np.int64)
+            lam = [min(max(v, lo), hi)
+                   for v, ((lo, hi), _) in zip(lam.tolist(), bounds)]
+            mu = [min(max(v, lo), hi)
+                  for v, (_, (lo, hi)) in zip(mu.tolist(), bounds)]
         lam_rows.append(lam)
-        mu_rows.append(mu)
+        mu_rows.append([v if p.qplus else 0 for v, p in zip(mu, patients)])
     return np.array(lam_rows), np.array(mu_rows)
+
+
+class TestDrawContract:
+    """draw_scenarios seeds all K generators in one vectorised pass and
+    post-processes the draws in chunks; path s must still be exactly the
+    draws of its own keyed generator."""
+
+    # K = 255, 256 and 257 sit on the post-processing chunk edge
+    SIZES = (1, 255, 256, 257, 2000)
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2", "table7"])
+    @pytest.mark.parametrize("dist", [DistributionSpec("normal"),
+                                      DistributionSpec.uniform(0),
+                                      DistributionSpec.uniform("0.4"),
+                                      DistributionSpec.uniform(2)],
+                             ids=["normal", "w0", "w0.4", "w2"])
+    def test_draws_equal_the_per_scenario_loop(self, request, fixture, dist):
+        base = request.getfixturevalue(fixture)
+        for k in (1, 2, 3):
+            inst = ClinicInstance(base.types, base.costs, base.regular_time, k)
+            replication = k - 1
+            lam, mu = reference_draws(inst, dist, max(self.SIZES), seed=5 + k,
+                                      tag="contract", replication=replication)
+            for K in self.SIZES:
+                sset = draw_scenarios(inst, dist, K, seed=5 + k,
+                                      tag="contract", replication=replication)
+                assert sset.lam.dtype == sset.mu.dtype == np.int64
+                assert np.array_equal(sset.lam, lam[:K]), (k, K)
+                assert np.array_equal(sset.mu, mu[:K]), (k, K)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("replication", [0, 2**33])
+    def test_seeding_equals_seed_sequence(self, seed, replication):
+        scenarios = np.array([0, 1, 255, 256, 2**32 - 1])
+        for tag in ("scenario", "mc", "saa-K15", "compare-shows"):
+            entropy = [seed, _tag_int(tag), replication]
+            pools = _seed_pools(entropy, scenarios)
+            states = _pool_states(pools)
+            for s, pool, state in zip(scenarios.tolist(), pools, states):
+                ref = np.random.SeedSequence(entropy + [s])
+                assert np.array_equal(pool, ref.pool)
+                assert state.dtype == np.uint64
+                assert np.array_equal(state, ref.generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("key", [dict(seed=-1), dict(replication=-2)])
+    def test_negative_key_rejected(self, ex1, key):
+        kwargs = dict(seed=1, replication=0) | key
+        with pytest.raises(ValueError, match="non-negative"):
+            draw_scenarios(ex1, DistributionSpec("normal"), 3, **kwargs)
+
+    def test_seeding_mismatch_raises_instead_of_shifting(self, ex1,
+                                                         monkeypatch):
+        from blocksched import stochastic
+        real = stochastic._seed_pools
+
+        def shifted(entropy, scenarios):
+            pools = real(entropy, scenarios)
+            pools[:, 0] ^= 1
+            return pools
+
+        monkeypatch.setattr(stochastic, "_seed_pools", shifted)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=1)
 
 
 class TestUniformDraws:
@@ -98,7 +175,8 @@ class TestUniformDraws:
         w = Fraction(width)
         sset = draw_scenarios(table7, DistributionSpec.uniform(w), 40, seed=4,
                               tag="ref")
-        lam, mu = reference_uniform_draws(table7, w, 40, seed=4, tag="ref")
+        lam, mu = reference_draws(table7, DistributionSpec.uniform(w), 40,
+                                  seed=4, tag="ref")
         assert np.array_equal(sset.lam, lam) and np.array_equal(sset.mu, mu)
 
     def test_width_above_two_rejected(self):
@@ -233,6 +311,71 @@ class TestMonteCarlo:
         p_idle = lambda rows: sum(r[3] for r in rows)
         assert wait(rows4) <= wait(rows3)
         assert p_idle(rows4) <= p_idle(rowsf)
+
+
+def plain_sum(values):
+    """Left to right, as sum() adds floats up to Python 3.11."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def reference_summary(rows, weights):
+    """The row-by-row float loop summarize_paths replaced: (mean, se)."""
+    n = len(rows)
+    mean, se = {}, {}
+    for i, name in enumerate(METRICS):
+        values = [row[i] for row in rows]
+        mean[name] = Fraction(sum(values), n) / 10
+        mu = float(mean[name])
+        var = (plain_sum((float(v) / 10 - mu) ** 2 for v in values) / (n - 1)
+               if n > 1 else 0.0)
+        se[name] = math.sqrt(var / n)
+    mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
+    coeffs = [float(c) for c in metric_coefficients(weights)]
+    objs = [plain_sum(c * float(v) / 10 for c, v in zip(coeffs, row))
+            for row in rows]
+    mu = plain_sum(objs) / n
+    var = plain_sum((o - mu) ** 2 for o in objs) / (n - 1) if n > 1 else 0.0
+    se["objective"] = math.sqrt(var / n)
+    return mean, se
+
+
+class TestSummary:
+    @pytest.mark.parametrize("trial", range(40))
+    def test_equals_the_row_by_row_loop(self, trial):
+        rng = np.random.default_rng(trial)
+        n = int(rng.choice([1, 2, 3, 257, 2000]))
+        high = int(rng.choice([10, 1000, 10**7]))
+        values = rng.integers(0, high, (n, 6)) * (rng.random((n, 6)) < 0.8)
+        if trial % 4 == 0:   # scaled Fraction rows, as robust templates give
+            rows = [tuple(Fraction(int(v), 7) for v in row) for row in values]
+        else:
+            rows = [tuple(row) for row in values.tolist()]
+        weights = CostWeights.of(Fraction(int(rng.integers(1, 11)), 10),
+                                 Fraction(int(rng.integers(0, 30)), 10),
+                                 o_a=Fraction(int(rng.choice([12, 15, 18])),
+                                              10))
+        stats = summarize_paths(rows, weights)
+        mean, se = reference_summary(rows, weights)
+        assert stats.mean == mean
+        assert stats.se == se
+        assert all(type(v) is float for v in stats.se.values())
+
+    def test_squares_round_as_python_pow(self):
+        # pow(d, 2) and d * d round apart on a deviation of this column, and
+        # the difference reaches the summed squares
+        rows = [(v, 0, 0, v, 0, 0) for v in (21233, 56435, 21020)]
+        weights = CostWeights.of(1)
+        assert summarize_paths(rows, weights).se == \
+            reference_summary(rows, weights)[1]
+
+    def test_totals_beyond_int64_stay_exact(self):
+        rows = [(2**61, 0, 1, 0, 0, 0)] * 8
+        stats = summarize_paths(rows, CostWeights.of(1))
+        assert stats.mean["wait_a"] == Fraction(2**61, 10)
+        assert stats.se["wait_a"] == 0.0
 
 
 class TestNoshowFallback:
