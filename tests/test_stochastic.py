@@ -13,7 +13,8 @@ from blocksched.stochastic import (DistributionSpec, SAAConfig,
                                    evaluate_template_mc, incumbent_selection,
                                    metric_paths, saa_procedure,
                                    fixed_template_inner, t_critical,
-                                   summarize_paths, _pool_states,
+                                   summarize_paths, _column_floats,
+                                   _pool_states,
                                    _seed_pools, _tag_int, _uniform_bounds)
 from conftest import mk_instance
 
@@ -370,6 +371,34 @@ class TestSummary:
         weights = CostWeights.of(1)
         assert summarize_paths(rows, weights).se == \
             reference_summary(rows, weights)[1]
+
+    @pytest.mark.parametrize("den", [3, 2 ** 60 + 1])
+    def test_path_array_with_a_scale_equals_its_tuples(self, table7, den):
+        # Fraction appointment times give metric_paths a scale above 1; the
+        # larger one is past a float's exact integers
+        from blocksched.timeline import AppointmentTemplate
+        base = algorithm4(table7)
+        taus = tuple(Fraction(4 * int(t) + (t > 0), den) for t in base.taus)
+        tpl = AppointmentTemplate(base.slots, taus, base.block_bounds)
+        scen = draw_scenarios(table7, DistributionSpec.uniform("0.4"), 300,
+                              seed=2, tag="scale")
+        rows = metric_paths(tpl, scen, table7.regular_time)
+        assert rows.scale > 1 and isinstance(rows[0][0], Fraction)
+        weights = CostWeights.of("0.3", "1.1", o_a="1.5")
+        fast, plain = (summarize_paths(r, weights) for r in (rows, list(rows)))
+        assert (fast.mean, fast.se) == (plain.mean, plain.se)
+        assert fast.per_path == plain.per_path == tuple(rows)
+
+    def test_column_floats_round_as_fractions(self):
+        rng = np.random.default_rng(5)
+        values = [int(v) for v in rng.integers(0, 2 ** 62, 300)] + [2 ** 70 + 1]
+        for scale in (1, 3, 10, 2 ** 53 + 1, 3 ** 40):
+            column = np.array(values, dtype=object)
+            assert _column_floats(column, scale).tolist() == \
+                [float(Fraction(v, scale)) for v in values]
+            small = np.array([v >> 10 for v in values[:-1]], dtype=np.int64)
+            assert _column_floats(small, scale).tolist() == \
+                [float(Fraction(int(v), scale)) for v in small]
 
     def test_totals_beyond_int64_stay_exact(self):
         rows = [(2**61, 0, 1, 0, 0, 0)] * 8
