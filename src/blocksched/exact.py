@@ -12,13 +12,14 @@ cost, and ``nodes_explored`` counts the nodes it examined.
 The scenario-averaged block model is one depth-first search over type
 prefixes that carries all K scenarios at each node.  It works on chunks of
 prefix nodes of one depth, held as numpy arrays (int64, or Python integers
-when an a-priori cost bound does not fit in int64); a chunk's nodes x
-candidates x K arrays hold at most NODE_ELEMENTS elements, so memory stays
-flat in K.  ``mode="enumerate"`` visits every prefix and
+when an a-priori cost bound does not fit in int64); a chunk's per-node
+arrays hold at most NODE_ELEMENTS elements in all (or one node's children,
+when those alone pass it), so memory stays flat in K.
+``mode="enumerate"`` visits every prefix and
 ``mode="branch_and_bound"`` prunes on the cost accumulated so far, against
 the incumbent found in an earlier chunk; ``nodes_explored`` counts the
 children examined, chunk by chunk.  Branch and bound certifies the table7
-block at K=5 (seed 7, objective 77.48) in 294.9M nodes, 158 s and 39 MB
+block at K=5 (seed 7, objective 77.48) in 294.9M nodes, 205 s and 40 MB
 peak memory on 2 cores.
 
 Every solver returns the lexicographically first optimal sequence.
@@ -385,7 +386,7 @@ def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
-NODE_ELEMENTS = 1 << 11   # elements of one chunk's nodes x candidates x K array
+NODE_ELEMENTS = 1 << 14   # elements of one chunk's per-node arrays, all told
 
 
 @dataclass
@@ -483,7 +484,10 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             return np.sort(prefix, axis=1)[:, ranks]
         return prefix[:, None]
 
-    rows_cap = max(1, NODE_ELEMENTS // (C * K))
+    # elements one node holds in a chunk: pa and p (C x K each), cost (C),
+    # counts, prefix, parent and kind
+    node_elements = 2 * C * K + C + len(groups) + (K if quantile else 1) + 2
+    rows_cap = max(1, NODE_ELEMENTS // node_elements)
     zeros = np.zeros((1, C, K), dtype)
     root = _Chunk(sizes[None, :], np.zeros((1, K) if quantile else 1, dtype),
                   zeros, zeros, np.zeros((1, C), dtype),

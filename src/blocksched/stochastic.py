@@ -21,7 +21,7 @@ import functools
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -302,7 +302,12 @@ class MetricStats:
     n_paths: int
     mean: dict  # metric -> Fraction (minutes); includes "objective"
     se: dict    # metric -> float (minutes)
-    per_path: tuple[tuple[Scalar, ...], ...]  # rows of METRICS values (tenths)
+    rows: Sequence = field(repr=False, compare=False)  # summarize_paths' input
+
+    @functools.cached_property
+    def per_path(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Rows of METRICS values (tenths), made on first read."""
+        return tuple(map(tuple, self.rows))
 
 
 class PathRows(Sequence):
@@ -383,7 +388,7 @@ def summarize_paths(rows, weights: CostWeights) -> MetricStats:
         se[name] = _standard_error(column / 10, float(mean[name]))
     mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
     se["objective"] = _standard_error(objs, np.cumsum(objs)[-1] / n)
-    return MetricStats(n, mean, se, tuple(map(tuple, rows)))
+    return MetricStats(n, mean, se, rows)
 
 
 def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,
@@ -529,6 +534,26 @@ def fixed_template_inner(template: AppointmentTemplate,
     return inner
 
 
+def _known_averages(sols, sets, weights: CostWeights):
+    """The tournament's evaluator: scenario_average_cost of a solution's
+    template on a scenario set, once per (template, regular_time, set).
+    Replication u's objective is its template's average on sets[u], so
+    those entries are known before any evaluation."""
+    def key(sol, sset):
+        return sol.template, getattr(sol, "regular_time", None), id(sset)
+
+    known = {key(sol, sset): Fraction(sol.objective)
+             for sol, sset in zip(sols, sets)}
+
+    def evaluate(sol, sset) -> Fraction:
+        k = key(sol, sset)
+        if k not in known:
+            known[k] = scenario_average_cost(sol.template, sset, weights,
+                                             regular_time=k[1])
+        return known[k]
+    return evaluate
+
+
 def saa_procedure(inst: ClinicInstance, weights: CostWeights,
                   config: SAAConfig, seed: int, inner_solver,
                   dist: DistributionSpec | None = None) -> SAAResult:
@@ -536,8 +561,10 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
     sample size until the t half-width is below psi_bar * xi/(1+xi).
 
     inner_solver(inst, weights, scenario_set) must return an object with
-    .objective (the replication optimum) and an evaluate(scenario_set)
-    counterpart is derived from its .template via scenario_average_cost.
+    .template and .objective (the replication optimum).  .objective must
+    equal scenario_average_cost(.template, scenario_set, weights, R), R
+    being its .regular_time or None when it has none: the tournament takes
+    it as that average, and evaluates every other (template, set) pair once.
     A replication counts as certified only when its .optimal is true, so
     fixed-template replications never do.
     """
@@ -569,10 +596,7 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
             add_replication(nu)
             nu += 1
         incumbent, running = incumbent_selection(
-            sols, sets,
-            lambda sol, sset: scenario_average_cost(
-                sol.template, sset, weights,
-                regular_time=getattr(sol, "regular_time", None)))
+            sols, sets, _known_averages(sols, sets, weights))
         last_state = SAAResult(
             psi_bar, h, nu, incumbent, running, tuple(psis), S2, K, stopped,
             converged=stopped,

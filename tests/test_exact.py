@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -336,6 +337,53 @@ class TestSaaChunkedSearch:
         scen = draw_scenarios(inst, DistributionSpec("normal"), 3, seed=4)
         sol = solve_saa_replication(inst, inst.costs, scen)
         assert sol.optimal and sol.nodes_explored == 17_618
+
+    # the benchmark's generated block, with sds: 17,618 prefixes
+    SAA_BLOCK = [("P0", 9, 14, 2, 3, 6), ("P1", 12, 12, 2, 5, 4),
+                 ("P2", 6, 15, 1, 2, 7), ("Q0", 8, 0, 1, 3),
+                 ("Q1", 11, 0, 1, 4), ("Q2", 5, 0, 1, 2)]
+
+    def test_chunk_budget_changes_only_speed(self, monkeypatch):
+        """A tiny, the default and a large NODE_ELEMENTS give the same
+        solutions and enumerate node counts; no chunk's per-node arrays pass
+        the budget unless the chunk holds one node's children at most."""
+        cases = [(mk_instance(self.SAA_BLOCK), DistributionSpec("normal"), 3)]
+        rng = np.random.default_rng(97)
+        for K, dist in ((1, DistributionSpec.uniform("0.4")),
+                        (5, DistributionSpec.uniform(2))):
+            cases.append((random_conformant_instance(rng, max_r=7), dist, K))
+        budgets = (1, exact.NODE_ELEMENTS, 1 << 20)
+        chunks = []
+
+        class Spy(exact._Chunk):
+            def __post_init__(self):
+                super().__post_init__()
+                chunks.append((len(self.cost), sum(
+                    getattr(self, f.name).size
+                    for f in dataclasses.fields(self) if f.name != "next")))
+
+        monkeypatch.setattr(exact, "_Chunk", Spy)
+        for trial, (inst, dist, K) in enumerate(cases):
+            scen = draw_scenarios(inst, dist, K, seed=trial, tag="budget")
+            n_types = len(inst.types)
+            for rule in ("earliest", "quantile_grid"):
+                for mode in MODES:
+                    seen = set()
+                    for budget in budgets:
+                        monkeypatch.setattr(exact, "NODE_ELEMENTS", budget)
+                        chunks.clear()
+                        sol = solve_saa_replication(
+                            inst, inst.costs, scen,
+                            SearchConfig(mode=mode, tau_rule=rule))
+                        seen.add((sol.objective, sol.template, sol.optimal)
+                                 + ((sol.nodes_explored,)
+                                    if mode == "enumerate" else ()))
+                        assert all(size <= budget or nodes <= n_types
+                                   for nodes, size in chunks)
+                        if trial == 0 and mode == "enumerate":
+                            assert sol.nodes_explored == 17_618
+                    assert len(seen) == 1
+                    assert sol.optimal
 
     def test_bnb_node_limit_returns_best_found(self, ex1):
         scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -7,16 +8,19 @@ import pytest
 
 from blocksched import (ClinicInstance, CostWeights, algorithm3, algorithm4,
                         evaluate, expand_horizon, fcfa, solve_saa_replication)
+from blocksched import stochastic
+from blocksched.exact import SearchConfig
 from blocksched.timeline import METRICS, metric_coefficients, weighted_cost
 from blocksched.stochastic import (DistributionSpec, SAAConfig,
                                    confidence_halfwidth, draw_scenarios,
                                    evaluate_template_mc, incumbent_selection,
                                    metric_paths, saa_procedure,
                                    fixed_template_inner, t_critical,
+                                   scenario_average_cost,
                                    summarize_paths, _column_floats,
                                    _pool_states,
                                    _seed_pools, _tag_int, _uniform_bounds)
-from conftest import mk_instance
+from conftest import mk_instance, random_conformant_instance
 
 
 class TestDrawScenarios:
@@ -287,6 +291,128 @@ class TestSaaProcedure:
         quiet = saa_procedure(ex1, ex1.costs, cfg, seed=5, inner_solver=inner,
                               dist=DistributionSpec.uniform(0))
         assert quiet.replications_used <= noisy.replications_used
+
+
+def noisy_instance(rng, max_r=6, blocks=1):
+    """random_conformant_instance with sds of 10-60 % of each mean and
+    weights in tenths, so normal draws vary and costs have denominators."""
+    inst = random_conformant_instance(rng, max_r, blocks)
+    pct = lambda x: x * int(rng.integers(10, 61)) // 100
+    types = tuple(dataclasses.replace(t, lam_sd=pct(t.lam), mu_sd=pct(t.mu))
+                  for t in inst.types)
+    tenth = lambda: Fraction(int(rng.integers(1, 21)), 10)
+    costs = CostWeights.of(tenth(), tenth(), tenth(), tenth(), tenth())
+    return dataclasses.replace(inst, types=types, costs=costs)
+
+
+DISTS = (DistributionSpec("normal"), DistributionSpec.uniform("0.4"),
+         DistributionSpec.uniform(2))
+
+
+class TestReplicationObjectiveContract:
+    """saa_procedure's tournament takes a replication's objective as its
+    template's scenario average on its own set."""
+
+    def test_saa_replication_objective_is_its_scenario_average(self):
+        rng = np.random.default_rng(83)
+        for trial in range(12):
+            inst = noisy_instance(rng)
+            scen = draw_scenarios(inst, DISTS[trial % 3], 1 + trial % 5,
+                                  seed=trial, tag="contract")
+            for rule in ("earliest", "quantile_grid"):
+                for mode in ("enumerate", "branch_and_bound"):
+                    sol = solve_saa_replication(
+                        inst, inst.costs, scen,
+                        SearchConfig(mode=mode, tau_rule=rule))
+                    assert Fraction(sol.objective) == scenario_average_cost(
+                        sol.template, scen, inst.costs)
+
+    def test_fixed_template_objective_is_its_scenario_average(self):
+        rng = np.random.default_rng(84)
+        for trial in range(9):
+            inst = noisy_instance(rng, max_r=5, blocks=1 + trial % 3)
+            # a regular time inside the day, so overtime counts
+            R = int(rng.integers(1, 3)) * inst.blocks * 150
+            template = algorithm4(inst)
+            inner = fixed_template_inner(template, R)
+            scen = draw_scenarios(inst, DISTS[trial % 3], 4, seed=trial,
+                                  tag="contract")
+            sol = inner(inst, inst.costs, scen)
+            assert sol.regular_time == R
+            assert Fraction(sol.objective) == scenario_average_cost(
+                sol.template, scen, inst.costs, R)
+
+
+class TestTournamentReuse:
+    CONFIG = SAAConfig(K=3, nu0=3, nu_max=4, xi=1e-9, k_step=2,
+                       max_k_rounds=2)
+
+    def spied_run(self, monkeypatch, inst, inner):
+        """saa_procedure with scenario_average_cost and the inner solver
+        spied on: the result, each evaluation's (template, regular time,
+        set) and each replication's (template, set)."""
+        evaluated, replications = [], []
+        average = stochastic.scenario_average_cost
+
+        def spy(template, scenario_set, weights, regular_time=None):
+            evaluated.append((template, regular_time, scenario_set))
+            return average(template, scenario_set, weights, regular_time)
+
+        def counted(i, w, scenario_set):
+            sol = inner(i, w, scenario_set)
+            replications.append((sol.template, scenario_set))
+            return sol
+
+        monkeypatch.setattr(stochastic, "scenario_average_cost", spy)
+        result = saa_procedure(inst, inst.costs, self.CONFIG, seed=21,
+                               inner_solver=counted,
+                               dist=DistributionSpec.uniform("0.5"))
+        return result, evaluated, replications
+
+    def raw_run(self, monkeypatch, inst, inner):
+        """saa_procedure whose tournament evaluates every pair it asks for."""
+        select = stochastic.incumbent_selection
+
+        def raw(sols, sets, evaluator):
+            return select(sols, sets, lambda sol, sset: scenario_average_cost(
+                sol.template, sset, inst.costs,
+                getattr(sol, "regular_time", None)))
+
+        monkeypatch.setattr(stochastic, "incumbent_selection", raw)
+        result = saa_procedure(inst, inst.costs, self.CONFIG, seed=21,
+                               inner_solver=inner,
+                               dist=DistributionSpec.uniform("0.5"))
+        monkeypatch.undo()
+        return result
+
+    def assert_same_result(self, a, b):
+        for f in dataclasses.fields(a):
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    def test_alg4_tournament_evaluates_nothing(self, monkeypatch, ex1):
+        inner = fixed_template_inner(algorithm4(ex1), ex1.regular_time)
+        raw = self.raw_run(monkeypatch, ex1, inner)
+        result, evaluated, replications = self.spied_run(monkeypatch, ex1,
+                                                         inner)
+        assert len(replications) == 8   # two K rounds at nu_max
+        assert len(evaluated) == len(replications)   # the inner's own
+        self.assert_same_result(result, raw)
+
+    def test_exact_tournament_evaluates_each_pair_once(self, monkeypatch,
+                                                       ex1):
+        inner = lambda i, w, s: solve_saa_replication(i, w, s)
+        raw = self.raw_run(monkeypatch, ex1, inner)
+        result, evaluated, replications = self.spied_run(monkeypatch, ex1,
+                                                         inner)
+        assert len(replications) == 8
+        keys = [(t, rt, id(sset)) for t, rt, sset in evaluated]
+        assert len(set(keys)) == len(keys)
+        own = {(t, None, id(sset)) for t, sset in replications}
+        assert own.isdisjoint(keys)
+        # steps u = 1..3 evaluate the incumbent on set u and the new
+        # template on sets 0..u-1: at most 2 + 3 + 4 per round
+        assert 0 < len(evaluated) <= 2 * 9
+        self.assert_same_result(result, raw)
 
 
 class TestMonteCarlo:
