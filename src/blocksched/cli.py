@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -381,7 +382,10 @@ def _cmd_compare(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="blocksched",
         description="Design and stress-test two-stage clinic block schedules")

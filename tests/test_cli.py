@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import blocksched
 from blocksched.cli import read_report, run
 
 from conftest import FIXDIR
@@ -26,6 +31,32 @@ def table7_path(tmp_path):
 class TestDispatch:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_one_process_matches_fresh_processes(self, ex1_path, tmp_path,
+                                                 capsys):
+        # run() builds its parser once per process: a call that fails to
+        # parse, then good calls, print and write what fresh processes do
+        def argv(side):
+            return [["exact", "--instance", ex1_path, "--scope", "horizon",
+                     "--csv", str(tmp_path / f"{side}.csv")],
+                    ["simulate", "--instance", ex1_path, "--method", "alg4",
+                     "--paths", "20", "--output",
+                     str(tmp_path / f"{side}.json")]]
+
+        assert run(["exact", "--instance", ex1_path, "--scope", "nope"]) == 2
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(blocksched.__file__).parents[1])]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for here, fresh in zip(argv("here"), argv("fresh")):
+            assert run(here) == 0
+            out = subprocess.run([sys.executable, "-m", "blocksched.cli"]
+                                 + fresh, env=env, capture_output=True,
+                                 check=True).stdout
+            assert capsys.readouterr().out.encode() == out
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"here{suffix}").read_bytes()
+                    == (tmp_path / f"fresh{suffix}").read_bytes())
 
     def test_missing_file_domain_error(self, tmp_path, capsys):
         assert run(["validate", "--instance", str(tmp_path / "nope.json")]) == 1

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -500,13 +501,23 @@ def oracle_horizon(inst, weights, regular_time):
     return best
 
 
+HUGE_DENOMINATOR = 2 ** 62 - 57   # a prime: weights over it keep it
+
+
 def dominance_instance(rng, kind, blocks, max_r):
-    """A random instance of one of four kinds: "mixed" Q and Q+ types,
+    """A random instance of one of six kinds: "mixed" Q and Q+ types,
     "ties" (two identical Q+ types on a coarse grid), "all_qplus" (no Q
-    type) and "single" (one Q+ type).  Q+ types need not be conformant."""
+    type), "single" (one Q+ type), "off_grid" (mixed, times in thirds and
+    sevenths of a tenth) and "huge_weights" (mixed, weights over a
+    denominator near 2**62, so scaled costs overflow int64).  Q+ types
+    need not be conformant."""
     tenths_of = lambda lo, hi: int(rng.integers(lo, hi + 1))
     weights = CostWeights(*(Fraction(int(rng.integers(0, 21)), 10)
                             for _ in range(5)))
+    if kind == "huge_weights":
+        weights = CostWeights(*(
+            Fraction(int(rng.integers(0, 2 * HUGE_DENOMINATOR)),
+                     HUGE_DENOMINATOR) for _ in range(5)))
     while True:
         if kind == "single":
             types = [PatientType("P0", tenths_of(30, 200), 0,
@@ -525,6 +536,11 @@ def dominance_instance(rng, kind, blocks, max_r):
             types += [PatientType(f"P{i}", tenths_of(30, 250), 0,
                                   tenths_of(30, 300), 0, tenths_of(1, 2))
                       for i in range(tenths_of(1 + (kind == "all_qplus"), 3))]
+            if kind == "off_grid":
+                types = [dataclasses.replace(
+                    t, lam=Fraction(t.lam * 3 + tenths_of(1, 2), 3),
+                    mu=t.mu and Fraction(t.mu * 7 + tenths_of(1, 6), 7))
+                    for t in types]
             rng.shuffle(types)
         inst = ClinicInstance(tuple(types), weights, 0, blocks)
         if inst.r <= max_r:
@@ -554,10 +570,12 @@ def solve_both_modes(inst, regular_time):
 
 
 class TestDominanceBranchAndBound:
-    @pytest.mark.parametrize("kind", ["mixed", "ties", "all_qplus", "single"])
+    @pytest.mark.parametrize("kind", ["mixed", "ties", "all_qplus", "single",
+                                      "off_grid", "huge_weights"])
     def test_bnb_matches_dp_and_bruteforce(self, kind):
         rng = np.random.default_rng({"mixed": 81, "ties": 82, "all_qplus": 83,
-                                     "single": 84}[kind])
+                                     "single": 84, "off_grid": 85,
+                                     "huge_weights": 86}[kind])
         for blocks, max_r, trials in ((1, 6, 6), (2, 4, 4), (3, 3, 3)):
             for _ in range(trials):
                 inst = dominance_instance(rng, kind, blocks, max_r)
@@ -612,6 +630,102 @@ class TestHorizonBudget:
         # horizon is reached
         with pytest.raises(ValueError, match=r"time limit \(1e-09 s\)"):
             solve_horizon_exact(ex2, ex2.costs, SearchConfig(time_limit=1e-9))
+
+
+class TestLayeredDP:
+    @pytest.mark.parametrize("fixture, blocks, objective, transitions", [
+        # the five enumerate jobs of the benchmark's search workload
+        ("ex1", None, 0, 604),
+        ("ex2", None, 0, 3_485),
+        ("ex1", 2, 5, 3_433),
+        ("ex1", 3, 190, 6_761),
+        ("ex2", 2, 130, 14_079),
+        ("table7", None, Fraction("2.82"), 491_933),
+        # the horizon certificate: under 0.5 s and 86 MB peak on 2 cores
+        ("table7", 2, Fraction("76.36"), 3_693_540),
+    ])
+    def test_fixture_transition_counts(self, request, fixture, blocks,
+                                       objective, transitions):
+        inst = request.getfixturevalue(fixture)
+        if blocks is None:
+            sol = solve_block_exact(expand_block(inst), inst.costs)
+        else:
+            sol = solve_horizon_exact(ClinicInstance(
+                inst.types, inst.costs, inst.regular_time, blocks), inst.costs)
+        assert sol.optimal
+        assert (sol.objective, sol.nodes_explored) == (objective, transitions)
+
+    @pytest.mark.parametrize("limit", [26, 27, 400, 5_000, 14_078])
+    def test_budget_out_completes_the_last_full_layer(self, ex2, limit):
+        # a complete ex2 horizon is 26 slots deep and the DP certifies it in
+        # 14,079 transitions
+        optimum = solve_horizon_exact(ex2, ex2.costs).objective
+        sol = solve_horizon_exact(ex2, ex2.costs,
+                                  SearchConfig(node_limit=limit))
+        assert not sol.optimal and sol.nodes_explored == limit + 1
+        m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                            regular_time=ex2.regular_time)
+        assert oracle_cost(m, ex2.costs) == sol.objective >= optimum
+
+    def test_budget_below_the_slot_count_raises(self, ex2):
+        with pytest.raises(ValueError, match=r"node limit \(25 nodes\)"):
+            solve_horizon_exact(ex2, ex2.costs, SearchConfig(node_limit=25))
+
+    def test_budget_out_fills_each_state_in_type_order(self, ex1):
+        # brute force over the ex1 block: a node limit that covers the
+        # expansion of layers 0..L-1 but not of layer L returns the least
+        # cost, and the first sequence, among the prefixes of L slots each
+        # followed by its remaining counts in type order
+        block = expand_block(ex1)
+        kinds = {p.type_index: p for p in block}
+        seqs = [tuple(p.type_index for p in perm)
+                for perm in distinct_sequences(block)]
+        full = collections.Counter(seqs[0])
+
+        def left(prefix):
+            return full - collections.Counter(prefix)
+
+        def lag(prefix):
+            m = oracle_timeline([kinds[t] for t in prefix])
+            return None if m["last_p"] is None else m["last_p"] - m["last_a"]
+
+        spent = 0   # transitions of layers 0..L-1
+        for L in range(len(block)):
+            prefixes = sorted({s[:L] for s in seqs})
+            if spent >= len(block):
+                best = min((oracle_cost(oracle_timeline(
+                    [kinds[t] for t in seq]), ex1.costs), seq)
+                    for seq in (p + tuple(sorted(left(p).elements()))
+                                for p in prefixes))
+                sol = solve_block_exact(block, ex1.costs,
+                                        SearchConfig(node_limit=spent))
+                assert not sol.optimal and sol.nodes_explored == spent + 1
+                assert (sol.objective, tuple(
+                    p.type_index for p in sol.template.slots)) == best
+            states = {(tuple(sorted(left(p).items())), lag(p))
+                      for p in prefixes}
+            spent += sum(len(counts) if L else
+                         sum(kinds[t].qplus for t, _ in counts)
+                         for counts, _ in states)
+
+    def test_merge_keeps_the_first_row_of_least_cost(self):
+        # the packed int64 key, lexsort on int64 (spans too wide to pack)
+        # and lexsort on Python integers keep the same rows as a plain scan
+        rng = np.random.default_rng(91)
+        for trial in range(30):
+            n = int(rng.integers(1, 200))
+            code, d, cost = (rng.integers(0, hi, n) for hi in (4, 5, 6))
+            if trial % 3 == 1:
+                cost = cost << 60   # (code + 1) * d_span * c_span * n > 2**63
+            if trial % 3 == 2:
+                code, d, cost = (x.astype(object) * 2 ** 70
+                                 for x in (code, d, cost))
+            first = {}
+            for row, key in enumerate(zip(code.tolist(), d.tolist())):
+                if key not in first or cost[row] < cost[first[key]]:
+                    first[key] = row
+            assert exact._first_of_each_state(code, d, cost).tolist() == \
+                sorted(first.values())
 
 
 class TestRejectedConfigs:
