@@ -2,19 +2,21 @@
 
 The deterministic models pin appointments to the planned stage-1 starts
 (zero stage-1 wait; delaying an appointment below its start only adds wait).
-``mode="enumerate"`` solves the single-block and horizon models with one
-forward dynamic program over (block, type counts left, physician lag),
-computed one slot (layer) at a time over numpy arrays, and
-``nodes_explored`` counts its transitions.  It certifies table7 at k=2
-(76.36, 3,693,540 transitions) in under 0.5 s and 86 MB peak memory on 2
-cores.  When a budget runs out before the n_slots transitions one schedule
-needs, it reports no schedule; otherwise it completes each state of the
-last full layer by its remaining type counts in type order and returns the
-cheapest completion, not certified, with ``nodes_explored`` = limit + 1.
-``mode="branch_and_bound"`` searches slot assignments depth first, prunes
-on the incumbent bound and on dominance by an earlier prefix that reached
-the same state at no higher cost, and ``nodes_explored`` counts the nodes it
-examined.
+The single-block and horizon models are solved by one forward dynamic
+program over (block, type counts left, physician lag), computed one slot
+(layer) at a time over numpy arrays (see _lag_dp), in two modes.
+``mode="enumerate"`` runs it once over every state.
+``mode="branch_and_bound"`` first runs it with each layer cut to its BEAM
+cheapest states, for an incumbent, and then, unless no layer was cut, runs
+it again without the cut, pruning each child whose cost plus the overtime
+it cannot avoid exceeds the incumbent.  ``nodes_explored`` counts the
+transitions of every pass.  On table7 at k=3 (474.86) enumeration takes
+7,074,446 transitions, about 1 s and 100 MB peak memory, and branch and
+bound 1,041,189 transitions, about 0.3 s and 56 MB (2 cores).  When a
+budget runs out before the n_slots transitions one schedule needs, no
+schedule is reported; otherwise each state of the last full layer is
+completed by its remaining type counts in type order and the cheapest
+completion is returned, not certified, with ``nodes_explored`` = limit + 1.
 
 The scenario-averaged block model is one depth-first search over type
 prefixes that carries all K scenarios at each node.  It works on chunks of
@@ -87,24 +89,10 @@ class _Budget:
         self.exhausted = False
         self.spent_limit = None   # the limit that ran out first
 
-    def tally(self, nodes: int) -> int:
-        """Read the limits at a caller's own count of nodes; the count at
-        which to read them next.  A caller that counts nodes one by one
-        calls this on its first node and then whenever its count reaches
-        the returned one, so the node limit is read on the node past it and
-        the clock on the first node and every 4096 nodes after it."""
-        self.nodes = nodes
-        if nodes > self.node_limit:
-            self.spent_limit = f"node limit ({self.node_limit} nodes)"
-        elif time.monotonic() > self.deadline:
-            self.spent_limit = f"time limit ({self.time_limit:g} s)"
-        self.exhausted = self.spent_limit is not None
-        return min(nodes + 4096, self.node_limit + 1)
-
     def spend_many(self, n: int) -> int:
         """Count n nodes at once; how many of them the budget allows.  The
         clock is read on every call.  Once the budget is gone, the node
-        that found it gone is counted too, as tally() counts it."""
+        that found it gone is counted too."""
         if time.monotonic() > self.deadline:
             self.spent_limit = f"time limit ({self.time_limit:g} s)"
             allowed = 0
@@ -180,22 +168,12 @@ def _solution(seq, cost, denom, budget, blocks_patients) -> Solution:
                     optimal=not budget.exhausted, nodes_explored=budget.nodes)
 
 
-def _solver(config: SearchConfig):
-    """The deterministic solver of config.mode; appointment rules other
-    than "earliest" belong to the saa scope."""
-    if config.tau_rule != "earliest":
-        raise ValueError(f"tau rule {config.tau_rule!r} applies to the saa "
-                         "scope only; the deterministic models pin "
-                         "appointments to the earliest starts")
-    return _bnb if config.mode == "branch_and_bound" else _lag_dp
-
-
 def solve_block_exact(block: PatientList, weights: CostWeights,
                       config: SearchConfig | None = None) -> Solution:
     """Minimize alpha*stage-2 wait + idle costs over all distinct block
     sequences with a Q+ patient first (whenever one exists)."""
-    config = config or SearchConfig()
-    return _solver(config)(_groups(block), 1, weights, config, None, [block])
+    return _lag_dp(_groups(block), 1, weights, config or SearchConfig(),
+                   None, [block])
 
 
 def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
@@ -204,12 +182,12 @@ def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
     regular time) over independent per-block sequences of the instance's raw
     block multiset; the first slot of the day takes a Q+ patient whenever one
     exists."""
-    config = config or SearchConfig()
     if inst.blocks < 1:
         raise InvalidInstanceError("blocks: must be >= 1")
     blocks_patients = [expand_block(inst, c) for c in range(inst.blocks)]
-    return _solver(config)(_groups(blocks_patients[0]), inst.blocks, weights,
-                           config, inst.regular_time, blocks_patients)
+    return _lag_dp(_groups(blocks_patients[0]), inst.blocks, weights,
+                   config or SearchConfig(), inst.regular_time,
+                   blocks_patients)
 
 
 def _first_of_each_state(code, d, cost) -> np.ndarray:
@@ -235,6 +213,9 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+BEAM = 512   # states per layer in branch and bound's incumbent pass
+
+
 def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             regular_time: Scalar | None, blocks_patients) -> Solution:
     """Forward dynamic program over lag states, one slot (layer) at a time.
@@ -251,13 +232,29 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     kept rows stay in that order, so each row holds the lexicographically
     first of its cheapest prefixes and the first row of least total cost
     reads back the lexicographically first optimum.  ``nodes_explored``
-    counts the transitions, one per (state, open type).
+    counts the transitions, one per (state, open type), over every pass.
+
+    "enumerate" makes one pass over every state.  "branch_and_bound" first
+    makes an incumbent pass that cuts each layer to its BEAM cheapest
+    states (the first rows on ties, kept in order); if no layer was cut,
+    that pass was the full DP and its result is returned.  Otherwise a
+    pruned pass drops each child whose cost plus the overtime it cannot
+    avoid exceeds the incumbent.  The bound never falls along a path and
+    depends only on the state and its cost, so every state on an optimal
+    path keeps the row it has in the full DP, and both modes return the
+    same schedule.
 
     Each layer is charged to the budget before its children are made.  If
     the budget runs out before the n_slots transitions one schedule needs,
     no schedule is reported; otherwise each state of the last complete
-    layer is completed by its remaining counts in type order and the
-    cheapest completion is returned, not certified."""
+    layer of the current pass is completed by its remaining counts in type
+    order and the cheapest completion is returned, not certified.  When
+    that happens in the pruned pass, the cheaper of its completion and the
+    incumbent is returned, and on a tie the lexicographically first."""
+    if config.tau_rule != "earliest":
+        raise ValueError(f"tau rule {config.tau_rule!r} applies to the saa "
+                         "scope only; the deterministic models pin "
+                         "appointments to the earliest starts")
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
     R = regular_time
@@ -271,18 +268,28 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
               for x in [R or 0] + [t for g in groups for t in (g.lam, g.mu)]))
     lams = [int(g.lam * D) for g in groups]
     mus = [int(g.mu * D) for g in groups]
-    day_lam = blocks * sum(map(mul, counts0, lams))
+    block_lam, block_mu = (sum(map(mul, counts0, x)) for x in (lams, mus))
+    day_lam, day_mu = blocks * block_lam, blocks * block_mu
     R = None if R is None else int(R * D)
     # |d| stays within the day's lam and mu sums, so each slot costs at most
     # (w_alpha + w_bp) times that, and overtime at most (w_oa + w_op) times
     # that plus R; codes stay below the radix product
-    horizon = day_lam + blocks * sum(map(mul, counts0, mus)) + abs(R or 0)
+    horizon = day_lam + day_mu + abs(R or 0)
     bound = (n_slots + 2) * horizon * (w_alpha + w_bp + w_oa + w_op)
     sizes = [n + 1 for n in counts0]
     dtype = np.int64 if max(bound, prod(sizes)) < 2 ** 63 else object
     lam, mu, radix, sizes = (np.array(x, dtype)
                              for x in (lams, mus, radix, sizes))
     qplus = np.array([g.qplus for g in groups])
+    kind_type = np.min_scalar_type(len(groups))
+
+    def open_types(code, t):
+        """The types each row may give slot t: those it has left, and only
+        Q+ types in slot 0 when there are any."""
+        open_ = code[:, None] // radix % sizes > 0
+        if not t and has_qplus:
+            open_ &= qplus
+        return open_
 
     def advance(code, d, kind, t):
         """(step cost, code, lag) after each row gives slot t to its type:
@@ -300,161 +307,85 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
         step = np.where(plus, w_alpha * wait + w_bp * (wait - lag), 0)
         return step, code, np.where(plus, wait, lag) + mu[kind]
 
-    code, d, cost = (np.array([x], dtype) for x in (full, 0, 0))
-    links = []   # per layer: the parent row and type of each state
-    kind_type = np.min_scalar_type(len(groups))
-    depth = 0
-    while depth < n_slots:
-        open_ = code[:, None] // radix % sizes > 0
-        if not depth and has_qplus:
-            open_ &= qplus
-        n = int(np.count_nonzero(open_))
-        if budget.spend_many(n) < n:
-            break
-        par, kind = np.nonzero(open_)   # children in (parent, type) order
-        del open_
-        step, code, d = advance(code[par], d[par], kind, depth)
-        cost = cost[par] + step
-        keep = _first_of_each_state(code, d, cost)
-        code, d, cost = code[keep], d[keep], cost[keep]
-        links.append((par[keep].astype(np.int32),
-                      kind[keep].astype(kind_type)))
-        depth += 1
-    if budget.exhausted and budget.nodes <= n_slots:
-        raise budget.out_of_budget()
-    # complete each state by its remaining counts in type order (nothing
-    # once every layer is done); a budget of n_slots transitions covers the
-    # first layer, so slot 0 is never filled here
-    tails = []
-    for t in range(depth, n_slots):
-        kind = np.argmax(code[:, None] // radix % sizes > 0, axis=1)
-        step, code, d = advance(code, d, kind, t)
-        cost = cost + step
-        tails.append(kind)
-    if R is not None:
-        cost = cost + w_oa * max(0, day_lam - R)
+    def overtime(code, d, t):
+        """The overtime cost each row cannot avoid once slot t is filled,
+        which is its overtime cost once the day is placed.  The day's
+        lambda sum fixes the assistant's; the physician is free at pa + d
+        and still has the mu of every patient left, and pa plus that mu
+        follows from the blocks begun and the counts left."""
+        if R is None:
+            return 0
+        extra = w_oa * max(0, day_lam - R)
         if has_qplus:
-            cost = cost + w_op * np.maximum(day_lam + d - R, 0)
-    row = int(np.argmin(cost))
-    seq = [int(k[row]) for k in reversed(tails)]
-    best = int(cost[row])
-    for par, kind in reversed(links):
-        seq.append(int(kind[row]))
-        row = par[row]
-    return _solution(seq[::-1], best, denom * D, budget, blocks_patients)
+            left = code[:, None] // radix % sizes
+            end = (d + day_mu
+                   + ((t + 1) // block_size + 1) * (block_lam - block_mu)
+                   - (left * (lam - mu)).sum(axis=1))
+            extra = extra + w_op * np.maximum(end - R, 0)
+        return extra
 
+    def search(beam=None, incumbent=None):
+        """One pass over the layers: the least total cost, the type
+        sequence of its first row, and whether a layer was cut to beam."""
+        code, d, cost = (np.array([x], dtype) for x in (full, 0, 0))
+        links = []   # per layer: the parent row and type of each state
+        cut = False
+        depth = 0
+        while depth < n_slots:
+            open_ = open_types(code, depth)
+            n = int(np.count_nonzero(open_))
+            if budget.spend_many(n) < n:
+                break
+            par, kind = np.nonzero(open_)   # children in (parent, type) order
+            del open_
+            step, code, d = advance(code[par], d[par], kind, depth)
+            cost = cost[par] + step
+            if incumbent is not None:
+                alive = cost + overtime(code, d, depth) <= incumbent
+                par, kind, code, d, cost = (x[alive]
+                                            for x in (par, kind, code, d, cost))
+            keep = _first_of_each_state(code, d, cost)
+            if beam is not None and len(keep) > beam:
+                keep = np.sort(keep[np.argsort(cost[keep],
+                                               kind="stable")[:beam]])
+                cut = True
+            code, d, cost = code[keep], d[keep], cost[keep]
+            links.append((par[keep].astype(np.int32),
+                          kind[keep].astype(kind_type)))
+            depth += 1
+        if budget.exhausted and budget.nodes <= n_slots:
+            raise budget.out_of_budget()
+        # complete each state by its remaining counts in type order (nothing
+        # once every layer is done)
+        tails = []
+        for t in range(depth, n_slots):
+            kind = np.argmax(open_types(code, t), axis=1)
+            step, code, d = advance(code, d, kind, t)
+            cost = cost + step
+            tails.append(kind)
+        cost = cost + overtime(code, d, n_slots - 1)
+        row = int(np.argmin(cost))
+        seq = [int(k[row]) for k in reversed(tails)]
+        best = int(cost[row])
+        for par, kind in reversed(links):
+            seq.append(int(kind[row]))
+            row = par[row]
+        return best, seq[::-1], cut
 
-BNB_MAX_SLOTS = 500   # _bnb recurses once per slot; the saa search keeps a
-                      # chunk of nodes per slot
-
-
-def _bnb(groups, blocks: int, weights: CostWeights, config: SearchConfig,
-         regular_time: Scalar | None, blocks_patients) -> Solution:
-    """Depth-first branch and bound over the slot assignments.
-
-    A child is pruned when its accumulated cost plus the overtime it cannot
-    avoid reaches the incumbent (no epsilon), or when an earlier prefix
-    reached the same state at no higher accumulated cost (dominance).  The
-    state is (depth, remaining type counts of the current block, physician
-    lag p - pa or None before the physician starts): pa follows from the
-    depth and the counts, so the state fixes every later wait, idle and
-    overtime term.  Children go in type order and a leaf must be strictly
-    better, so the earlier, lexicographically smaller prefix keeps the
-    state and the search returns the lexicographically first optimum.
-    ``nodes_explored`` counts the children examined."""
-    denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
-    budget = _Budget(config)
-    R = regular_time
-    counts0 = [len(g.patients) for g in groups]
-    radix, code0 = _radix(counts0)
-    block_size = sum(counts0)
-    block_lam = sum(len(g.patients) * g.lam for g in groups)
-    total_mu = blocks * sum(len(g.patients) * g.mu for g in groups)
-    has_qplus = any(g.qplus for g in groups)
-    n_slots = blocks * block_size
-    if n_slots > BNB_MAX_SLOTS:
-        raise ValueError(f"branch and bound recurses once per slot and takes "
-                         f"at most {BNB_MAX_SLOTS} slots, not {n_slots}; "
-                         "use --mode enumerate")
-    overtime_a = 0 if R is None else w_oa * max(0, blocks * block_lam - R)
-
-    incumbent: list = [None, None]  # scaled cost, sequence of type ids
-    seq: list[int] = []
-    seen: dict[tuple, int] = {}   # state -> least accumulated cost
-    nodes, check_at = 0, 1   # children examined; the count of the next tally
-
-    def rec(depth, counts, code, pa, p, started, cost, mu_left):
-        """cost: the accumulated w_alpha*wait + w_bp*idle of the prefix."""
-        nonlocal nodes, check_at
-        if depth == n_slots:
-            cost += overtime_a
-            if R is not None and started:
-                cost += w_op * max(0, p - R)
-            if incumbent[0] is None or cost < incumbent[0]:
-                incumbent[0], incumbent[1] = cost, tuple(seq)
-            return
-        if depth % block_size == 0:
-            counts, code = list(counts0), code0  # entering a fresh block
-        for gi, g in enumerate(groups):
-            if counts[gi] == 0:
-                continue
-            if depth == 0 and has_qplus and not g.qplus:
-                continue
-            nodes += 1
-            if nodes == check_at:
-                check_at = budget.tally(nodes)
-                if budget.exhausted:
-                    return
-            new_pa = pa + g.lam
-            if g.qplus:
-                ep = new_pa if new_pa >= p else p
-                new_cost = cost + w_alpha * (ep - new_pa)
-                if started:
-                    new_cost += w_bp * (ep - p)
-                new_p, new_started = ep + g.mu, True
-                new_mu_left = mu_left - g.mu
-            else:
-                new_cost = cost
-                new_p, new_started = p, started
-                new_mu_left = mu_left
-            bound = new_cost + overtime_a
-            if R is not None and has_qplus:
-                base_p = new_p if new_started else 0
-                bound += w_op * max(0, base_p + new_mu_left - R)
-            if incumbent[0] is not None and bound >= incumbent[0]:
-                continue
-            new_code = code - radix[gi]
-            key = (depth + 1, new_code,
-                   new_p - new_pa if new_started else None)
-            best = seen.get(key)
-            if best is not None and new_cost >= best:
-                continue
-            seen[key] = new_cost
-            counts[gi] -= 1
-            seq.append(gi)
-            rec(depth + 1, counts, new_code, new_pa, new_p, new_started,
-                new_cost, new_mu_left)
-            seq.pop()
-            counts[gi] += 1
-            if budget.exhausted:
-                return
-
-    rec(0, list(counts0), code0, 0, 0, False, 0, total_mu)
-    # rec's closure holds rec itself; breaking that cycle frees the memo
-    # now rather than at the next full garbage collection
-    del rec
-    budget.nodes = nodes
-
-    if incumbent[1] is None:   # budget gone before the first leaf
-        raise budget.out_of_budget()
-    return _solution(incumbent[1], incumbent[0], denom, budget,
-                     blocks_patients)
+    if config.mode == "enumerate":
+        best, seq, _ = search()
+    else:
+        best, seq, cut = search(beam=BEAM)
+        if cut and not budget.exhausted:
+            best, seq = min((best, seq), search(incumbent=best)[:2])
+    return _solution(seq, best, denom * D, budget, blocks_patients)
 
 
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
 NODE_ELEMENTS = 1 << 14   # elements of one chunk's per-node arrays, all told
+SAA_MAX_SLOTS = 500   # the saa search keeps a chunk of nodes per slot
 
 
 @dataclass
@@ -509,9 +440,9 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     config = config or SearchConfig()
     block = expand_block(inst)
     n_slots = len(block)
-    if n_slots > BNB_MAX_SLOTS:
+    if n_slots > SAA_MAX_SLOTS:
         raise ValueError(f"the saa search keeps a chunk of nodes per slot "
-                         f"and takes at most {BNB_MAX_SLOTS} slots, "
+                         f"and takes at most {SAA_MAX_SLOTS} slots, "
                          f"not {n_slots}")
     if not n_slots:
         return Solution(AppointmentTemplate((), (), (0, 0)), Fraction(0),

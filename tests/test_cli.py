@@ -96,6 +96,15 @@ class TestDispatch:
         payload = json.loads(out.read_text())
         assert payload["optimal"] is True
 
+    def test_exact_bnb_certifies_a_thousand_slot_horizon(self, ex1_path,
+                                                         capsys):
+        assert run(["exact", "--instance", ex1_path, "--scope", "horizon",
+                    "--k", "120", "--mode", "branch_and_bound"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["optimal"] is True
+        assert Fraction(payload["objective"]) == 153395
+        assert len(payload["template"]["slots"]) == 1080
+
     def test_balance_example2(self, tmp_path, capsys):
         dst = tmp_path / "ex2.json"
         shutil.copy(str(FIXDIR / "ex2.json"), dst)
@@ -289,15 +298,6 @@ class TestRejectedInputs:
                     "--mode", "enumerate", "--node-limit", "20"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: the node limit (20 nodes) ran out")
-
-    def test_bnb_horizon_too_deep_exits_one(self, ex1_path, capsys):
-        assert run(["exact", "--instance", ex1_path, "--scope", "horizon",
-                    "--k", "120", "--mode", "branch_and_bound",
-                    "--node-limit", "1000"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "1080" in captured.err and "--mode enumerate" in captured.err
 
     def test_tau_rule_on_block_scope_exits_one(self, ex1_path, capsys):
         assert run(["exact", "--instance", ex1_path, "--scope", "block",

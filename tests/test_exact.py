@@ -548,9 +548,9 @@ def dominance_instance(rng, kind, blocks, max_r):
 
 
 def solve_both_modes(inst, regular_time):
-    """(DP, B&B) solutions: the block scope with no regular time at k=1,
-    the horizon scope with one, and the engines themselves for several
-    blocks with none (no public scope runs that case)."""
+    """(enumerate, branch and bound) solutions: the block scope with no
+    regular time at k=1, the horizon scope with one, and the DP itself for
+    several blocks with none (no public scope runs that case)."""
     if regular_time is None and inst.blocks == 1:
         def run(config):
             return solve_block_exact(expand_block(inst), inst.costs, config)
@@ -563,16 +563,17 @@ def solve_both_modes(inst, regular_time):
         blocks = [expand_block(inst, c) for c in range(inst.blocks)]
 
         def run(config):
-            return exact._solver(config)(exact._groups(blocks[0]),
-                                         inst.blocks, inst.costs, config,
-                                         None, blocks)
+            return exact._lag_dp(exact._groups(blocks[0]), inst.blocks,
+                                 inst.costs, config, None, blocks)
     return run(SearchConfig()), run(SearchConfig(mode="branch_and_bound"))
 
 
 class TestDominanceBranchAndBound:
     @pytest.mark.parametrize("kind", ["mixed", "ties", "all_qplus", "single",
                                       "off_grid", "huge_weights"])
-    def test_bnb_matches_dp_and_bruteforce(self, kind):
+    def test_bnb_matches_dp_and_bruteforce(self, kind, monkeypatch):
+        # these instances never fill the default beam, so narrow beams make
+        # the incumbent pass cut layers and the pruned pass run
         rng = np.random.default_rng({"mixed": 81, "ties": 82, "all_qplus": 83,
                                      "single": 84, "off_grid": 85,
                                      "huge_weights": 86}[kind])
@@ -582,12 +583,14 @@ class TestDominanceBranchAndBound:
                 day_lam = blocks * sum(t.ratio * t.lam for t in inst.types)
                 for R in (None, 0, day_lam // 2):
                     best, types = oracle_horizon(inst, inst.costs, R)
-                    dp, bnb = solve_both_modes(inst, R)
-                    assert dp.optimal and bnb.optimal
-                    assert dp.objective == bnb.objective == best
-                    assert tuple(p.type_index
-                                 for p in bnb.template.slots) == types
-                    assert bnb.template == dp.template
+                    for beam in (1, 2, 8, exact.BEAM):
+                        monkeypatch.setattr(exact, "BEAM", beam)
+                        dp, bnb = solve_both_modes(inst, R)
+                        assert dp.optimal and bnb.optimal
+                        assert dp.objective == bnb.objective == best
+                        assert tuple(p.type_index
+                                     for p in bnb.template.slots) == types
+                        assert bnb.template == dp.template
 
     def test_ex2_three_blocks_certifies_the_dp_optimum(self, ex2):
         inst = ClinicInstance(ex2.types, ex2.costs, ex2.regular_time, 3)
@@ -598,14 +601,56 @@ class TestDominanceBranchAndBound:
         assert (bnb.objective, bnb.template) == (dp.objective, dp.template)
 
     def test_dominance_prunes_the_fixture_searches(self, ex1, table7):
-        # an incumbent bound alone examines 507,007 and 1,025,037 nodes
+        # enumeration takes 491,933, 6,761 and 7,074,446 transitions; ex1 at
+        # k=3 never fills the beam, so its incumbent pass is the whole DP
         config = SearchConfig(mode="branch_and_bound")
         block = solve_block_exact(expand_block(table7), table7.costs, config)
-        ex1_k3 = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 3)
+        ex1_k3, table7_k3 = (ClinicInstance(i.types, i.costs, i.regular_time, 3)
+                             for i in (ex1, table7))
         horizon = solve_horizon_exact(ex1_k3, ex1.costs, config)
-        assert block.optimal and horizon.optimal
-        assert (block.nodes_explored, horizon.nodes_explored) == (108_588,
-                                                                  8_203)
+        long_day = solve_horizon_exact(table7_k3, table7.costs, config)
+        assert block.optimal and horizon.optimal and long_day.optimal
+        assert long_day.objective == Fraction("474.86")
+        assert (block.nodes_explored, horizon.nodes_explored,
+                long_day.nodes_explored) == (42_954, 6_761, 1_041_189)
+
+    @pytest.mark.parametrize("fixture", ["ex1", "ex2", "table7"])
+    def test_modes_agree_on_every_fixture(self, request, fixture):
+        inst = request.getfixturevalue(fixture)
+        runs = [lambda c: solve_block_exact(expand_block(inst), inst.costs, c)]
+        runs += [lambda c, k=k: solve_horizon_exact(ClinicInstance(
+            inst.types, inst.costs, inst.regular_time, k), inst.costs, c)
+            for k in sorted({inst.blocks, 2, 3})]
+        for run in runs:
+            enum, bnb = (run(SearchConfig(mode=mode)) for mode in MODES)
+            assert enum.optimal and bnb.optimal
+            assert (bnb.objective, bnb.template) == (enum.objective,
+                                                     enum.template)
+
+    def test_pruned_pass_budget_out_ties_go_to_the_first_sequence(
+            self, monkeypatch):
+        # with a beam of 2 the incumbent pass takes 27 transitions and ends
+        # at P0 P1 Q0 P1 | Q0 P0 P1 P1 (type ids 1 2 0 2 0 1 2 2); a limit of
+        # 27 stops the pruned pass at its first layer, which fills the root
+        # in type order after a Q+ first slot: P0 Q0 P1 P1 | Q0 P0 P1 P1,
+        # as cheap as the incumbent and lexicographically first
+        monkeypatch.setattr(exact, "BEAM", 2)
+        inst = mk_instance([("Q0", 5, 0, 1), ("P0", 20, 20, 1),
+                            ("P1", 20, 20, 2)],
+                           costs=("0.5", "1.1", "1.5", 1, "1.2"),
+                           regular_time=0, blocks=2)
+        incumbent = (1, 2, 0, 2, 0, 1, 2, 2)
+        root_fill = (1, 0, 2, 2, 0, 1, 2, 2)
+        optimum = solve_horizon_exact(inst, inst.costs).objective
+        for limit, types in ((26, incumbent), (27, root_fill)):
+            sol = solve_horizon_exact(inst, inst.costs, SearchConfig(
+                mode="branch_and_bound", node_limit=limit))
+            assert not sol.optimal and sol.nodes_explored == limit + 1
+            assert tuple(p.type_index for p in sol.template.slots) == types
+            m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                                regular_time=0)
+            assert oracle_cost(m, inst.costs) == sol.objective == 325
+        assert optimum < 325
 
 
 class TestHorizonBudget:
@@ -655,21 +700,33 @@ class TestLayeredDP:
         assert sol.optimal
         assert (sol.objective, sol.nodes_explored) == (objective, transitions)
 
-    @pytest.mark.parametrize("limit", [26, 27, 400, 5_000, 14_078])
-    def test_budget_out_completes_the_last_full_layer(self, ex2, limit):
-        # a complete ex2 horizon is 26 slots deep and the DP certifies it in
-        # 14,079 transitions
+    @pytest.mark.parametrize("mode, limit", [
+        *(pytest.param("enumerate", n, id=str(n))
+          for n in (26, 27, 400, 5_000, 14_078)),
+        # with a beam of 8 the incumbent pass takes 539 transitions: 26, 27
+        # and 400 run out in it, 539 on the first layer of the pruned pass,
+        # and the rest later in the pruned pass
+        *(pytest.param("branch_and_bound", n, id=f"bnb-{n}")
+          for n in (26, 27, 400, 539, 540, 5_000, 11_935)),
+    ])
+    def test_budget_out_completes_the_last_full_layer(self, ex2, monkeypatch,
+                                                      mode, limit):
+        # a complete ex2 horizon is 26 slots deep; the DP certifies it in
+        # 14,079 transitions, branch and bound with a beam of 8 in 11,936
+        monkeypatch.setattr(exact, "BEAM", 8)
         optimum = solve_horizon_exact(ex2, ex2.costs).objective
         sol = solve_horizon_exact(ex2, ex2.costs,
-                                  SearchConfig(node_limit=limit))
+                                  SearchConfig(mode=mode, node_limit=limit))
         assert not sol.optimal and sol.nodes_explored == limit + 1
         m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
                             regular_time=ex2.regular_time)
         assert oracle_cost(m, ex2.costs) == sol.objective >= optimum
 
     def test_budget_below_the_slot_count_raises(self, ex2):
-        with pytest.raises(ValueError, match=r"node limit \(25 nodes\)"):
-            solve_horizon_exact(ex2, ex2.costs, SearchConfig(node_limit=25))
+        for mode in MODES:
+            with pytest.raises(ValueError, match=r"node limit \(25 nodes\)"):
+                solve_horizon_exact(ex2, ex2.costs,
+                                    SearchConfig(mode=mode, node_limit=25))
 
     def test_budget_out_fills_each_state_in_type_order(self, ex1):
         # brute force over the ex1 block: a node limit that covers the
@@ -756,12 +813,14 @@ class TestLongHorizons:
         with pytest.raises(ValueError, match=r"at most 500 slots, not 501"):
             solve_saa_replication(inst, inst.costs, scen)
 
-    def test_bnb_rejects_horizons_deeper_than_its_recursion(self, ex1):
+    def test_bnb_certifies_a_thousand_slots(self, ex1):
         inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 120)
-        with pytest.raises(ValueError, match=r"not 1080; use --mode enumerate"):
-            solve_horizon_exact(inst, inst.costs,
-                                SearchConfig(mode="branch_and_bound",
-                                             node_limit=1000))
+        enum, bnb = (solve_horizon_exact(inst, inst.costs,
+                                         SearchConfig(mode=mode))
+                     for mode in MODES)
+        assert enum.optimal and bnb.optimal
+        assert enum.objective == bnb.objective == 153395
+        assert enum.template == bnb.template
 
 
 def test_horizon_exact_all_q_instance():
