@@ -30,6 +30,8 @@ from .units import fmt_minutes, fmt_number, tenths
 RESULT_COLUMNS = ("method", "alpha", "beta_a", "beta_p", "o_a", "o_p",
                   "pa_overtime", "p_overtime", "pa_idle", "p_idle",
                   "wait_stage1", "wait_stage2", "objective", "seed", "paths")
+TIMELINE_COLUMNS = ("block", "slot", "type", "tau", "e_a", "f_a", "e_p", "f_p",
+                    "w_a", "w_p", "idle_a", "idle_p", "b_a", "b_p", "cost")
 
 
 def _fraction(text: str, flag: str) -> Fraction:
@@ -66,13 +68,6 @@ def result_row(method: str, weights: CostWeights, means: dict,
     return row
 
 
-def write_report(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def read_report(path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -87,8 +82,7 @@ def _write_json(payload, path=None):
         print(text)
 
 
-def _write_csv_rows(rows, path, columns=None):
-    columns = columns or sorted({k for row in rows for k in row})
+def _write_csv_rows(rows, path, columns):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
@@ -181,9 +175,7 @@ def _cmd_template(args):
     _write_json(_template_payload(args.method, template), args.output)
     if args.csv:
         _write_csv_rows(evaluation_rows(template, ev, inst.costs), args.csv,
-                        columns=["block", "slot", "type", "tau", "e_a", "f_a",
-                                 "e_p", "f_p", "w_a", "w_p", "idle_a",
-                                 "idle_p", "b_a", "b_p", "cost"])
+                        TIMELINE_COLUMNS)
     return 0
 
 
@@ -202,8 +194,7 @@ def _cmd_bounds(args):
         "conformant": report.conformant,
     }
     if args.format == "csv":
-        _write_csv_rows([record], _out_dir(args, "bounds.csv"),
-                        columns=list(record))
+        _write_csv_rows([record], _out_dir(args, "bounds.csv"), list(record))
     else:
         _write_json(record, args.output)
     return 0
@@ -250,10 +241,8 @@ def _cmd_exact(args):
     _write_json(payload, args.output)
     if args.csv:
         ev = evaluate(solution.template, regular_time=regular)
-        _write_csv_rows(evaluation_rows(solution.template, ev, weights), args.csv,
-                        columns=["block", "slot", "type", "tau", "e_a", "f_a",
-                                 "e_p", "f_p", "w_a", "w_p", "idle_a",
-                                 "idle_p", "b_a", "b_p", "cost"])
+        _write_csv_rows(evaluation_rows(solution.template, ev, weights),
+                        args.csv, TIMELINE_COLUMNS)
     return 0
 
 
@@ -288,7 +277,7 @@ def _cmd_saa(args):
     if args.csv:
         rows = [{"replication": u + 1, "psi": fmt_number(psi)}
                 for u, psi in enumerate(result.psi_values)]
-        _write_csv_rows(rows, args.csv, columns=["replication", "psi"])
+        _write_csv_rows(rows, args.csv, ("replication", "psi"))
     return 0
 
 
@@ -348,7 +337,7 @@ def _cmd_noshow(args):
                                                         plan.n_scheduled)
             rows.append({"alpha": fmt_number(alpha),
                          "cost_per_patient": fmt_number(cost)})
-        _write_csv_rows(rows, args.csv, columns=["alpha", "cost_per_patient"])
+        _write_csv_rows(rows, args.csv, ("alpha", "cost_per_patient"))
     return 0
 
 
@@ -375,7 +364,7 @@ def _cmd_compare(args):
                 rows.append(result_row(method, weights, stats.mean,
                                        args.seed, args.paths))
     rows.sort(key=lambda r: (r["method"], Fraction(r["alpha"]), Fraction(r["o_a"])))
-    write_report(rows, _out_dir(args, "compare.csv"))
+    _write_csv_rows(rows, _out_dir(args, "compare.csv"), RESULT_COLUMNS)
     return 0
 
 
@@ -486,7 +475,7 @@ def run(argv=None) -> int:
     try:
         return args.handler(args)
     except (InstanceFormatError, InvalidInstanceError, ValueError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

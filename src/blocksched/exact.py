@@ -64,8 +64,10 @@ class SearchConfig:
     tau_rule: str = "earliest"     # "earliest" | "quantile_grid" (stochastic only)
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("limits must be positive")
+        for name in ("node_limit", "time_limit"):
+            limit = getattr(self, name)
+            if not limit > 0:   # nan fails this too; inf passes
+                raise ValueError(f"{name} must be positive, not {limit}")
         if self.mode not in ("enumerate", "branch_and_bound"):
             raise ValueError(f"unknown mode: {self.mode}")
         if self.tau_rule not in ("earliest", "quantile_grid"):
@@ -580,10 +582,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             taus.append(sorted(prefix)[ranks[best_c]])
             prefix = list(map(add, prefix, scenario_set.lam[:, s.uid].tolist()))
     else:
-        taus, prefix = [], 0
-        for s in slots:
-            taus.append(prefix)
-            prefix = prefix + s.lam
+        taus = pa_prefix_taus(slots)
     template = AppointmentTemplate(slots, tuple(taus), (0, n_slots))
     return Solution(template, Fraction(int(best), denom * 10 * K * D),
                     optimal=not budget.exhausted, nodes_explored=budget.nodes)

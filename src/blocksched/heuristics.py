@@ -109,8 +109,7 @@ def _horizon_from_block(inst: ClinicInstance, block_builder) -> AppointmentTempl
         blocks = tuple(expand_block(inst, c) for c in range(inst.blocks))
         overflow = ()
     base = block_builder(blocks[0])
-    full = concatenate(base, inst.blocks, junction="p_continuous",
-                       overflow=overflow)
+    full = concatenate(base, inst.blocks, overflow=overflow)
     # concatenate repeats block 0's patient objects; re-point each block's
     # slots at that block's own patients so sample-path draws line up
     slots: list[Patient] = []
@@ -234,27 +233,28 @@ class RobustnessReport:
 MAX_WIDTH = Fraction(2)  # width 2 is the whole support [0, 2*mean]
 
 
-def w_threshold(sequence: PatientList) -> Fraction:
-    """Largest uniform width w for which the slack-adjusted appointment times
-    keep the physician idle-free on every sample path.
-
-    Minimum over front prefixes j of 2*sum(mu_l - lam_{l+1}) / sum(mu_l +
-    lam_{l+1}); zero as soon as any prefix sum of slack goes negative.  With
-    fewer than two Q+ patients there is no constraint and the full width is
-    allowed.
-    """
+def _prefix_ratios(sequence: PatientList) -> tuple[Fraction, ...]:
+    """Per front prefix j, 2*sum(mu_l - lam_{l+1}) / sum(mu_l + lam_{l+1}),
+    or 0 where that prefix sum of slack is negative."""
     front = [p for p in sequence if p.qplus]
-    best: Fraction | None = None
+    ratios = []
     num = den = 0
     for j in range(1, len(front)):
         num += front[j - 1].mu - front[j].lam
         den += front[j - 1].mu + front[j].lam
-        if num < 0:
-            return Fraction(0)
-        ratio = Fraction(2 * num, den)
-        if best is None or ratio < best:
-            best = ratio
-    return MAX_WIDTH if best is None else min(best, MAX_WIDTH)
+        ratios.append(Fraction(2 * num, den) if num >= 0 else Fraction(0))
+    return tuple(ratios)
+
+
+def w_threshold(sequence: PatientList) -> Fraction:
+    """Largest uniform width w for which the slack-adjusted appointment times
+    keep the physician idle-free on every sample path.
+
+    Minimum over front prefixes of their ratio (see _prefix_ratios); zero as
+    soon as any prefix sum of slack goes negative.  With fewer than two Q+
+    patients there is no constraint and the full width is allowed.
+    """
+    return min((*_prefix_ratios(sequence), MAX_WIDTH))
 
 
 def robust_template(sequence: PatientList, w) -> AppointmentTemplate:
@@ -274,13 +274,7 @@ def robust_template(sequence: PatientList, w) -> AppointmentTemplate:
 
 def robustness_report(inst: ClinicInstance, w=None) -> RobustnessReport:
     seq = algorithm1(expand_block(inst))
-    front = [p for p in seq if p.qplus]
-    ratios = []
-    num = den = 0
-    for j in range(1, len(front)):
-        num += front[j - 1].mu - front[j].lam
-        den += front[j - 1].mu + front[j].lam
-        ratios.append(Fraction(2 * num, den) if num >= 0 else Fraction(0))
+    ratios = _prefix_ratios(seq)
     w_star = w_threshold(seq)
     template = robust_template(seq, w if w is not None else w_star)
-    return RobustnessReport(w_star, tuple(ratios), template.taus)
+    return RobustnessReport(w_star, ratios, template.taus)

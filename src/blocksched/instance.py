@@ -232,17 +232,12 @@ def balanced_blocks(inst: ClinicInstance, result: BalanceResult
     """Split the canonical horizon expansion into k reduced blocks plus the
     overflow block (k copies of the removal list, highest replicates removed
     first so uids stay aligned with the unbalanced expansion)."""
-    removed_per_type: dict[str, int] = {}
-    for name in result.overflow_list:
-        removed_per_type[name] = removed_per_type.get(name, 0) + 1
     blocks = []
     overflow: list[Patient] = []
     for block in expand_horizon(inst):
         by_key = {(p.type_index, p.replicate): p for p in block}
-        keep = [p for p in block
-                if p.replicate < ({t.name: t.ratio for t in inst.types}[p.name]
-                                  - removed_per_type.get(p.name, 0))]
-        blocks.append(tuple(keep))
+        blocks.append(tuple(p for p in block if p.replicate
+                            < result.reduced_ratios.get(p.name, 0)))
         taken: dict[str, int] = {}
         for name in result.overflow_list:
             ti = next(i for i, t in enumerate(inst.types) if t.name == name)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .instance import CostWeights, Patient
-from .timeline import AppointmentTemplate
+from .timeline import AppointmentTemplate, weighted_cost
 from .units import Scalar, round_half_away
 
 STATE_BUDGET = 50_000  # live merged states after any slot
@@ -223,7 +223,8 @@ def expected_cost_per_patient(metrics: ExpectedMetrics, weights: CostWeights,
                               n_scheduled: int) -> Fraction:
     if n_scheduled <= 0:
         raise ValueError("n_scheduled must be positive")
-    total = (weights.alpha * metrics.wait
-             + weights.beta_a * metrics.idle_a + weights.beta_p * metrics.idle_p
-             + weights.o_a * metrics.overtime_a + weights.o_p * metrics.overtime_p)
+    # the combined wait stands in for stage 1; stage 2 adds nothing
+    total = weighted_cost(weights, (metrics.wait, 0, metrics.idle_a,
+                                    metrics.idle_p, metrics.overtime_a,
+                                    metrics.overtime_p))
     return total / n_scheduled

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +71,6 @@ class ScenarioSet:
 
     def draws(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         return self.lam[s], self.mu[s]
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.K)
 
 
 def _uniform_bounds(mean: int, width: Fraction) -> tuple[int, int]:
@@ -274,21 +269,12 @@ def realization_for_template(scenario_set: ScenarioSet, s: int,
     return ServiceRealization(plain(lams), plain(mus), shows)
 
 
-def _slot_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
-                shows=None, regular_time: Scalar | None = None):
-    """evaluate_paths over every path of a scenario set."""
-    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
-    if shows is not None:
-        shows = np.asarray(shows, dtype=bool)
-    return evaluate_paths(template, lams, mus, scenario_set.K, shows,
-                          regular_time)
-
-
 def scenario_average_cost(template: AppointmentTemplate,
                           scenario_set: ScenarioSet, weights: CostWeights,
                           regular_time: Scalar | None = None) -> Fraction:
-    rows, scale = _slot_paths(template, scenario_set,
-                              regular_time=regular_time)
+    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
+    rows, scale = evaluate_paths(template, lams, mus, scenario_set.K,
+                                 regular_time=regular_time)
     tenths_cost = weighted_cost(weights, map(int, rows.sum(axis=0)))
     return Fraction(tenths_cost) / (10 * scale * scenario_set.K)
 
@@ -302,46 +288,20 @@ class MetricStats:
     n_paths: int
     mean: dict  # metric -> Fraction (minutes); includes "objective"
     se: dict    # metric -> float (minutes)
-    rows: Sequence = field(repr=False, compare=False)  # summarize_paths' input
-
-    @functools.cached_property
-    def per_path(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Rows of METRICS values (tenths), made on first read."""
-        return tuple(map(tuple, self.rows))
-
-
-class PathRows(Sequence):
-    """One row of METRICS (tenths) per path, read as tuples of ints, or of
-    Fractions when the template has Fraction times.  It keeps the K x 6
-    integer array of evaluate_paths and its scale (the values are
-    array / scale), and makes a row's tuple only when the row is read;
-    summarize_paths takes the array as it is."""
-
-    def __init__(self, table: np.ndarray, scale: int):
-        self.table, self.scale = table, scale
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __getitem__(self, s: int) -> tuple[Scalar, ...]:
-        return self._row(self.table[s].tolist())
-
-    def __iter__(self):
-        return map(self._row, self.table.tolist())
-
-    def _row(self, values: list[int]) -> tuple[Scalar, ...]:
-        if self.scale == 1:
-            return tuple(values)
-        return tuple(Fraction(v, self.scale) for v in values)
 
 
 def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
                  regular_time: Scalar | None,
-                 shows_per_path=None) -> PathRows:
-    """One row of METRICS (tenths) per path; shows_per_path is a K x slots
-    boolean mask, or None when everyone shows."""
-    return PathRows(*_slot_paths(template, scenario_set, shows_per_path,
-                                 regular_time))
+                 shows_per_path=None) -> tuple[np.ndarray, int]:
+    """evaluate_paths over every path of a scenario set: (rows, scale), rows
+    a K x 6 integer array of METRICS and rows / scale their values in
+    tenths.  shows_per_path is a K x slots boolean mask, or None when
+    everyone shows."""
+    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
+    if shows_per_path is not None:
+        shows_per_path = np.asarray(shows_per_path, dtype=bool)
+    return evaluate_paths(template, lams, mus, scenario_set.K, shows_per_path,
+                          regular_time)
 
 
 def _standard_error(values: np.ndarray, mean: float) -> float:
@@ -365,15 +325,13 @@ def _column_floats(column: np.ndarray, scale: int) -> np.ndarray:
     return np.array([v / scale for v in column.tolist()], dtype=float)
 
 
-def summarize_paths(rows, weights: CostWeights) -> MetricStats:
+def summarize_paths(paths: tuple[np.ndarray, int],
+                    weights: CostWeights) -> MetricStats:
     """Exact means from integer column sums; float standard errors equal to
-    those of a plain Python loop over the rows.  rows is metric_paths'
-    PathRows, whose array is read as it is, or any sequence of METRICS rows
-    (ints or Fractions)."""
-    if isinstance(rows, PathRows):
-        table, scale = rows.table, rows.scale
-    else:
-        table, scale = np.array(rows), 1   # int64, or object for Fractions
+    those of a plain Python loop over the rows.  paths is metric_paths'
+    (rows, scale) pair: a K x 6 integer array of METRICS whose values are
+    rows / scale tenths."""
+    table, scale = paths
     n = len(table)
     if table.dtype != object and n * int(np.abs(table).max()) >= 2 ** 63:
         table = table.astype(object)   # column sums would wrap in int64
@@ -388,7 +346,7 @@ def summarize_paths(rows, weights: CostWeights) -> MetricStats:
         se[name] = _standard_error(column / 10, float(mean[name]))
     mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
     se["objective"] = _standard_error(objs, np.cumsum(objs)[-1] / n)
-    return MetricStats(n, mean, se, rows)
+    return MetricStats(n, mean, se)
 
 
 def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,
@@ -413,8 +371,9 @@ def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,
                                for p in template.slots])
         u = rng.random((scenario_set.K, len(template.slots)))
         shows_per_path = u >= thresholds
-    rows = metric_paths(template, scenario_set, regular_time, shows_per_path)
-    return summarize_paths(rows, weights)
+    return summarize_paths(
+        metric_paths(template, scenario_set, regular_time, shows_per_path),
+        weights)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +428,11 @@ class SAAConfig:
     def __post_init__(self):
         if self.nu0 < 2:
             raise ValueError("nu0 must be >= 2")
+        if self.nu_max < self.nu0:
+            raise ValueError(f"nu_max {self.nu_max} is below nu0 "
+                             f"{self.nu0}")
+        if self.k_step < 1:
+            raise ValueError(f"k_step must be >= 1, not {self.k_step}")
         if not 0 < self.xi < 1:
             raise ValueError("xi must be in (0, 1)")
         if self.confidence not in _T_TABLE:

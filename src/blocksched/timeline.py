@@ -55,12 +55,11 @@ class AppointmentTemplate:
         return len(self.block_bounds) - 1
 
 
-def single_block_template(sequence: PatientList, taus=None) -> AppointmentTemplate:
-    """One-block template; default appointment times are the stage-1 mean
+def single_block_template(sequence: PatientList) -> AppointmentTemplate:
+    """One-block template whose appointment times are the stage-1 mean
     prefix sums (assistant-continuous)."""
-    if taus is None:
-        taus = pa_prefix_taus(sequence)
-    return AppointmentTemplate(tuple(sequence), tuple(taus), (0, len(sequence)))
+    return AppointmentTemplate(tuple(sequence), pa_prefix_taus(sequence),
+                               (0, len(sequence)))
 
 
 def pa_prefix_taus(sequence: PatientList, start: Scalar = 0) -> tuple[Scalar, ...]:
@@ -292,8 +291,7 @@ def total_cost(ev: ScheduleEvaluation, weights: CostWeights) -> Fraction:
     return Fraction(tenths_cost) / 10
 
 
-def sections(ev: ScheduleEvaluation,
-             block_bounds: tuple[int, ...] | None = None
+def sections(ev: ScheduleEvaluation
              ) -> list[tuple[Scalar, Scalar, Scalar, Scalar]]:
     """Per-block (head, body, tail, completion) decomposition.
 
@@ -302,7 +300,7 @@ def sections(ev: ScheduleEvaluation,
     stage-1 finish where only the physician works.  Body: the remainder.  A
     block with no Q+ patients is all head.
     """
-    bounds = block_bounds or ev.block_bounds
+    bounds = ev.block_bounds
     out = []
     for c in range(len(bounds) - 1):
         served = [t for t in range(bounds[c], bounds[c + 1]) if ev.shown[t]]
@@ -326,21 +324,19 @@ def sections(ev: ScheduleEvaluation,
 
 
 def concatenate(block_template: AppointmentTemplate, k: int,
-                junction: str = "p_continuous",
                 overflow: PatientList = ()) -> AppointmentTemplate:
     """Repeat a single-block template k times into a horizon template.
 
-    junction "p_continuous": each block's planned first stage-2 start equals
-    the previous block's planned stage-2 finish, with the block's stage-1
-    head start delayed to the previous block's stage-1 finish if that would
-    start earlier.  junction "pa_continuous": blocks packed back-to-back on
-    the assistant timeline.  An overflow block (removed Q patients) is
-    appended after the k repetitions, packed on the assistant timeline.
+    Junctions are physician-continuous: each block's planned first stage-2
+    start equals the previous block's planned stage-2 finish, with the
+    block's stage-1 head start delayed to the previous block's stage-1
+    finish if that would start earlier.  A block with no Q+ patient is
+    packed back-to-back on the assistant timeline.  An overflow block
+    (removed Q patients) is appended after the k repetitions, packed on the
+    assistant timeline.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if junction not in ("p_continuous", "pa_continuous"):
-        raise ValueError(f"unknown junction rule: {junction}")
     base = evaluate(block_template)
     head = (base.first_start_p - base.first_start_a
             if base.first_start_p is not None else None)
@@ -353,7 +349,7 @@ def concatenate(block_template: AppointmentTemplate, k: int,
     for c in range(k):
         if c == 0:
             offset: Scalar = 0
-        elif junction == "pa_continuous" or head is None or prev_p_end is None:
+        elif head is None:
             offset = prev_pa_end
         else:
             offset = max(prev_p_end - head, prev_pa_end)

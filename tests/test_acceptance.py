@@ -215,10 +215,16 @@ def test_criterion_8_saa_machinery_and_directional(ex1, table7):
     scen = draw_scenarios(table7, DistributionSpec("normal"), N, seed=88,
                           tag="acceptance8")
     R = table7.regular_time
+
+    def path_rows(template):
+        table, scale = metric_paths(template, scen, R)
+        assert scale == 1   # integer appointment times
+        return table.tolist()
+
     rows = {
-        "alg3": metric_paths(algorithm3(table7), scen, R),
-        "alg4": metric_paths(algorithm4(table7), scen, R),
-        "fcfa": metric_paths(fcfa(table7, np.random.default_rng(88)), scen, R),
+        "alg3": path_rows(algorithm3(table7)),
+        "alg4": path_rows(algorithm4(table7)),
+        "fcfa": path_rows(fcfa(table7, np.random.default_rng(88))),
     }
 
     def paired_upper_bound(xs, ys):

@@ -341,6 +341,40 @@ class TestRejectedInputs:
         assert captured.out == ""
         assert captured.err == "error: blocks: must be >= 1\n"
 
+    def test_directory_as_instance_or_output_exits_one(self, ex1_path,
+                                                       tmp_path, capsys):
+        assert run(["validate", "--instance", str(tmp_path)]) == 1
+        assert run(["validate", "--instance", ex1_path,
+                    "--output", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error:") and "Is a directory" in line
+                   for line in lines)
+
+    @pytest.mark.parametrize("command, message", [
+        (["exact", "--time-limit", "nan"],
+         "error: time_limit must be positive, not nan\n"),
+        (["saa", "--inner", "alg4", "--K", "3", "--k-step", "-5",
+          "--nu0", "2", "--nu-max", "2"],
+         "error: k_step must be >= 1, not -5\n"),
+        (["saa", "--inner", "alg4", "--k-step", "0"],
+         "error: k_step must be >= 1, not 0\n"),
+        (["saa", "--inner", "alg4", "--nu-max", "1"],
+         "error: nu_max 1 is below nu0 5\n"),
+    ])
+    def test_limits_and_rounds_that_cannot_work_exit_before_drawing(
+            self, ex1_path, capsys, monkeypatch, command, message):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        assert run(command + ["--instance", ex1_path]) == 1
+        captured = capsys.readouterr()
+        assert drawn == [] and captured.out == ""
+        assert captured.err == message
+
     @pytest.mark.parametrize("command, flag, value", [
         (["noshow"], "--p", "1/0"),
         (["noshow"], "--p-plus", "x"),

@@ -799,6 +799,19 @@ class TestRejectedConfigs:
         with pytest.raises(ValueError, match="blocks: must be >= 1"):
             solve_horizon_exact(inst, inst.costs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit", float("nan")), ("time_limit", 0.0),
+        ("time_limit", -1.0), ("node_limit", 0), ("node_limit", -5)])
+    def test_limits_that_are_not_positive_are_rejected(self, field, value):
+        # nan compares false both ways, so only "not limit > 0" catches it
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            SearchConfig(**{field: value})
+
+    def test_an_infinite_time_limit_is_allowed(self, ex1):
+        sol = solve_block_exact(expand_block(ex1), ex1.costs,
+                                SearchConfig(time_limit=float("inf")))
+        assert sol.optimal
+
 
 class TestLongHorizons:
     def test_dp_certifies_a_thousand_slots(self, ex1):

@@ -431,13 +431,13 @@ class TestMonteCarlo:
         t3, t4 = algorithm3(table7), algorithm4(table7)
         tf = fcfa(table7, np.random.default_rng(7))
         R = table7.regular_time
-        rows3 = metric_paths(t3, scen, R)
-        rows4 = metric_paths(t4, scen, R)
-        rowsf = metric_paths(tf, scen, R)
-        wait = lambda rows: sum(r[0] + r[1] for r in rows)
-        p_idle = lambda rows: sum(r[3] for r in rows)
-        assert wait(rows4) <= wait(rows3)
-        assert p_idle(rows4) <= p_idle(rowsf)
+        paths3 = metric_paths(t3, scen, R)
+        paths4 = metric_paths(t4, scen, R)
+        pathsf = metric_paths(tf, scen, R)
+        wait = lambda paths: Fraction(int(paths[0][:, :2].sum()), paths[1])
+        p_idle = lambda paths: Fraction(int(paths[0][:, 3].sum()), paths[1])
+        assert wait(paths4) <= wait(paths3)
+        assert p_idle(paths4) <= p_idle(pathsf)
 
 
 def plain_sum(values):
@@ -469,6 +469,15 @@ def reference_summary(rows, weights):
     return mean, se
 
 
+def path_pair(values, scale=1):
+    """metric_paths' (rows, scale) pair for integer rows, and the rows of
+    values it stands for: ints, or Fractions when the scale is above 1."""
+    table = np.array(values, dtype=np.int64).reshape(-1, 6)
+    rows = [tuple(Fraction(v, scale) if scale > 1 else v for v in row)
+            for row in table.tolist()]
+    return (table, scale), rows
+
+
 class TestSummary:
     @pytest.mark.parametrize("trial", range(40))
     def test_equals_the_row_by_row_loop(self, trial):
@@ -476,15 +485,13 @@ class TestSummary:
         n = int(rng.choice([1, 2, 3, 257, 2000]))
         high = int(rng.choice([10, 1000, 10**7]))
         values = rng.integers(0, high, (n, 6)) * (rng.random((n, 6)) < 0.8)
-        if trial % 4 == 0:   # scaled Fraction rows, as robust templates give
-            rows = [tuple(Fraction(int(v), 7) for v in row) for row in values]
-        else:
-            rows = [tuple(row) for row in values.tolist()]
+        # scaled Fraction rows, as robust templates give
+        paths, rows = path_pair(values, 7 if trial % 4 == 0 else 1)
         weights = CostWeights.of(Fraction(int(rng.integers(1, 11)), 10),
                                  Fraction(int(rng.integers(0, 30)), 10),
                                  o_a=Fraction(int(rng.choice([12, 15, 18])),
                                               10))
-        stats = summarize_paths(rows, weights)
+        stats = summarize_paths(paths, weights)
         mean, se = reference_summary(rows, weights)
         assert stats.mean == mean
         assert stats.se == se
@@ -493,9 +500,10 @@ class TestSummary:
     def test_squares_round_as_python_pow(self):
         # pow(d, 2) and d * d round apart on a deviation of this column, and
         # the difference reaches the summed squares
-        rows = [(v, 0, 0, v, 0, 0) for v in (21233, 56435, 21020)]
+        paths, rows = path_pair([(v, 0, 0, v, 0, 0)
+                                 for v in (21233, 56435, 21020)])
         weights = CostWeights.of(1)
-        assert summarize_paths(rows, weights).se == \
+        assert summarize_paths(paths, weights).se == \
             reference_summary(rows, weights)[1]
 
     @pytest.mark.parametrize("den", [3, 2 ** 60 + 1])
@@ -508,12 +516,14 @@ class TestSummary:
         tpl = AppointmentTemplate(base.slots, taus, base.block_bounds)
         scen = draw_scenarios(table7, DistributionSpec.uniform("0.4"), 300,
                               seed=2, tag="scale")
-        rows = metric_paths(tpl, scen, table7.regular_time)
-        assert rows.scale > 1 and isinstance(rows[0][0], Fraction)
+        paths = metric_paths(tpl, scen, table7.regular_time)
+        table, scale = paths
+        assert scale == den and table.shape == (300, 6)
+        rows = [tuple(Fraction(v, scale) for v in row)
+                for row in table.tolist()]
         weights = CostWeights.of("0.3", "1.1", o_a="1.5")
-        fast, plain = (summarize_paths(r, weights) for r in (rows, list(rows)))
-        assert (fast.mean, fast.se) == (plain.mean, plain.se)
-        assert fast.per_path == plain.per_path == tuple(rows)
+        stats = summarize_paths(paths, weights)
+        assert (stats.mean, stats.se) == reference_summary(rows, weights)
 
     def test_column_floats_round_as_fractions(self):
         rng = np.random.default_rng(5)
@@ -527,8 +537,8 @@ class TestSummary:
                 [float(Fraction(int(v), scale)) for v in small]
 
     def test_totals_beyond_int64_stay_exact(self):
-        rows = [(2**61, 0, 1, 0, 0, 0)] * 8
-        stats = summarize_paths(rows, CostWeights.of(1))
+        paths, _ = path_pair([(2**61, 0, 1, 0, 0, 0)] * 8)
+        stats = summarize_paths(paths, CostWeights.of(1))
         assert stats.mean["wait_a"] == Fraction(2**61, 10)
         assert stats.se["wait_a"] == 0.0
 
@@ -591,6 +601,20 @@ class TestKGrowth:
         assert not res.stopped and not res.converged
         assert res.K == 3 + 5  # one growth round applied
         assert res.replications_used == 3
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"k_step": 0}, "k_step must be >= 1, not 0"),
+    ({"k_step": -5}, "k_step must be >= 1, not -5"),
+    ({"nu0": 5, "nu_max": 1}, "nu_max 1 is below nu0 5"),
+    ({"nu0": 3, "nu_max": 2}, "nu_max 2 is below nu0 3"),
+])
+def test_saa_config_rejects_rounds_that_cannot_work(fields, message):
+    # k_step 0 would draw the same keyed scenarios every round, a negative
+    # one would shrink K below one, and nu_max < nu0 would be ignored
+    with pytest.raises(ValueError, match=message):
+        SAAConfig(**fields)
+    SAAConfig(nu0=2, nu_max=2, k_step=1)
 
 
 def test_saa_config_rejects_confidence_without_t_table():

@@ -239,10 +239,11 @@ class TestEvaluatePaths:
 
     @staticmethod
     def check_rows(tpl, sset, shows=None, regular_time=None):
-        rows = metric_paths(tpl, sset, regular_time, shows)
-        assert len(rows) == sset.K
+        table, scale = metric_paths(tpl, sset, regular_time, shows)
+        assert table.shape == (sset.K, 6)
         costs = []
-        for s, row in enumerate(rows):
+        for s, values in enumerate(table.tolist()):
+            row = tuple(Fraction(v, scale) for v in values)
             show_row = None if shows is None else tuple(bool(x) for x in shows[s])
             real = realization_for_template(sset, s, tpl, show_row)
             ev = evaluate(tpl, real, regular_time)
