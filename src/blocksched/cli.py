@@ -49,22 +49,26 @@ def _q6(value) -> Fraction:
     return Fraction(round(Fraction(value) * 10**6), 10**6)
 
 
-def result_row(method: str, weights: CostWeights, means: dict,
+# compare's metric columns and the METRICS mean each one reports
+RESULT_METRICS = (("pa_overtime", "overtime_a"), ("p_overtime", "overtime_p"),
+                  ("pa_idle", "idle_a"), ("p_idle", "idle_p"),
+                  ("wait_stage1", "wait_a"), ("wait_stage2", "wait_p"))
+
+
+def result_row(method: str, weights: CostWeights, means: dict, cells: dict,
                seed, paths) -> dict:
-    metrics = {name: _q6(means[key]) for name, key in (
-        ("pa_overtime", "overtime_a"), ("p_overtime", "overtime_p"),
-        ("pa_idle", "idle_a"), ("p_idle", "idle_p"),
-        ("wait_stage1", "wait_a"), ("wait_stage2", "wait_p"))}
-    objective = weighted_cost(weights, (_q6(means[m]) for m in METRICS))
+    """One compare row.  means maps METRICS to their _q6-quantised means
+    and cells maps RESULT_METRICS columns to those means' strings; both
+    are made once per method and shared by its rows."""
     row = {"method": method,
            "alpha": fmt_number(weights.alpha),
            "beta_a": fmt_number(weights.beta_a),
            "beta_p": fmt_number(weights.beta_p),
            "o_a": fmt_number(weights.o_a),
            "o_p": fmt_number(weights.o_p),
-           "seed": str(seed), "paths": str(paths)}
-    row.update({k: fmt_number(v) for k, v in metrics.items()})
-    row["objective"] = fmt_number(objective)
+           "seed": str(seed), "paths": str(paths), **cells}
+    row["objective"] = fmt_number(
+        weighted_cost(weights, (means[m] for m in METRICS)))
     return row
 
 
@@ -351,20 +355,26 @@ def _cmd_compare(args):
     dist = _dist_from_args(args)
     scenario_set = stochastic.draw_scenarios(inst, dist, args.paths, args.seed,
                                              tag="compare")
-    rows = []
+    # rows sort on the printed alpha and overtime values, as the CSV shows
+    printed = {v: Fraction(fmt_number(v)) for v in alphas + overtimes}
+    keyed = []
     for method in methods:
         template = _build_template(inst, method, args.seed)
         paths = stochastic.metric_paths(template, scenario_set,
                                         inst.regular_time)
         base_weights = CostWeights(Fraction(1), beta, beta, Fraction(1), Fraction(1))
         stats = stochastic.summarize_paths(paths, base_weights)
+        means = {m: _q6(stats.mean[m]) for m in METRICS}
+        cells = {name: fmt_number(means[m]) for name, m in RESULT_METRICS}
         for alpha in alphas:
             for o in overtimes:
                 weights = CostWeights(alpha, beta, beta, o, o)
-                rows.append(result_row(method, weights, stats.mean,
-                                       args.seed, args.paths))
-    rows.sort(key=lambda r: (r["method"], Fraction(r["alpha"]), Fraction(r["o_a"])))
-    _write_csv_rows(rows, _out_dir(args, "compare.csv"), RESULT_COLUMNS)
+                keyed.append(((method, printed[alpha], printed[o]),
+                              result_row(method, weights, means, cells,
+                                         args.seed, args.paths)))
+    keyed.sort(key=lambda pair: pair[0])
+    _write_csv_rows([row for _, row in keyed], _out_dir(args, "compare.csv"),
+                    RESULT_COLUMNS)
     return 0
 
 

@@ -9,16 +9,21 @@ appointment time and type and are served in listed order.
 Expected metrics are exact: show patterns carry rational probabilities,
 are aggregated per slot by how many of its copies show (copies of one slot
 are exchangeable) and are merged on the resources' free times, since wait,
-idle and overtime add up along a pattern.  A no-show consumes zero time at
-both stages with zero wait while later patients stay gated by their own
-appointment times.
+idle and overtime add up along a pattern.  A slot is one numpy step: each
+merged state makes a child per show count, the children's (assistant free,
+physician free, started flags) keys are packed into one integer and
+sorted, and ``np.add.reduceat`` sums the weights of each run of equal
+keys.  A no-show consumes zero time at both stages with zero wait while
+later patients stay gated by their own appointment times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
+
+import numpy as np
 
 from .instance import CostWeights, Patient
 from .timeline import AppointmentTemplate, weighted_cost
@@ -147,76 +152,120 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
 
     Patterns are grouped per slot by the number of its copies that show
     (binomial weights) and merged slot by slot on (assistant free,
-    physician free, assistant started, physician started).  Each merged
-    state carries integer-weighted sums of its weight, its wait and each
-    resource's first start plus busy time: all that idle and overtime need
-    at the end.  ``cap`` bounds the live states after any slot.
+    physician free, assistant started, physician started); a merged state
+    carries only its integer weight.  Wait and each resource's first start
+    plus busy time add up along a pattern, so their expectations are summed
+    slot by slot over the states entering the slot; idle and overtime then
+    follow from the last layer's free times.  ``cap`` bounds the live
+    states after any slot.
+
+    A slot is one step over numpy arrays.  Each state makes one child per
+    show count that can happen; the children's keys are packed into one
+    integer and sorted, and the weights of each run of equal keys are
+    summed with ``np.add.reduceat``, which leaves the layer sorted and
+    unique.  Times are scaled by the common denominator D of the template's
+    times and regular_time, so they stay exact integers.  Weights are int64
+    when an a-priori bound on every weighted sum fits, Python integers
+    otherwise.
     """
-    # (a free, p free, a started, p started) -> (W, Σw·wait,
-    # Σw·(first stage-1 start + a busy), Σw·(first stage-2 start + p busy))
-    states = {(0, 0, False, False): (1, 0, 0, 0)}
-    denominator = 1
+    base = plan.base
+    copies = [plan.copies(t) for t in range(len(base.slots))]
+    no_show = [probs.for_patient(host) for host in base.slots]
+    dens = [q.denominator**c for q, c in zip(no_show, copies)]
+    denominator = prod(dens)
+    D = lcm(*(Fraction(x).denominator for x in (
+        regular_time, *base.taus,
+        *(v for host in base.slots for v in (host.lam, host.mu)))))
+    R = int(regular_time * D)
+    # free times lie in [0, day]; per pattern, a slot's wait, each
+    # resource's first start plus busy time, free time and overtime stay
+    # below bound, and the weights of a layer sum to at most denominator.
+    # So keys < 4(day + 1)^2, a slot's weighted terms (c_*) < max(dens) *
+    # bound, and every weighted sum < denominator * bound.
+    day = int(D * (max((abs(tau) for tau in base.taus), default=0)
+                   + sum(c * (host.lam + host.mu)
+                         for c, host in zip(copies, base.slots))))
+    bound = (plan.n_scheduled + 2) * (4 * day + abs(R) + 1)
+    time_dtype = (np.int64 if max(4 * (day + 1)**2,
+                                  max(dens, default=1) * bound) < 2**63
+                  else object)
+    weight_dtype = (np.int64 if time_dtype is np.int64
+                    and denominator * bound < 2**63 else object)
+    pa, p = np.zeros((2, 1), time_dtype)
+    sa, sp = np.zeros((2, 1), bool)
+    W = np.ones(1, weight_dtype)
+    # Σ weight·(wait, first stage-1 start + a busy, first stage-2 start +
+    # p busy) over every pattern, over denominator
+    wait = sum_a = sum_p = 0
+    rest = denominator   # the weight the slots after this one add
     visited = 0
-    for t, host in enumerate(plan.base.slots):
-        tau, lam, mu = plan.base.taus[t], host.lam, host.mu
-        copies = plan.copies(t)
-        ns = probs.for_patient(host)
-        show_num, ns_num = ns.denominator - ns.numerator, ns.numerator
-        denominator *= ns.denominator**copies
-        weights = [comb(copies, j) * show_num**j * ns_num**(copies - j)
-                   for j in range(copies + 1)]
-        nxt: dict = {}
-        while states:  # popping frees each state as its successors appear
-            (pa, p, sa, sp), (W, S_w, S_a, S_p) = states.popitem()
-            for j, w in enumerate(weights):
-                if not w:
-                    continue  # a show count that cannot happen (p = 0 or 1)
-                if j == 0:
-                    key, d_w, d_a, d_p = (pa, p, sa, sp), 0, 0, 0
-                else:
-                    ea = tau if tau >= pa else pa
-                    # j same-type copies served back to back from ea; each
-                    # waited from the shared appointment time
-                    d_w = j * (ea - tau) + lam * (j * (j - 1) // 2)
-                    d_a = (0 if sa else ea) + j * lam
-                    if host.qplus:
-                        pp = p
-                        for c in range(1, j + 1):
-                            fac = ea + c * lam
-                            ep = fac if fac >= pp else pp
-                            d_w += ep - fac
-                            pp = ep + mu
-                        first_p = ea + lam if ea + lam >= p else p
-                        d_p = (0 if sp else first_p) + j * mu
-                        key = (ea + j * lam, pp, True, True)
-                    else:
-                        key, d_p = (ea + j * lam, p, True, sp), 0
-                old = nxt.get(key, (0, 0, 0, 0))
-                nxt[key] = (old[0] + w * W, old[1] + w * (S_w + W * d_w),
-                            old[2] + w * (S_a + W * d_a),
-                            old[3] + w * (S_p + W * d_p))
-        if len(nxt) > cap:
+    for t, host in enumerate(base.slots):
+        tau, lam, mu = (int(x * D) for x in (base.taus[t], host.lam, host.mu))
+        n, q = copies[t], no_show[t]
+        show_num, ns_num = q.denominator - q.numerator, q.numerator
+        rest //= dens[t]
+        ea = np.maximum(pa, tau)
+        first_a = np.where(sa, 0, ea)
+        if host.qplus:
+            first_p = np.where(sp, 0, np.maximum(ea + lam, p))
+        started = np.ones_like(sa)
+        # per show count j: its weight and its children's keys; c_* sum
+        # weight·(the slot's wait, first start + busy) over those counts
+        kids = []
+        c_w = c_a = c_p = 0
+        pp, wait_p = p, 0
+        for j in range(n + 1):
+            if host.qplus and j:   # copy j sees the physician after j - 1
+                fac = ea + j * lam
+                ep = np.maximum(fac, pp)
+                wait_p = wait_p + (ep - fac)
+                pp = ep + mu
+            w = comb(n, j) * show_num**j * ns_num**(n - j)
+            if not w:
+                continue   # a show count that cannot happen (p = 0 or 1)
+            if not j:
+                kids.append((w, pa, p, sa, sp))
+                continue
+            # j same-type copies served back to back from ea; each waited
+            # from the shared appointment time
+            c_w = c_w + w * (j * (ea - tau) + lam * (j * (j - 1) // 2)
+                             + wait_p)
+            c_a = c_a + w * (first_a + j * lam)
+            if host.qplus:
+                c_p = c_p + w * (first_p + j * mu)
+                kids.append((w, ea + j * lam, pp, started, started))
+            else:
+                kids.append((w, ea + j * lam, p, started, sp))
+        wait += int((W * c_w).sum()) * rest
+        sum_a += int((W * c_a).sum()) * rest
+        sum_p += int((W * c_p).sum()) * rest
+
+        weights, *columns = zip(*kids)
+        pa, p, sa, sp = map(np.concatenate, columns)
+        key = (pa * (day + 1) + p) * 4 + sa * 2 + sp
+        order = np.argsort(key)
+        key = key[order]
+        runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first = order[runs]
+        pa, p, sa, sp = pa[first], p[first], sa[first], sp[first]
+        W = np.add.reduceat(np.concatenate([w * W for w in weights])[order],
+                            runs)
+        if len(W) > cap:
             raise ValueError(
-                f"{len(nxt)} merged show states after slot {t + 1} exceed the "
+                f"{len(W)} merged show states after slot {t + 1} exceed the "
                 f"{cap}-state budget; use the Monte-Carlo fallback "
                 "(evaluate_template_mc with noshow_probs)")
-        visited += len(nxt)
-        states = nxt
+        visited += len(W)
 
-    R = regular_time
-    acc = [0, 0, 0, 0, 0, 0]  # mass, wait, idle_a, idle_p, b_a, b_p
-    for (pa, p, sa, sp), (W, S_w, S_a, S_p) in states.items():
-        acc[0] += W
-        acc[1] += S_w
-        if sa:
-            acc[2] += W * pa - S_a
-            acc[4] += W * max(0, pa - R)
-        if sp:
-            acc[3] += W * p - S_p
-            acc[5] += W * max(0, p - R)
-    to_minutes = lambda v: Fraction(v, denominator) / 10
-    return ExpectedMetrics(*map(to_minutes, acc[1:]), 2**plan.n_scheduled,
-                           Fraction(acc[0], denominator), visited)
+    weighted = lambda x, started: int((W * x)[started].sum())
+    to_minutes = lambda v: Fraction(v, denominator * D) / 10
+    return ExpectedMetrics(
+        to_minutes(wait),
+        to_minutes(weighted(pa, sa) - sum_a),
+        to_minutes(weighted(p, sp) - sum_p),
+        to_minutes(weighted(np.maximum(pa - R, 0), sa)),
+        to_minutes(weighted(np.maximum(p - R, 0), sp)),
+        2**plan.n_scheduled, Fraction(int(W.sum()), denominator), visited)
 
 
 def expected_cost_per_patient(metrics: ExpectedMetrics, weights: CostWeights,

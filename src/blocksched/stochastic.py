@@ -433,6 +433,9 @@ class SAAConfig:
                              f"{self.nu0}")
         if self.k_step < 1:
             raise ValueError(f"k_step must be >= 1, not {self.k_step}")
+        if self.max_k_rounds < 1:
+            raise ValueError("max_k_rounds must be >= 1, not "
+                             f"{self.max_k_rounds}")
         if not 0 < self.xi < 1:
             raise ValueError("xi must be in (0, 1)")
         if self.confidence not in _T_TABLE:

@@ -288,3 +288,97 @@ def test_table7_k2_lf_within_five_se_of_monte_carlo(table7):
     for name in ("idle_a", "idle_p", "overtime_a", "overtime_p"):
         assert abs(float(stats.mean[name] - getattr(exact, name))) <= \
             5 * stats.se[name], name
+
+
+def test_fraction_times_match_brute_force():
+    """Robust-template (Fraction) appointment times, service means off the
+    tenths grid and a Fraction regular time: the pass scales every time to
+    an exact integer and back."""
+    import numpy as np
+    from dataclasses import replace
+
+    from blocksched.heuristics import robust_template
+    rng = np.random.default_rng(313)
+    checked = 0
+    while checked < 12:
+        types = [(f"Q{i}", int(rng.integers(3, 12)), 0,
+                  int(rng.integers(1, 3)))
+                 for i in range(int(rng.integers(0, 2)))]
+        types += [(f"A{i}", int(rng.integers(3, 12)),
+                   int(rng.integers(3, 25)), int(rng.integers(1, 4)))
+                  for i in range(int(rng.integers(1, 3)))]
+        inst = mk_instance(types)
+        inst = replace(inst, types=tuple(
+            replace(t, lam=t.lam + Fraction(int(rng.integers(1, 7)), 7),
+                    mu=t.mu and t.mu + Fraction(int(rng.integers(1, 5)), 3))
+            for t in inst.types))
+        tpl = robust_template(algorithm2(expand_block(inst)).slots,
+                              Fraction(int(rng.integers(1, 10)), 11))
+        levels = (Fraction(0), Fraction(1, 3), Fraction(3, 10), Fraction(1))
+        probs = NoShowProbs.of(levels[rng.integers(4)], levels[rng.integers(4)])
+        try:
+            plan = build_overbook_plan(tpl, ("none", "lf", "ff")[checked % 3],
+                                       probs)
+        except ValueError:  # LF capacity
+            continue
+        if plan.n_scheduled > 9 or all(Fraction(tau).denominator == 1
+                                       for tau in tpl.taus):
+            continue
+        R = Fraction(int(rng.integers(-70, 3000)), 7)
+        metrics = enumerate_expected_metrics(plan, probs, R)
+        oracle, mass = brute_force_expected(plan, probs, R)
+        assert metrics.mass == mass == 1
+        assert metrics.as_tuple() == (oracle["wait"], oracle["idle_a"],
+                                      oracle["idle_p"], oracle["overtime_a"],
+                                      oracle["overtime_p"])
+        checked += 1
+
+
+@pytest.mark.parametrize("p_plus, p, width, dtypes", [
+    (Fraction(1, 3), Fraction(1, 4), None, ["int64", "int64"]),
+    # 6 patients at denominators near 10**7 put the weights near 10**42
+    (Fraction(1, 10**7 + 19), Fraction(3, 10**7 + 79), None,
+     ["int64", "object"]),
+    # robust-template times over about 2*10**12 do not fit int64 when squared
+    (Fraction(1, 3), Fraction(1, 4), Fraction(1, 10**12 + 39),
+     ["object", "object"]),
+])
+def test_times_and_weights_run_as_int64_or_python_integers(
+        monkeypatch, p_plus, p, width, dtypes):
+    """Times and weights are int64 when every key and weighted sum provably
+    fits, Python integers otherwise; each gives the brute-force
+    expectation."""
+    import numpy as np
+
+    from blocksched import noshow
+    from blocksched.heuristics import robust_template
+    seen = []
+
+    class Spy:  # records the dtypes the times and the weights start with
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, shape, dtype=None):
+            if dtype is not bool:
+                seen.append(np.dtype(dtype).name)
+            return np.zeros(shape, dtype)
+
+        def ones(self, shape, dtype=None):
+            seen.append(np.dtype(dtype).name)
+            return np.ones(shape, dtype)
+
+    inst = mk_instance([("Q", 6, 0, 2), ("A", 10, 14, 4)])
+    tpl = algorithm2(expand_block(inst))
+    if width is not None:
+        tpl = robust_template(tpl.slots, width)
+    probs = NoShowProbs.of(p_plus, p)
+    plan = build_overbook_plan(tpl, "none", probs)
+    assert plan.n_scheduled == 6
+    monkeypatch.setattr(noshow, "np", Spy())
+    metrics = enumerate_expected_metrics(plan, probs, tenths(40))
+    assert seen == dtypes
+    oracle, mass = brute_force_expected(plan, probs, tenths(40))
+    assert metrics.mass == mass == 1
+    assert metrics.as_tuple() == (oracle["wait"], oracle["idle_a"],
+                                  oracle["idle_p"], oracle["overtime_a"],
+                                  oracle["overtime_p"])

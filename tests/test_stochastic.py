@@ -617,6 +617,15 @@ def test_saa_config_rejects_rounds_that_cannot_work(fields, message):
     SAAConfig(nu0=2, nu_max=2, k_step=1)
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_saa_config_rejects_no_k_rounds(rounds):
+    # with no round the K-growth loop never runs and no result comes back
+    with pytest.raises(ValueError,
+                       match=f"^max_k_rounds must be >= 1, not {rounds}$"):
+        SAAConfig(max_k_rounds=rounds)
+    assert SAAConfig(max_k_rounds=1).max_k_rounds == 1
+
+
 def test_saa_config_rejects_confidence_without_t_table():
     for conf in (0.9, 0.95, 0.99):
         SAAConfig(confidence=conf)
