@@ -75,7 +75,11 @@ def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,
     """Plain-loop reference evaluation; returns a metrics dict.
 
     slots: sequence of objects with .lam/.mu/.qplus.  taus=None means
-    appointments track the stage-1 starts.
+    appointments track the stage-1 starts.  The dict also holds the
+    per-slot marks "e_a", "f_a", "e_p", "f_p", "w_a" and "w_p": a Q slot's
+    stage-2 marks are its stage-1 finish, and a no-show's four marks are
+    the time it would have started stage 1 (its appointment or the
+    assistant's free time, whichever is later).
     """
     n = len(slots)
     lams = lams or [s.lam for s in slots]
@@ -86,20 +90,27 @@ def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,
     wait_a = wait_p = 0
     a_marks = []
     p_marks = []
+    slot_marks = {key: [] for key in ("e_a", "f_a", "e_p", "f_p", "w_a", "w_p")}
     for j in range(n):
-        if not shows[j]:
-            continue
         arrive = pa_free if taus is None else max(taus[j], pa_free)
-        if taus is not None:
-            wait_a += arrive - taus[j]
-        done_a = arrive + lams[j]
-        a_marks.append((arrive, done_a))
-        pa_free = done_a
-        if slots[j].qplus:
-            start_p = max(done_a, p_free)
-            wait_p += start_p - done_a
-            p_free = start_p + mus[j]
-            p_marks.append((start_p, p_free))
+        if not shows[j]:
+            marks = (arrive, arrive, arrive, arrive, 0, 0)
+        else:
+            w_a = 0 if taus is None else arrive - taus[j]
+            wait_a += w_a
+            done_a = arrive + lams[j]
+            a_marks.append((arrive, done_a))
+            pa_free = done_a
+            if slots[j].qplus:
+                start_p = max(done_a, p_free)
+                wait_p += start_p - done_a
+                p_free = start_p + mus[j]
+                p_marks.append((start_p, p_free))
+                marks = (arrive, done_a, start_p, p_free, w_a, start_p - done_a)
+            else:
+                marks = (arrive, done_a, done_a, done_a, w_a, 0)
+        for key, mark in zip(slot_marks, marks):
+            slot_marks[key].append(mark)
     def span_idle(marks):
         if not marks:
             return 0
@@ -107,10 +118,14 @@ def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,
     out = {
         "wait_a": wait_a, "wait_p": wait_p,
         "idle_a": span_idle(a_marks), "idle_p": span_idle(p_marks),
+        "first_a": a_marks[0][0] if a_marks else None,
         "last_a": a_marks[-1][1] if a_marks else None,
-        "last_p": p_marks[-1][1] if p_marks else None,
         "first_p": p_marks[0][0] if p_marks else None,
+        "last_p": p_marks[-1][1] if p_marks else None,
+        **slot_marks,
     }
+    finishes = [x for x in (out["last_a"], out["last_p"]) if x is not None]
+    out["completion"] = max(finishes) if finishes else 0
     R = regular_time
     out["b_a"] = max(0, out["last_a"] - R) if R is not None and a_marks else 0
     out["b_p"] = max(0, out["last_p"] - R) if R is not None and p_marks else 0

@@ -307,3 +307,41 @@ class TestEvaluatePaths:
         assert rows.dtype == object
         assert max(map(max, rows)) < 2 ** 63 < sum(rows.sum(axis=0))
         self.check_rows(tpl, sset, regular_time=ex1.regular_time)
+
+
+class TestPerSlotOracle:
+    """`evaluate`'s per-slot marks against the plain oracle loop, which
+    shares no code with the package's kernel."""
+
+    FIELDS = ("e_a", "f_a", "e_p", "f_p", "w_a", "w_p")
+
+    def test_marks_match_oracle_on_random_realizations(self):
+        rng = np.random.default_rng(33)
+        for case in range(20):
+            inst = random_conformant_instance(rng, max_r=8, blocks=2)
+            # means, Fraction taus, taus=None and overbooked duplicates
+            for tpl in TestEvaluatePaths.templates(inst):
+                n = len(tpl.slots)
+                lams = tuple(int(x) for x in rng.integers(0, 400, size=n))
+                mus = tuple(int(rng.integers(0, 400)) if p.qplus else 0
+                            for p in tpl.slots)
+                masks = [None, (False,) * n,
+                         tuple(bool(x) for x in rng.random(n) >= 0.3)]
+                for shows in masks:
+                    real = ServiceRealization(lams, mus, shows)
+                    ev = evaluate(tpl, real, inst.regular_time)
+                    ref = oracle_timeline(tpl.slots, taus=tpl.taus,
+                                          lams=list(lams), mus=list(mus),
+                                          shows=shows,
+                                          regular_time=inst.regular_time)
+                    for field in self.FIELDS:
+                        assert list(getattr(ev, field)) == ref[field], field
+                    assert (ev.first_start_a, ev.last_finish_a) \
+                        == (ref["first_a"], ref["last_a"])
+                    assert (ev.first_start_p, ev.last_finish_p) \
+                        == (ref["first_p"], ref["last_p"])
+                    assert ev.completion == ref["completion"]
+                    assert (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
+                            ev.overtime_a, ev.overtime_p) \
+                        == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
+                            ref["idle_p"], ref["b_a"], ref["b_p"])
