@@ -120,6 +120,12 @@ def _build_template(inst, method, seed=0):
     raise ValueError(f"unknown method: {method}")
 
 
+def _check_k(args):
+    if args.k is not None and args.method in ("alg1", "alg2"):
+        raise ValueError(f"--k applies to alg3, alg4 and fcfa only; "
+                         f"{args.method} builds one block")
+
+
 UNIFORM_WIDTH = "0.2"   # --w when --dist uniform is given without it
 
 
@@ -173,8 +179,12 @@ def _with_k(inst, k):
 
 
 def _cmd_template(args):
+    _check_k(args)
+    if args.seed is not None and args.method != "fcfa":
+        raise ValueError(f"--seed applies to --method fcfa only; "
+                         f"{args.method} draws nothing")
     inst = _with_k(load_instance(args.instance), args.k)
-    template = _build_template(inst, args.method, args.seed)
+    template = _build_template(inst, args.method, args.seed or 0)
     ev = evaluate(template, regular_time=inst.regular_time)
     _write_json(_template_payload(args.method, template), args.output)
     if args.csv:
@@ -286,6 +296,7 @@ def _cmd_saa(args):
 
 
 def _cmd_simulate(args):
+    _check_k(args)
     inst = _with_k(load_instance(args.instance), args.k)
     template = _build_template(inst, args.method, args.seed)
     stats = stochastic.evaluate_template_mc(
@@ -346,12 +357,16 @@ def _cmd_noshow(args):
 
 
 def _cmd_compare(args):
+    methods = [m for m in args.methods.split(",") if m]
     alphas = [_fraction(a, "--alphas") for a in args.alphas.split(",") if a]
     overtimes = [_fraction(o, "--overtimes")
                  for o in args.overtimes.split(",") if o]
+    for flag, values in (("--methods", methods), ("--alphas", alphas),
+                         ("--overtimes", overtimes)):
+        if not values:
+            raise ValueError(f"{flag} is empty: give at least one value")
     beta = _fraction(args.beta, "--beta")
     inst = load_instance(args.instance)
-    methods = [m for m in args.methods.split(",") if m]
     dist = _dist_from_args(args)
     scenario_set = stochastic.draw_scenarios(inst, dist, args.paths, args.seed,
                                              tag="compare")
@@ -405,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["alg1", "alg2", "alg3", "alg4", "fcfa"])
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)   # None: not given
     p.add_argument("--csv", default=None)
 
     p = add("bounds", _cmd_bounds, help="closed-form wait, bounds, width threshold")

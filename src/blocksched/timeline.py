@@ -8,6 +8,9 @@ becoming free.  Idle time is span-based per resource (first start to last
 finish minus busy time); overtime is the positive part of the last finish
 past the regular day length.
 
+One slot loop (`_recurrence`) runs it over a batch of paths: `evaluate`
+is the one-path case of `evaluate_paths`, with every slot's marks.
+
 Everything here is a pure function of its inputs; callers may evaluate many
 realizations concurrently.  Times are tenths of a minute (ints, or Fractions
 for off-grid appointment times).
@@ -95,8 +98,6 @@ class ScheduleEvaluation:
     f_p: tuple[Scalar, ...]
     w_a: tuple[Scalar, ...]
     w_p: tuple[Scalar, ...]
-    gap_a: tuple[Scalar, ...]   # assistant idle immediately before each slot
-    gap_p: tuple[Scalar, ...]   # physician idle immediately before each slot
     qplus: tuple[bool, ...]
     shown: tuple[bool, ...]
     wait_a: Scalar
@@ -117,96 +118,6 @@ class ScheduleEvaluation:
         return self.wait_a + self.wait_p
 
 
-def evaluate(template: AppointmentTemplate,
-             realization: ServiceRealization | None = None,
-             regular_time: Scalar | None = None) -> ScheduleEvaluation:
-    """Run the timeline recurrence over the whole horizon.
-
-    A no-show consumes zero time at both stages and zero wait; resources
-    stay gated by later appointment times rather than pulling patients
-    earlier.  regular_time=None is single-block mode: overtime is zero.
-    """
-    slots = template.slots
-    if realization is None:
-        realization = ServiceRealization.from_means(template)
-    lams, mus = realization.lams, realization.mus
-    shows = realization.shows or (True,) * len(slots)
-    if not (len(lams) == len(mus) == len(shows) == len(slots)):
-        raise ValueError("realization length must match template slots")
-    taus = template.taus
-
-    n = len(slots)
-    e_a = [0] * n
-    f_a = [0] * n
-    e_p = [0] * n
-    f_p = [0] * n
-    w_a = [0] * n
-    w_p = [0] * n
-    gap_a = [0] * n
-    gap_p = [0] * n
-    qplus = tuple(s.qplus for s in slots)
-
-    pa = 0          # assistant availability (last real stage-1 finish)
-    p = 0           # physician availability
-    wait_a = wait_p = 0
-    busy_a = busy_p = 0
-    first_a = last_a = None
-    first_p = last_p = None
-
-    for t in range(n):
-        tau = taus[t] if taus is not None else None
-        if not shows[t]:
-            # virtual mark for reporting only; availability is unchanged
-            mark = pa if tau is None else max(tau, pa)
-            e_a[t] = f_a[t] = e_p[t] = f_p[t] = mark
-            continue
-        ea = pa if tau is None else max(tau, pa)
-        fa = ea + lams[t]
-        e_a[t], f_a[t] = ea, fa
-        if tau is not None:
-            w_a[t] = ea - tau
-            wait_a += w_a[t]
-        if last_a is not None:
-            gap_a[t] = ea - pa
-        pa = fa
-        if first_a is None:
-            first_a = ea
-        last_a = fa
-        busy_a += lams[t]
-        if qplus[t]:
-            ep = fa if fa >= p else p
-            fp = ep + mus[t]
-            e_p[t], f_p[t] = ep, fp
-            w_p[t] = ep - fa
-            wait_p += w_p[t]
-            if last_p is not None:
-                gap_p[t] = ep - p
-            p = fp
-            if first_p is None:
-                first_p = ep
-            last_p = fp
-            busy_p += mus[t]
-        else:
-            e_p[t] = f_p[t] = fa
-
-    idle_a = (last_a - first_a) - busy_a if last_a is not None else 0
-    idle_p = (last_p - first_p) - busy_p if last_p is not None else 0
-    if regular_time is None:
-        overtime_a = overtime_p = 0
-    else:
-        overtime_a = max(0, last_a - regular_time) if last_a is not None else 0
-        overtime_p = max(0, last_p - regular_time) if last_p is not None else 0
-    finishes = [x for x in (last_a, last_p) if x is not None]
-    completion = max(finishes) if finishes else 0
-
-    return ScheduleEvaluation(
-        tuple(e_a), tuple(f_a), tuple(e_p), tuple(f_p), tuple(w_a), tuple(w_p),
-        tuple(gap_a), tuple(gap_p), qplus, tuple(shows),
-        wait_a, wait_p, idle_a, idle_p,
-        overtime_a, overtime_p, completion, first_a, last_a, first_p, last_p,
-        template.block_bounds)
-
-
 METRICS = ("wait_a", "wait_p", "idle_a", "idle_p", "overtime_a", "overtime_p")
 
 
@@ -222,22 +133,13 @@ def weighted_cost(weights: CostWeights, values) -> Scalar:
     return sum(c * v for c, v in zip(metric_coefficients(weights), values))
 
 
-def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
-                   shows: np.ndarray | None = None,
-                   regular_time: Scalar | None = None
-                   ) -> tuple[np.ndarray, int]:
-    """The recurrence of `evaluate` for n_paths sample paths at once.
-
-    lams[t] and mus[t] are slot t's service times: a length-n_paths integer
-    array, or one number shared by every path.  shows is an n_paths x slots
-    boolean mask (None: everyone shows); a no-show takes no time and no wait
-    and moves neither resource.  Returns (rows, scale): rows is an
-    n_paths x 6 integer array of METRICS, and rows / scale are the values in
-    tenths.  scale is the common denominator of the Fraction inputs (1 when
-    every input is an integer).  All-integer inputs run as int64; Fraction
-    inputs are scaled to Python integers (object arrays), so no sum over
-    slots or paths can overflow.
-    """
+def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
+                shows: np.ndarray | None, regular_time: Scalar | None,
+                marks: list | None = None) -> tuple[np.ndarray, int]:
+    """The body of `evaluate_paths`.  When marks is a list, each slot
+    appends its scaled (stage-1 start, stage-1 finish, stage-2 start)
+    arrays to it; a Q slot's stage-2 start is its stage-1 finish, and a
+    no-show's stage-1 start is where it would have started."""
     taus = template.taus
     fractions = [x for x in (*(taus or ()), regular_time, *lams, *mus)
                  if isinstance(x, Fraction)]
@@ -261,6 +163,7 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
         shown = everyone if shows is None else shows[:, t]
         ea = pa if taus is None else np.maximum(pa, taus[t])
         fa = ea + lams[t]
+        ep = fa
         if taus is not None:
             wait_a = wait_a + np.where(shown, ea - taus[t], 0)
         idle_a = idle_a + np.where(shown & started_a, ea - pa, 0)
@@ -272,6 +175,8 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
             idle_p = idle_p + np.where(shown & started_p, ep - pp, 0)
             started_p = started_p | shown
             pp = np.where(shown, ep + mus[t], pp)
+        if marks is not None:
+            marks.append((ea, fa, ep))
 
     if regular_time is None:
         overtime_a = overtime_p = zeros
@@ -281,6 +186,75 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
     rows = np.stack([wait_a, wait_p, idle_a, idle_p, overtime_a, overtime_p],
                     axis=1)
     return rows, scale
+
+
+def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
+                   shows: np.ndarray | None = None,
+                   regular_time: Scalar | None = None
+                   ) -> tuple[np.ndarray, int]:
+    """The timeline recurrence for n_paths sample paths at once.
+
+    lams[t] and mus[t] are slot t's service times: a length-n_paths integer
+    array, or one number shared by every path.  shows is an n_paths x slots
+    boolean mask (None: everyone shows); a no-show takes no time and no wait
+    and moves neither resource.  Returns (rows, scale): rows is an
+    n_paths x 6 integer array of METRICS, and rows / scale are the values in
+    tenths.  scale is the common denominator of the Fraction inputs (1 when
+    every input is an integer).  All-integer inputs run as int64; Fraction
+    inputs are scaled to Python integers (object arrays), so no sum over
+    slots or paths can overflow.
+    """
+    return _recurrence(template, lams, mus, n_paths, shows, regular_time)
+
+
+def evaluate(template: AppointmentTemplate,
+             realization: ServiceRealization | None = None,
+             regular_time: Scalar | None = None) -> ScheduleEvaluation:
+    """The one-path case of `evaluate_paths`, with every slot's marks.
+
+    A no-show consumes zero time at both stages and zero wait; resources
+    stay gated by later appointment times rather than pulling patients
+    earlier.  Its four marks are the time it would have started stage 1,
+    and a Q slot's stage-2 marks are its stage-1 finish.
+    regular_time=None is single-block mode: overtime is zero.  Values are
+    ints wherever they are integral.
+    """
+    slots = template.slots
+    if realization is None:
+        realization = ServiceRealization.from_means(template)
+    lams, mus = realization.lams, realization.mus
+    shows = realization.shows or (True,) * len(slots)
+    if not (len(lams) == len(mus) == len(shows) == len(slots)):
+        raise ValueError("realization length must match template slots")
+    marks: list = []
+    rows, scale = _recurrence(template, lams, mus, 1,
+                              np.array([shows], dtype=bool), regular_time,
+                              marks)
+
+    def value(x):                  # a scaled integer, divided by scale
+        if scale == 1:
+            return int(x)
+        x = Fraction(int(x), scale)
+        return x.numerator if x.denominator == 1 else x
+
+    per_slot = []                  # (e_a, f_a, e_p, f_p, w_a, w_p), scaled
+    for t, (ea, fa, ep) in enumerate(np.array(marks).reshape(-1, 3).tolist()):
+        w_a = ea - int(template.taus[t] * scale) if template.taus else 0
+        fp = ep + int(mus[t] * scale) if slots[t].qplus else ep
+        per_slot.append((ea, fa, ep, fp, w_a, ep - fa) if shows[t]
+                        else (ea,) * 4 + (0, 0))
+    e_a, f_a, e_p, f_p, w_a, w_p = (tuple(map(value, column)) for column
+                                    in list(zip(*per_slot)) or [()] * 6)
+    served = [t for t in range(len(slots)) if shows[t]]
+    served_p = [t for t in served if slots[t].qplus]
+    return ScheduleEvaluation(
+        e_a, f_a, e_p, f_p, w_a, w_p, tuple(s.qplus for s in slots),
+        tuple(shows), *map(value, rows[0]),
+        max((f_p[t] for t in served), default=0),
+        e_a[served[0]] if served else None,
+        f_a[served[-1]] if served else None,
+        e_p[served_p[0]] if served_p else None,
+        f_p[served_p[-1]] if served_p else None, template.block_bounds)
 
 
 def total_cost(ev: ScheduleEvaluation, weights: CostWeights) -> Fraction:

@@ -120,8 +120,8 @@ def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,
         "idle_a": span_idle(a_marks), "idle_p": span_idle(p_marks),
         "first_a": a_marks[0][0] if a_marks else None,
         "last_a": a_marks[-1][1] if a_marks else None,
-        "first_p": p_marks[0][0] if p_marks else None,
         "last_p": p_marks[-1][1] if p_marks else None,
+        "first_p": p_marks[0][0] if p_marks else None,
         **slot_marks,
     }
     finishes = [x for x in (out["last_a"], out["last_p"]) if x is not None]

@@ -396,6 +396,62 @@ class TestRejectedInputs:
                                 "a fraction with a nonzero denominator\n")
 
 
+    @pytest.mark.parametrize("command, message", [
+        (["template", "--method", "alg1", "--k", "3"],
+         "error: --k applies to alg3, alg4 and fcfa only; alg1 builds one "
+         "block\n"),
+        (["template", "--method", "alg2", "--k", "1"],
+         "error: --k applies to alg3, alg4 and fcfa only; alg2 builds one "
+         "block\n"),
+        (["simulate", "--method", "alg1", "--k", "3", "--paths", "50"],
+         "error: --k applies to alg3, alg4 and fcfa only; alg1 builds one "
+         "block\n"),
+        (["template", "--method", "alg1", "--seed", "3"],
+         "error: --seed applies to --method fcfa only; alg1 draws nothing\n"),
+        (["template", "--method", "alg4", "--seed", "0"],
+         "error: --seed applies to --method fcfa only; alg4 draws nothing\n"),
+    ])
+    def test_flag_the_method_does_not_read_exits_one(self, ex1_path,
+                                                     tmp_path, capsys,
+                                                     command, message):
+        out = tmp_path / "out.json"
+        assert run(command + ["--instance", ex1_path,
+                              "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+        assert not out.exists()
+
+    def test_fcfa_template_reads_seed_and_k(self, ex1_path, capsys):
+        def template(*flags):
+            assert run(["template", "--method", "fcfa", "--instance",
+                        ex1_path, *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        assert template() == template("--seed", "0")
+        assert template("--seed", "1") != template("--seed", "0")
+        assert len(template("--k", "3")["block_bounds"]) == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--methods", ""), ("--methods", ","), ("--alphas", ""),
+        ("--overtimes", ","),
+    ])
+    def test_empty_compare_list_exits_before_drawing(self, ex1_path,
+                                                     tmp_path, capsys,
+                                                     monkeypatch, flag,
+                                                     value):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        out = tmp_path / "compare.csv"
+        assert run(["compare", "--instance", ex1_path, flag, value,
+                    "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert drawn == [] and captured.out == "" and not out.exists()
+        assert captured.err == (f"error: {flag} is empty: give at least one "
+                                "value\n")
+
+
 @pytest.mark.parametrize("fixture, args, certified", [
     # the budget cuts every table7 replication short
     ("table7", ["--inner", "exact", "--K", "3", "--node-limit", "1000"], False),

@@ -186,11 +186,9 @@ class TestInvariants:
             ev = evaluate(tpl, ServiceRealization(lams, mus))
             busy_a = sum(lams)
             assert (ev.last_finish_a - ev.first_start_a) == busy_a + ev.idle_a
-            assert sum(ev.gap_a) == ev.idle_a
             if ev.first_start_p is not None:
                 busy_p = sum(mus)
                 assert (ev.last_finish_p - ev.first_start_p) == busy_p + ev.idle_p
-                assert sum(ev.gap_p) == ev.idle_p
 
     def test_zero_variance_equals_mean_evaluation(self, table7):
         tpl = algorithm3(table7)
@@ -235,7 +233,8 @@ def test_junction_clamps_to_assistant_availability_when_stage2_light():
 
 
 class TestEvaluatePaths:
-    """The batched kernel, row by row, against `evaluate` and the oracle."""
+    """The batched kernel, row by row, against the oracle.  `evaluate` runs
+    the same kernel, so comparing with it checks only the one-path case."""
 
     @staticmethod
     def check_rows(tpl, sset, shows=None, regular_time=None):
