@@ -72,11 +72,6 @@ def result_row(method: str, weights: CostWeights, means: dict, cells: dict,
     return row
 
 
-def read_report(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _write_json(payload, path=None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
@@ -137,6 +132,11 @@ def _dist_from_args(args) -> stochastic.DistributionSpec:
         raise ValueError("--w applies to --dist uniform only; the normal "
                          "family has no width")
     return stochastic.DistributionSpec("normal")
+
+
+def _check_nonempty(flag, values):
+    if not values:
+        raise ValueError(f"{flag} is empty: give at least one value")
 
 
 def _out_dir(args, name):
@@ -321,6 +321,7 @@ def _cmd_noshow(args):
                                       _fraction(args.p, "--p"))
     alphas = [_fraction(a, "--alpha-grid")
               for a in args.alpha_grid.split(",") if a]
+    _check_nonempty("--alpha-grid", alphas)
     beta, o = _fraction(args.beta, "--beta"), _fraction(args.o, "--o")
     inst = load_instance(args.instance)
     if args.k is None:
@@ -363,18 +364,18 @@ def _cmd_compare(args):
                  for o in args.overtimes.split(",") if o]
     for flag, values in (("--methods", methods), ("--alphas", alphas),
                          ("--overtimes", overtimes)):
-        if not values:
-            raise ValueError(f"{flag} is empty: give at least one value")
+        _check_nonempty(flag, values)
     beta = _fraction(args.beta, "--beta")
     inst = load_instance(args.instance)
     dist = _dist_from_args(args)
+    # an unknown method fails here, before any path is drawn
+    templates = [_build_template(inst, method, args.seed) for method in methods]
     scenario_set = stochastic.draw_scenarios(inst, dist, args.paths, args.seed,
                                              tag="compare")
     # rows sort on the printed alpha and overtime values, as the CSV shows
     printed = {v: Fraction(fmt_number(v)) for v in alphas + overtimes}
     keyed = []
-    for method in methods:
-        template = _build_template(inst, method, args.seed)
+    for method, template in zip(methods, templates):
         paths = stochastic.metric_paths(template, scenario_set,
                                         inst.regular_time)
         base_weights = CostWeights(Fraction(1), beta, beta, Fraction(1), Fraction(1))

@@ -24,12 +24,15 @@ prefix nodes of one depth, held as numpy arrays (int64, or Python integers
 when an a-priori cost bound does not fit in int64); a chunk's per-node
 arrays hold at most NODE_ELEMENTS elements in all (or one node's children,
 when those alone pass it), so memory stays flat in K.
-``mode="enumerate"`` visits every prefix and
-``mode="branch_and_bound"`` prunes on the cost accumulated so far, against
-the incumbent found in an earlier chunk; ``nodes_explored`` counts the
-children examined, chunk by chunk.  Branch and bound certifies the table7
-block at K=5 (seed 7, objective 77.48) in 294.9M nodes, 205 s and 40 MB
-peak memory on 2 cores.
+Children with one patient left are completed to their leaves in the same
+expansion.  ``mode="enumerate"`` visits every prefix.
+``mode="branch_and_bound"`` first makes a beam pass, each depth cut to its
+SAA_BEAM cheapest children, for an incumbent, and then a pass that prunes
+on the cost accumulated so far against it; ``nodes_explored`` counts the
+children examined and the leaves completed, chunk by chunk.  Branch and
+bound certifies the table7 block (seed 7) at K=1 (objective 55.9) in
+64.65M nodes, 8.7 s and 44 MB peak memory, and at K=5 (77.48) in 286.8M
+nodes, 83 s and 46 MB, on 2 cores.
 
 Every solver returns the lexicographically first optimal sequence.
 Sequences are over type multisets, not labeled patients; same-type patients
@@ -216,6 +219,7 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
 
 
 BEAM = 512   # states per layer in branch and bound's incumbent pass
+SAA_BEAM = 64   # nodes per depth in the saa search's incumbent pass
 
 
 def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
@@ -386,7 +390,7 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
-NODE_ELEMENTS = 1 << 14   # elements of one chunk's per-node arrays, all told
+NODE_ELEMENTS = 1 << 16   # elements of one chunk's per-node arrays, all told
 SAA_MAX_SLOTS = 500   # the saa search keeps a chunk of nodes per slot
 
 
@@ -412,6 +416,11 @@ class _Chunk:
         # one expansion takes
         self.kids = np.cumsum((self.counts > 0).sum(axis=1))
 
+    def nodes(self, rows=slice(None)):
+        """The (counts, prefix, pa, p, cost) arrays of the given rows."""
+        return (self.counts[rows], self.prefix[rows], self.pa[rows],
+                self.p[rows], self.cost[rows])
+
 
 def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
                           scenario_set, config: SearchConfig | None = None
@@ -430,14 +439,31 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     it expands up to a chunk's worth of one depth's nodes at once, as numpy
     arrays, and goes down into their children before the next rows.
     Children are ordered by (parent, type), so complete sequences arrive in
-    lexicographic order.  Until the first complete sequence it expands one
-    node at a time down the leftmost path.  "enumerate" visits every prefix;
-    "branch_and_bound" drops a node whose cheapest candidate costs at least
-    the incumbent (waits and span idle never shrink, and there is no
-    overtime).  A leaf must be strictly better, so both modes return the
-    lexicographically first optimum, with the lowest decile on ties.
-    ``nodes_explored`` counts the children examined.  The optimality flag
-    refers to the sequence search given the appointment rule.
+    lexicographic order.  Children with one patient left are completed in
+    the same expansion, as that chunk would be expanded next anyway.  A
+    leaf must be strictly cheaper than the best one so far, so the first
+    of the least cost is kept, with the lowest decile on ties.
+
+    "enumerate" visits every prefix.  "branch_and_bound" first makes an
+    incumbent pass that cuts each depth's children to the SAA_BEAM of least
+    cost, or to as many as one chunk may hold if that is fewer (the first
+    rows on ties, kept in order), and expands each depth as one chunk; if
+    no depth was cut, that pass was the full search and its result is
+    returned.  Otherwise a pruned pass drops each node whose cheapest
+    candidate costs more than the incumbent, and once it has a leaf at or
+    below the incumbent, each node that costs at least its best leaf (waits
+    and span idle never shrink, and there is no overtime).  Both modes
+    return the lexicographically first optimum.
+
+    ``nodes_explored`` counts the children examined and the leaves
+    completed.  Each expansion is charged to the budget before it is made.
+    If the budget runs out before any leaf, the search fails when it has
+    spent no more than the n_slots nodes one schedule needs; otherwise each
+    node of the deepest chunk is completed by its remaining counts in type
+    order and the cheapest completion is returned, not certified.  When it
+    runs out in the pruned pass, that pass's best leaf is returned, or the
+    incumbent if it has none.  The optimality flag refers to the sequence
+    search given the appointment rule.
     """
     config = config or SearchConfig()
     block = expand_block(inst)
@@ -452,7 +478,6 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     groups = _groups(block)
     denom, (w_alpha, w_ba, w_bp, _, _) = _scale(weights)
     budget = _Budget(config)
-    prune = config.mode == "branch_and_bound"
     quantile = config.tau_rule == "quantile_grid"
     K = scenario_set.K
     C = 9 if quantile else 1   # appointment candidates per node
@@ -464,76 +489,46 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     D = 1 if quantile else lcm(*(Fraction(g.lam).denominator for g in groups))
 
     # patients in group order; a node's next patient of group i is
-    # first[i] + (size of i) - (counts left of i)
+    # ends[i] - (counts left of i)
     uids = [p.uid for g in groups for p in g.patients]
     sizes = np.array([len(g.patients) for g in groups])
-    first = np.cumsum(sizes) - sizes
+    ends = np.cumsum(sizes)
     qplus = np.array([g.qplus for g in groups], dtype=bool)
     lam_draws, mu_draws = scenario_set.lam[:, uids], scenario_set.mu[:, uids]
     # no time exceeds the largest draw sums plus the mean sum, and each slot
-    # adds at most (2 w_alpha + w_ba + w_bp) K such times to a cost
+    # adds at most (2 w_alpha + w_ba + w_bp) K such times to a cost; the
+    # pruned pass compares costs with the incumbent plus one
     horizon = D * (max(map(sum, lam_draws.tolist()))
                    + max(map(sum, mu_draws.tolist())) + sum(p.lam for p in block))
     bound = n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
-    dtype = np.int64 if bound < 2 ** 63 else object
+    dtype = np.int64 if bound + 1 < 2 ** 63 else object
     lams, mus = (x.T.astype(dtype) * D for x in (lam_draws, mu_draws))
     lam_bar = np.array([int(g.lam * D) for g in groups], dtype)
 
-    def taus_of(prefix):
-        """Each node's appointment candidates for its next slot."""
-        if quantile:
-            return np.sort(prefix, axis=1)[:, ranks]
-        return prefix[:, None]
-
-    # elements one node holds in a chunk: pa and p (C x K each), cost (C),
-    # counts, prefix, parent and kind
-    node_elements = 2 * C * K + C + len(groups) + (K if quantile else 1) + 2
-    rows_cap = max(1, NODE_ELEMENTS // node_elements)
-    zeros = np.zeros((1, C, K), dtype)
-    root = _Chunk(sizes[None, :], np.zeros((1, K) if quantile else 1, dtype),
-                  zeros, zeros, np.zeros((1, C), dtype),
-                  np.zeros(1, np.intp), np.zeros(1, np.intp))
-    stack = [root]
-    best = best_seq = best_c = None   # incumbent: scaled cost, types, decile
-    while stack and not budget.exhausted:
-        chunk = stack[-1]
-        if chunk.next == len(chunk.cost):
-            stack.pop()
-            continue
-        depth = len(stack) - 1
-        start = chunk.next
-        if best is None:
-            chunk.next += 1
-        else:   # as many rows as have at most rows_cap children, at least one
-            done = chunk.kids[start - 1] if start else 0
-            chunk.next = max(start + 1, int(np.searchsorted(
-                chunk.kids, done + rows_cap, side="right")))
-        rows = np.arange(start, chunk.next)
-        if prune and best is not None:
-            rows = rows[chunk.cost[rows].min(axis=1) < best]
-            if not len(rows):
-                continue
-        # the stage-1 starts of the slot do not depend on its type: each
-        # scenario either waits for the assistant or the assistant idles
-        counts, prefix = chunk.counts[rows], chunk.prefix[rows]
-        taus = taus_of(prefix)
-        ea = chunk.pa[rows]
-        pa_sum = ea.sum(axis=2)
-        np.maximum(ea, taus[:, :, None], out=ea)
-        ea_sum = ea.sum(axis=2)
-        cost = (chunk.cost[rows] + w_alpha * (ea_sum - K * taus)
-                + w_ba * (ea_sum - pa_sum))
+    def open_types(counts, depth):
+        """The types each node may give slot `depth`: those it has left,
+        and only Q+ types in slot 0 when there are any."""
         open_ = counts > 0
         if depth == 0 and qplus.any():
             open_ &= qplus
-        par, kind = np.nonzero(open_)   # children in (parent, type) order
-        allowed = budget.spend_many(len(par))
-        par, kind = par[:allowed], kind[:allowed]
-        pick = first[kind] + sizes[kind] - counts[par, kind]
+        return open_
+
+    def expand(nodes, depth, par, kind):
+        """The children that give slot `depth` of node par[i] to type
+        kind[i], as (counts, prefix, pa, p, cost) arrays like nodes'."""
+        counts, prefix, pa, p, cost = nodes
+        # the stage-1 starts of the slot do not depend on its type: each
+        # scenario either waits for the assistant or the assistant idles
+        taus = np.sort(prefix, axis=1)[:, ranks] if quantile else prefix[:, None]
+        ea = np.maximum(pa, taus[:, :, None])
+        ea_sum = ea.sum(axis=2)
+        cost = (cost + w_alpha * (ea_sum - K * taus)
+                + w_ba * (ea_sum - pa.sum(axis=2)))
+        pick = ends[kind] - counts[par, kind]
         lam = lams[pick]
         child_pa = ea[par]
         child_pa += lam[:, None, :]
-        child_p, child_cost = chunk.p[rows[par]], cost[par]
+        child_p, child_cost = p[par], cost[par]
         plus = np.flatnonzero(qplus[kind])
         if len(plus):
             pa_plus, p_plus = child_pa[plus], child_p[plus]
@@ -546,40 +541,124 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             ep += mus[pick[plus]][:, None, :]
             child_cost[plus] += step
             child_p[plus] = ep
-        if depth + 1 == n_slots:
-            if not len(par):
-                continue
-            # the first row and lowest decile among the least costs
-            leaf, c = divmod(int(child_cost.argmin()), C)
-            if best is None or child_cost[leaf, c] < best:
-                best, best_c = child_cost[leaf, c], c
-                seq, row = [kind[leaf]], rows[par[leaf]]
-                for up in reversed(stack[1:]):
-                    seq.append(up.kind[row])
-                    row = up.parent[row]
-                best_seq = tuple(int(i) for i in reversed(seq))
-            continue
+        if depth + 1 == n_slots:   # leaves: no next slot to fix
+            return None, None, child_pa, child_p, child_cost
         child_prefix = prefix[par] + (lam if quantile else lam_bar[kind])
         child_counts = counts[par]
         child_counts[np.arange(len(par)), kind] -= 1
-        keep = slice(None)
-        if prune and best is not None:
-            keep = np.flatnonzero(child_cost.min(axis=1) < best)
-            if not len(keep):
-                continue
-            if len(keep) == len(par):
-                keep = slice(None)
-        stack.append(_Chunk(child_counts[keep], child_prefix[keep],
-                            child_pa[keep], child_p[keep], child_cost[keep],
-                            rows[par[keep]], kind[keep]))
+        return child_counts, child_prefix, child_pa, child_p, child_cost
 
-    if best_seq is None:   # budget gone before the first leaf
-        raise budget.out_of_budget()
-    slots = _patients_for(groups, best_seq)
+    def complete(nodes, depth):
+        """Each node of the given depth completed by its remaining counts
+        in type order: the leaf arrays and the type of each slot added."""
+        tails = []
+        for t in range(depth, n_slots):
+            kind = np.argmax(open_types(nodes[0], t), axis=1)
+            nodes = expand(nodes, t, np.arange(len(kind)), kind)
+            tails.append(kind)
+        return nodes, tails
+
+    def types_to(stack, row):
+        """The type sequence of a row of the top chunk of the stack."""
+        seq = []
+        for up in reversed(stack[1:]):
+            seq.append(int(up.kind[row]))
+            row = up.parent[row]
+        return seq[::-1]
+
+    # elements one node holds in a chunk: pa and p (C x K each), cost (C),
+    # counts, prefix, parent and kind
+    node_elements = 2 * C * K + C + len(groups) + (K if quantile else 1) + 2
+    rows_cap = max(1, NODE_ELEMENTS // node_elements)
+    zeros = np.zeros((1, C, K), dtype)
+    root = (sizes[None, :], np.zeros((1, K) if quantile else 1, dtype),
+            zeros, zeros, np.zeros((1, C), dtype))
+
+    def search(beam=None, incumbent=None):
+        """One pass: (scaled cost, types, decile) of its best leaf, or of
+        the best completion of the deepest chunk when the budget runs out
+        before any leaf; and whether a depth was cut to beam."""
+        prune = incumbent is not None
+        # a node or leaf lives while its least cost is below the limit
+        limit = None if incumbent is None else incumbent + 1
+        best, cut = None, False
+        stack = [_Chunk(*root, np.zeros(1, np.intp), np.zeros(1, np.intp))]
+        while stack:
+            chunk = stack[-1]
+            if chunk.next == len(chunk.cost):
+                stack.pop()
+                continue
+            depth = len(stack) - 1
+            start = chunk.next
+            if beam is not None:   # a beam depth is expanded as one chunk
+                chunk.next = len(chunk.cost)
+            else:   # as many rows as have at most rows_cap children, at least one
+                done = chunk.kids[start - 1] if start else 0
+                chunk.next = max(start + 1, int(np.searchsorted(
+                    chunk.kids, done + rows_cap, side="right")))
+            nodes = chunk.nodes(slice(start, chunk.next))
+            open_ = open_types(nodes[0], depth)
+            if prune:
+                open_ &= (nodes[4].min(axis=1) < limit)[:, None]
+            par, kind = np.nonzero(open_)   # children in (parent, type) order
+            if not len(par):
+                continue
+            budget.spend_many(len(par))
+            if budget.exhausted:
+                break
+            kids = expand(nodes, depth, par, kind)
+            if prune:
+                keep = np.flatnonzero(kids[4].min(axis=1) < limit)
+                if not len(keep):
+                    continue
+                if len(keep) < len(par):
+                    par, kind = par[keep], kind[keep]
+                    kids = tuple(x[keep] for x in kids)
+            if depth + 2 < n_slots:
+                if beam is not None and len(par) > beam:
+                    keep = np.sort(np.argsort(kids[4].min(axis=1),
+                                              kind="stable")[:beam])
+                    par, kind = par[keep], kind[keep]
+                    kids = tuple(x[keep] for x in kids)
+                    cut = True
+                stack.append(_Chunk(*kids, start + par, kind))
+                continue
+            # the children have at most one patient left: their leaves
+            if depth + 2 == n_slots:
+                budget.spend_many(len(par))
+                if budget.exhausted:
+                    break
+            (*_, cost), tails = complete(kids, depth + 1)
+            # the first row and lowest decile among the least costs
+            leaf, c = divmod(int(cost.argmin()), C)
+            if limit is None or cost[leaf, c] < limit:
+                limit = cost[leaf, c]
+                best = (limit, types_to(stack, start + par[leaf])
+                        + [int(kind[leaf])] + [int(k[leaf]) for k in tails], c)
+        if best is None and budget.exhausted and not prune:
+            if budget.nodes <= n_slots:
+                raise budget.out_of_budget()
+            (*_, cost), tails = complete(chunk.nodes(), depth)
+            row, c = divmod(int(cost.argmin()), C)
+            best = (cost[row, c], types_to(stack, row)
+                    + [int(k[row]) for k in tails], c)
+        return best, cut
+
+    if config.mode == "enumerate":
+        (best, seq, c), _ = search()
+    else:
+        # a beam depth holds no more nodes than a chunk may
+        (best, seq, c), cut = search(beam=min(SAA_BEAM, rows_cap))
+        if cut and not budget.exhausted:
+            found, _ = search(incumbent=best)
+            if found is not None:
+                best, seq, c = found
+
+    slots = _patients_for(groups, seq)
     if quantile:
         taus, prefix = [], [0] * K
         for s in slots:
-            taus.append(sorted(prefix)[ranks[best_c]])
+            taus.append(sorted(prefix)[ranks[c]])
             prefix = list(map(add, prefix, scenario_set.lam[:, s.uid].tolist()))
     else:
         taus = pa_prefix_taus(slots)

@@ -165,14 +165,14 @@ def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
         fa = ea + lams[t]
         ep = fa
         if taus is not None:
-            wait_a = wait_a + np.where(shown, ea - taus[t], 0)
-        idle_a = idle_a + np.where(shown & started_a, ea - pa, 0)
+            wait_a = wait_a + (ea - taus[t]) * shown
+        idle_a = idle_a + (ea - pa) * (shown & started_a)
         started_a = started_a | shown
         pa = np.where(shown, fa, pa)
         if slot.qplus:
             ep = np.maximum(fa, pp)
-            wait_p = wait_p + np.where(shown, ep - fa, 0)
-            idle_p = idle_p + np.where(shown & started_p, ep - pp, 0)
+            wait_p = wait_p + (ep - fa) * shown
+            idle_p = idle_p + (ep - pp) * (shown & started_p)
             started_p = started_p | shown
             pp = np.where(shown, ep + mus[t], pp)
         if marks is not None:

@@ -72,12 +72,6 @@ def fmt_number(value) -> str:
     return f"{sign}{whole}.{str(part).zfill(digits)}"
 
 
-def parse_number(text: str) -> int | Fraction:
-    """Parse a decimal string into an exact int or Fraction."""
-    value = Fraction(text)
-    return int(value) if value.denominator == 1 else value
-
-
 def round_half_away(value) -> int:
     """Round to the nearest integer, halves away from zero (1.8 -> 2, 2.5 -> 3)."""
     frac = Fraction(value)

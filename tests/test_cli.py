@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -9,9 +10,14 @@ from pathlib import Path
 import pytest
 
 import blocksched
-from blocksched.cli import read_report, run
+from blocksched.cli import run
 
 from conftest import FIXDIR
+
+
+def read_report(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -450,6 +456,31 @@ class TestRejectedInputs:
         assert drawn == [] and captured.out == "" and not out.exists()
         assert captured.err == (f"error: {flag} is empty: give at least one "
                                 "value\n")
+
+    def test_unknown_compare_method_exits_before_drawing(self, ex1_path,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        out = tmp_path / "compare.csv"
+        assert run(["compare", "--instance", ex1_path, "--methods",
+                    "alg3,nope", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert drawn == [] and captured.out == "" and not out.exists()
+        assert captured.err == "error: unknown method: nope\n"
+
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_noshow_alpha_grid_exits_one(self, ex1_path, tmp_path,
+                                               capsys, value):
+        out = tmp_path / "noshow.csv"
+        assert run(["noshow", "--instance", ex1_path, "--alpha-grid", value,
+                    "--csv", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: --alpha-grid is empty: give at least "
+                                "one value\n")
 
 
 @pytest.mark.parametrize("fixture, args, certified", [

@@ -250,6 +250,44 @@ class TestSaaReplication:
                     assert (sol.template.slots, sol.template.taus) == (slots,
                                                                        taus)
 
+    def test_both_modes_match_the_oracle_on_504_seeded_solves(
+            self, monkeypatch):
+        """126 blocks of at most 5 patients, each under both rules and both
+        modes, with K = 1-6 and the three draw families.  Every fourth
+        block gives two types the same stage-1 and stage-2 times, so
+        sequences tie on cost.  Branch and bound's incumbent pass keeps 1,
+        4 or SAA_BEAM nodes a depth in turn, so the pruned pass runs on
+        small blocks too."""
+        rng = np.random.default_rng(71)
+        dists = (DistributionSpec("normal"), DistributionSpec.uniform("0.4"),
+                 DistributionSpec.uniform(2))
+        beams = (1, 4, exact.SAA_BEAM)
+        solves = 0
+        for trial in range(126):
+            if trial % 4 == 3:
+                lam, mu, q = (int(x) for x in rng.integers(3, 15, 3))
+                types = [("A", lam, lam + mu, 2), ("B", lam, lam + mu, 1),
+                         ("Q", q, 0, 1), ("C", lam, lam + 2 * mu, 1)]
+                inst = mk_instance(types[:3 + trial // 4 % 2])
+            else:
+                inst = random_conformant_instance(rng, max_r=5)
+            w = CostWeights.of(Fraction(int(rng.integers(1, 11)), 10),
+                               Fraction(int(rng.integers(1, 11)), 10),
+                               Fraction(int(rng.integers(1, 11)), 10))
+            scen = draw_scenarios(inst, dists[trial // 6 % 3], 1 + trial % 6,
+                                  seed=trial, tag="oracle-504")
+            monkeypatch.setattr(exact, "SAA_BEAM", beams[trial % 3])
+            for rule in ("earliest", "quantile_grid"):
+                best, slots, taus = oracle_saa(inst, w, scen, rule)
+                for mode in MODES:
+                    sol = solve_saa_replication(
+                        inst, w, scen, SearchConfig(mode=mode, tau_rule=rule))
+                    assert sol.optimal and sol.objective == best
+                    assert (sol.template.slots, sol.template.taus) == (slots,
+                                                                       taus)
+                    solves += 1
+        assert solves == 504
+
     def test_modes_agree_and_bnb_prunes(self, ex1):
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 4, seed=3)
         for rule in ("earliest", "quantile_grid"):
@@ -345,7 +383,8 @@ class TestSaaChunkedSearch:
                  ("Q1", 11, 0, 1, 4), ("Q2", 5, 0, 1, 2)]
 
     def test_chunk_budget_changes_only_speed(self, monkeypatch):
-        """A tiny, the default and a large NODE_ELEMENTS give the same
+        """A tiny, the default and a large NODE_ELEMENTS, and under branch
+        and bound a beam of 1, the default SAA_BEAM and 10**6, give the same
         solutions and enumerate node counts; no chunk's per-node arrays pass
         the budget unless the chunk holds one node's children at most."""
         cases = [(mk_instance(self.SAA_BLOCK), DistributionSpec("normal"), 3)]
@@ -354,6 +393,7 @@ class TestSaaChunkedSearch:
                         (5, DistributionSpec.uniform(2))):
             cases.append((random_conformant_instance(rng, max_r=7), dist, K))
         budgets = (1, exact.NODE_ELEMENTS, 1 << 20)
+        beams = (1, exact.SAA_BEAM, 10 ** 6)
         chunks = []
 
         class Spy(exact._Chunk):
@@ -370,8 +410,11 @@ class TestSaaChunkedSearch:
             for rule in ("earliest", "quantile_grid"):
                 for mode in MODES:
                     seen = set()
-                    for budget in budgets:
+                    for budget, beam in itertools.product(
+                            budgets, beams if mode == "branch_and_bound"
+                            else beams[1:2]):
                         monkeypatch.setattr(exact, "NODE_ELEMENTS", budget)
+                        monkeypatch.setattr(exact, "SAA_BEAM", beam)
                         chunks.clear()
                         sol = solve_saa_replication(
                             inst, inst.costs, scen,

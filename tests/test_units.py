@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from blocksched.units import (fmt_minutes, fmt_number, on_grid, parse_number,
+from blocksched.units import (fmt_minutes, fmt_number, on_grid,
                               round_half_away, tenths, to_minutes)
 
 
@@ -27,11 +27,6 @@ def test_fmt_minutes():
 def test_fmt_number_falls_back_to_float_for_thirds():
     assert fmt_number(Fraction(1, 4)) == "0.25"
     assert fmt_number(Fraction(1, 3)) == repr(1 / 3)
-
-
-def test_parse_number():
-    assert parse_number("1.2") == Fraction("1.2")
-    assert parse_number("3") == 3
 
 
 @pytest.mark.parametrize("value,expected", [
