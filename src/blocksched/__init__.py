@@ -19,8 +19,7 @@ from .exact import (SearchConfig, Solution, solve_block_exact,
                     solve_horizon_exact, solve_saa_replication)
 from .stochastic import (DistributionSpec, SAAConfig, SAAResult, ScenarioSet,
                          draw_scenarios, evaluate_template_mc,
-                         incumbent_selection, realization_for_template,
-                         saa_procedure)
+                         incumbent_selection, saa_procedure)
 from .noshow import (ExpectedMetrics, NoShowProbs, OverbookPlan,
                      build_overbook_plan, enumerate_expected_metrics,
                      expected_cost_per_patient)

@@ -283,7 +283,7 @@ def _cmd_saa(args):
         "sample_variance": fmt_number(result.sample_variance),
         "K": result.K,
         "stopped": result.stopped,
-        "converged": result.converged,
+        "converged": result.stopped,
         "all_inner_optimal": result.all_inner_optimal,
         "incumbent_average": fmt_number(result.incumbent_average),
         "incumbent_objective": fmt_number(result.incumbent.objective),

@@ -6,27 +6,28 @@ block, the fully-front-load strategy (FF) stacks all duplicates on the
 single earliest slot per group.  Duplicates share the host slot's
 appointment time and type and are served in listed order.
 
-Expected metrics are exact: show patterns carry rational probabilities,
-are aggregated per slot by how many of its copies show (copies of one slot
-are exchangeable) and are merged on the resources' free times, since wait,
-idle and overtime add up along a pattern.  A slot is one numpy step: each
-merged state makes a child per show count, the children's (assistant free,
-physician free, started flags) keys are packed into one integer and
-sorted, and ``np.add.reduceat`` sums the weights of each run of equal
-keys.  A no-show consumes zero time at both stages with zero wait while
-later patients stay gated by their own appointment times.
+Expected metrics are exact: show patterns carry rational probabilities and
+are merged slot by slot on the resources' free times, since wait, idle and
+overtime add up along a pattern.  Every scheduled patient, duplicates
+included, is one slot, and a state's show child is the timeline's own slot
+step (`timeline._slot`), so paths and merged show states run one
+recurrence.  The children's (assistant free, physician free, started
+flags) keys are packed into one integer and sorted, and
+``np.add.reduceat`` sums the weights of each run of equal keys.  A no-show
+consumes zero time at both stages with zero wait while later patients stay
+gated by their own appointment times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
 from .instance import CostWeights, Patient
-from .timeline import AppointmentTemplate, weighted_cost
+from .timeline import AppointmentTemplate, _overtime, _slot, weighted_cost
 from .units import Scalar, round_half_away
 
 STATE_BUDGET = 50_000  # live merged states after any slot
@@ -60,9 +61,6 @@ class OverbookPlan:
     @property
     def n_scheduled(self) -> int:
         return len(self.base.slots) + sum(c for _, c in self.duplicates)
-
-    def copies(self, slot_index: int) -> int:
-        return 1 + dict(self.duplicates).get(slot_index, 0)
 
     def template(self) -> AppointmentTemplate:
         """Base template with duplicates inserted after their hosts, sharing
@@ -150,105 +148,71 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
                                cap: int = STATE_BUDGET) -> ExpectedMetrics:
     """Exact expectation over all show/no-show patterns.
 
-    Patterns are grouped per slot by the number of its copies that show
-    (binomial weights) and merged slot by slot on (assistant free,
-    physician free, assistant started, physician started); a merged state
-    carries only its integer weight.  Wait and each resource's first start
-    plus busy time add up along a pattern, so their expectations are summed
-    slot by slot over the states entering the slot; idle and overtime then
-    follow from the last layer's free times.  ``cap`` bounds the live
-    states after any slot.
+    Walks ``plan.template()`` one slot at a time, each duplicate its own
+    slot, over states merged on (assistant free, physician free, assistant
+    started, physician started); a merged state carries only its integer
+    weight.  Each state has two children: itself, when the slot's patient
+    does not show, and `timeline._slot`'s step, when they do.  Wait and
+    idle add up along a pattern, so their expectations are summed slot by
+    slot from the show children's increments; overtime follows from the
+    last layer.  ``cap`` bounds the live states after any slot.
 
-    A slot is one step over numpy arrays.  Each state makes one child per
-    show count that can happen; the children's keys are packed into one
-    integer and sorted, and the weights of each run of equal keys are
-    summed with ``np.add.reduceat``, which leaves the layer sorted and
-    unique.  Times are scaled by the common denominator D of the template's
-    times and regular_time, so they stay exact integers.  Weights are int64
-    when an a-priori bound on every weighted sum fits, Python integers
-    otherwise.
+    The children's keys are packed into one integer and sorted, and the
+    weights of each run of equal keys are summed with ``np.add.reduceat``,
+    which leaves the layer sorted and unique.  Times are scaled by the
+    common denominator D of the template's times and regular_time, so they
+    stay exact integers.  Weights are int64 when an a-priori bound on every
+    weighted sum fits, Python integers otherwise.
     """
-    base = plan.base
-    copies = [plan.copies(t) for t in range(len(base.slots))]
-    no_show = [probs.for_patient(host) for host in base.slots]
-    dens = [q.denominator**c for q, c in zip(no_show, copies)]
-    denominator = prod(dens)
+    tpl = plan.template()
+    no_show = [probs.for_patient(slot) for slot in tpl.slots]
+    denominator = prod(q.denominator for q in no_show)
     D = lcm(*(Fraction(x).denominator for x in (
-        regular_time, *base.taus,
-        *(v for host in base.slots for v in (host.lam, host.mu)))))
+        regular_time, *tpl.taus,
+        *(v for slot in tpl.slots for v in (slot.lam, slot.mu)))))
     R = int(regular_time * D)
-    # free times lie in [0, day]; per pattern, a slot's wait, each
-    # resource's first start plus busy time, free time and overtime stay
-    # below bound, and the weights of a layer sum to at most denominator.
-    # So keys < 4(day + 1)^2, a slot's weighted terms (c_*) < max(dens) *
-    # bound, and every weighted sum < denominator * bound.
-    day = int(D * (max((abs(tau) for tau in base.taus), default=0)
-                   + sum(c * (host.lam + host.mu)
-                         for c, host in zip(copies, base.slots))))
-    bound = (plan.n_scheduled + 2) * (4 * day + abs(R) + 1)
-    time_dtype = (np.int64 if max(4 * (day + 1)**2,
-                                  max(dens, default=1) * bound) < 2**63
-                  else object)
+    # free times lie in [0, day]; per state, a slot's wait, each idle and
+    # each overtime stay below bound, and the weights of a layer sum to at
+    # most denominator.  So keys < 4(day + 1)^2 and every weighted sum <
+    # denominator * bound.
+    day = int(D * (max((abs(tau) for tau in tpl.taus), default=0)
+                   + sum(slot.lam + slot.mu for slot in tpl.slots)))
+    bound = 2 * day + abs(R) + 1
+    time_dtype = np.int64 if 4 * (day + 1)**2 < 2**63 else object
     weight_dtype = (np.int64 if time_dtype is np.int64
                     and denominator * bound < 2**63 else object)
-    pa, p = np.zeros((2, 1), time_dtype)
-    sa, sp = np.zeros((2, 1), bool)
+    state = (*np.zeros((2, 1), time_dtype), *np.zeros((2, 1), bool))
     W = np.ones(1, weight_dtype)
-    # Σ weight·(wait, first stage-1 start + a busy, first stage-2 start +
-    # p busy) over every pattern, over denominator
-    wait = sum_a = sum_p = 0
+    # Σ weight·(wait, assistant idle, physician idle) over every pattern
+    wait = idle_a = idle_p = 0
     rest = denominator   # the weight the slots after this one add
     visited = 0
-    for t, host in enumerate(base.slots):
-        tau, lam, mu = (int(x * D) for x in (base.taus[t], host.lam, host.mu))
-        n, q = copies[t], no_show[t]
-        show_num, ns_num = q.denominator - q.numerator, q.numerator
-        rest //= dens[t]
-        ea = np.maximum(pa, tau)
-        first_a = np.where(sa, 0, ea)
-        if host.qplus:
-            first_p = np.where(sp, 0, np.maximum(ea + lam, p))
-        started = np.ones_like(sa)
-        # per show count j: its weight and its children's keys; c_* sum
-        # weight·(the slot's wait, first start + busy) over those counts
-        kids = []
-        c_w = c_a = c_p = 0
-        pp, wait_p = p, 0
-        for j in range(n + 1):
-            if host.qplus and j:   # copy j sees the physician after j - 1
-                fac = ea + j * lam
-                ep = np.maximum(fac, pp)
-                wait_p = wait_p + (ep - fac)
-                pp = ep + mu
-            w = comb(n, j) * show_num**j * ns_num**(n - j)
-            if not w:
-                continue   # a show count that cannot happen (p = 0 or 1)
-            if not j:
-                kids.append((w, pa, p, sa, sp))
-                continue
-            # j same-type copies served back to back from ea; each waited
-            # from the shared appointment time
-            c_w = c_w + w * (j * (ea - tau) + lam * (j * (j - 1) // 2)
-                             + wait_p)
-            c_a = c_a + w * (first_a + j * lam)
-            if host.qplus:
-                c_p = c_p + w * (first_p + j * mu)
-                kids.append((w, ea + j * lam, pp, started, started))
-            else:
-                kids.append((w, ea + j * lam, p, started, sp))
-        wait += int((W * c_w).sum()) * rest
-        sum_a += int((W * c_a).sum()) * rest
-        sum_p += int((W * c_p).sum()) * rest
+    for t, slot in enumerate(tpl.slots):
+        q = no_show[t]
+        show_num = q.denominator - q.numerator
+        rest //= q.denominator
+        show_state, (d_wait_a, d_wait_p, d_idle_a, d_idle_p), _ = _slot(
+            *state, *(int(x * D) for x in (tpl.taus[t], slot.lam, slot.mu)),
+            slot.qplus, True)
+        # the show children's Σ weight·increment, as show_num·Σ W·increment:
+        # no weight array is made for them before the merge
+        wait += int(W.dot(d_wait_a + d_wait_p)) * show_num * rest
+        idle_a += int(W.dot(d_idle_a)) * show_num * rest
+        if slot.qplus:                 # a Q slot adds no stage-2 time
+            idle_p += int(W.dot(d_idle_p)) * show_num * rest
 
-        weights, *columns = zip(*kids)
-        pa, p, sa, sp = map(np.concatenate, columns)
+        # the no-show child is the state itself; a zero weight makes none
+        weights, kids = zip(*((w, kid) for w, kid in
+                              ((q.numerator, state), (show_num, show_state))
+                              if w))
+        pa, p, sa, sp = (np.concatenate(column) for column in zip(*kids))
         key = (pa * (day + 1) + p) * 4 + sa * 2 + sp
         order = np.argsort(key)
         key = key[order]
         runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         first = order[runs]
-        pa, p, sa, sp = pa[first], p[first], sa[first], sp[first]
-        W = np.add.reduceat(np.concatenate([w * W for w in weights])[order],
+        state = (pa[first], p[first], sa[first], sp[first])
+        W = np.add.reduceat(np.concatenate([W * w for w in weights])[order],
                             runs)
         if len(W) > cap:
             raise ValueError(
@@ -257,15 +221,11 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
                 "(evaluate_template_mc with noshow_probs)")
         visited += len(W)
 
-    weighted = lambda x, started: int((W * x)[started].sum())
+    overtime = [int(W.dot(x)) for x in _overtime(*state, R)]
     to_minutes = lambda v: Fraction(v, denominator * D) / 10
-    return ExpectedMetrics(
-        to_minutes(wait),
-        to_minutes(weighted(pa, sa) - sum_a),
-        to_minutes(weighted(p, sp) - sum_p),
-        to_minutes(weighted(np.maximum(pa - R, 0), sa)),
-        to_minutes(weighted(np.maximum(p - R, 0), sp)),
-        2**plan.n_scheduled, Fraction(int(W.sum()), denominator), visited)
+    return ExpectedMetrics(*map(to_minutes, (wait, idle_a, idle_p, *overtime)),
+                           2**plan.n_scheduled,
+                           Fraction(int(W.sum()), denominator), visited)
 
 
 def expected_cost_per_patient(metrics: ExpectedMetrics, weights: CostWeights,

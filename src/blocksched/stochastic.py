@@ -27,8 +27,8 @@ import numpy as np
 
 from .heuristics import MAX_WIDTH
 from .instance import ClinicInstance, CostWeights, expand_horizon
-from .timeline import (METRICS, AppointmentTemplate, ServiceRealization,
-                       evaluate_paths, metric_coefficients, weighted_cost)
+from .timeline import (METRICS, AppointmentTemplate, evaluate_paths,
+                       metric_coefficients, weighted_cost)
 from .units import Scalar
 
 
@@ -68,9 +68,6 @@ class ScenarioSet:
     seed: int
     tag: str
     replication: int
-
-    def draws(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.lam[s], self.mu[s]
 
 
 def _uniform_bounds(mean: int, width: Fraction) -> tuple[int, int]:
@@ -245,34 +242,24 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
     return ScenarioSet(K, lam_out, mu_out, seed, tag, replication)
 
 
-def _slot_times(template: AppointmentTemplate, lam: np.ndarray,
-                mu: np.ndarray) -> tuple[list, list]:
-    """Slot-aligned stage-1 and stage-2 times from per-patient draws whose
-    last axis is the canonical patient id: one path's row, or a K x n block
-    read one column per slot.  Overbooked duplicates (ids beyond the
-    instance horizon) take their mean times; Q- slots take no stage-2 time."""
-    n = lam.shape[-1]
-    lams = [lam[..., p.uid] if p.uid < n else p.lam for p in template.slots]
-    mus = [(mu[..., p.uid] if p.uid < n else p.mu) if p.qplus else 0
+def _slot_times(template: AppointmentTemplate,
+                scenario_set: ScenarioSet) -> tuple[list, list]:
+    """Slot-aligned stage-1 and stage-2 times of every path: one column of
+    the K x n draws per slot, read by canonical patient id.  Overbooked
+    duplicates (ids beyond the instance horizon) take their mean times; Q-
+    slots take no stage-2 time."""
+    lam, mu = scenario_set.lam, scenario_set.mu
+    n = lam.shape[1]
+    lams = [lam[:, p.uid] if p.uid < n else p.lam for p in template.slots]
+    mus = [(mu[:, p.uid] if p.uid < n else p.mu) if p.qplus else 0
            for p in template.slots]
     return lams, mus
-
-
-def realization_for_template(scenario_set: ScenarioSet, s: int,
-                             template: AppointmentTemplate,
-                             shows: tuple[bool, ...] | None = None
-                             ) -> ServiceRealization:
-    """Path s of the scenario set, slot-aligned via canonical patient ids."""
-    lams, mus = _slot_times(template, *scenario_set.draws(s))
-    plain = lambda xs: tuple(x.item() if isinstance(x, np.ndarray) else x
-                             for x in xs)
-    return ServiceRealization(plain(lams), plain(mus), shows)
 
 
 def scenario_average_cost(template: AppointmentTemplate,
                           scenario_set: ScenarioSet, weights: CostWeights,
                           regular_time: Scalar | None = None) -> Fraction:
-    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
+    lams, mus = _slot_times(template, scenario_set)
     rows, scale = evaluate_paths(template, lams, mus, scenario_set.K,
                                  regular_time=regular_time)
     tenths_cost = weighted_cost(weights, map(int, rows.sum(axis=0)))
@@ -297,7 +284,7 @@ def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
     a K x 6 integer array of METRICS and rows / scale their values in
     tenths.  shows_per_path is a K x slots boolean mask, or None when
     everyone shows."""
-    lams, mus = _slot_times(template, scenario_set.lam, scenario_set.mu)
+    lams, mus = _slot_times(template, scenario_set)
     if shows_per_path is not None:
         shows_per_path = np.asarray(shows_per_path, dtype=bool)
     return evaluate_paths(template, lams, mus, scenario_set.K, shows_per_path,
@@ -454,7 +441,6 @@ class SAAResult:
     sample_variance: Fraction
     K: int
     stopped: bool                # stopping rule satisfied (vs. limits hit)
-    converged: bool
     all_inner_optimal: bool      # every replication of this K certified
 
 
@@ -566,7 +552,6 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
             sols, sets, _known_averages(sols, sets, weights))
         last_state = SAAResult(
             psi_bar, h, nu, incumbent, running, tuple(psis), S2, K, stopped,
-            converged=stopped,
             all_inner_optimal=all(getattr(sol, "optimal", False)
                                   for sol in sols))
         if stopped:

@@ -8,8 +8,11 @@ becoming free.  Idle time is span-based per resource (first start to last
 finish minus busy time); overtime is the positive part of the last finish
 past the regular day length.
 
-One slot loop (`_recurrence`) runs it over a batch of paths: `evaluate`
-is the one-path case of `evaluate_paths`, with every slot's marks.
+One slot step (`_slot`) holds the recurrence for a batch of resource
+states.  `_recurrence` runs it over a batch of paths: `evaluate` is the
+one-path case of `evaluate_paths`, with every slot's marks.  The exact
+no-show pass (`noshow.enumerate_expected_metrics`) runs it over merged show
+states, and both take the day's overtime from `_overtime`.
 
 Everything here is a pure function of its inputs; callers may evaluate many
 realizations concurrently.  Times are tenths of a minute (ints, or Fractions
@@ -133,13 +136,46 @@ def weighted_cost(weights: CostWeights, values) -> Scalar:
     return sum(c * v for c, v in zip(metric_coefficients(weights), values))
 
 
+def _slot(pa, pp, started_a, started_p, tau, lam, mu, qplus, shown):
+    """One slot of the recurrence over a batch of resource states.
+
+    pa and pp are the assistant's and the physician's free times, and
+    started_a and started_p say whether each has served anyone yet.  tau is
+    the slot's appointment time (None: it tracks the assistant), lam and mu
+    its service times, and shown a boolean mask, or True.  Returns the new
+    (pa, pp, started_a, started_p), the slot's (stage-1 wait, stage-2 wait,
+    assistant idle, physician idle) increments and its (stage-1 start,
+    stage-1 finish, stage-2 start) marks.  A Q slot's stage-2 increments are
+    0 and its stage-2 start is its stage-1 finish; a no-show moves nothing
+    and adds nothing, and its stage-1 start is where it would have started.
+    """
+    ea = pa if tau is None else np.maximum(pa, tau)
+    fa = ea + lam
+    ep = np.maximum(fa, pp) if qplus else fa
+    wait_a = 0 if tau is None else (ea - tau) * shown
+    idle_a = (ea - pa) * (shown & started_a)
+    wait_p = idle_p = 0
+    if qplus:
+        wait_p = (ep - fa) * shown
+        idle_p = (ep - pp) * (shown & started_p)
+        pp = np.where(shown, ep + mu, pp)
+        started_p = started_p | shown
+    return ((np.where(shown, fa, pa), pp, started_a | shown, started_p),
+            (wait_a, wait_p, idle_a, idle_p), (ea, fa, ep))
+
+
+def _overtime(pa, pp, started_a, started_p, regular_time):
+    """Each resource's overtime at the end of the day in a `_slot` state: its
+    last finish past regular_time, 0 if it served no one."""
+    return [np.where(started, np.maximum(free - regular_time, 0), 0)
+            for free, started in ((pa, started_a), (pp, started_p))]
+
+
 def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
                 shows: np.ndarray | None, regular_time: Scalar | None,
                 marks: list | None = None) -> tuple[np.ndarray, int]:
-    """The body of `evaluate_paths`.  When marks is a list, each slot
-    appends its scaled (stage-1 start, stage-1 finish, stage-2 start)
-    arrays to it; a Q slot's stage-2 start is its stage-1 finish, and a
-    no-show's stage-1 start is where it would have started."""
+    """The body of `evaluate_paths`: `_slot` over the template's slots.
+    When marks is a list, each slot appends its scaled marks to it."""
     taus = template.taus
     fractions = [x for x in (*(taus or ()), regular_time, *lams, *mus)
                  if isinstance(x, Fraction)]
@@ -155,36 +191,25 @@ def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
             regular_time = up(regular_time)
 
     zeros = np.zeros(n_paths, dtype)
-    pa = pp = zeros                      # assistant / physician free
-    wait_a = wait_p = idle_a = idle_p = zeros
+    pa = pp = wait_a = wait_p = idle_a = idle_p = zeros
     started_a = started_p = np.zeros(n_paths, bool)
     everyone = np.ones(n_paths, bool)
     for t, slot in enumerate(template.slots):
-        shown = everyone if shows is None else shows[:, t]
-        ea = pa if taus is None else np.maximum(pa, taus[t])
-        fa = ea + lams[t]
-        ep = fa
-        if taus is not None:
-            wait_a = wait_a + (ea - taus[t]) * shown
-        idle_a = idle_a + (ea - pa) * (shown & started_a)
-        started_a = started_a | shown
-        pa = np.where(shown, fa, pa)
-        if slot.qplus:
-            ep = np.maximum(fa, pp)
-            wait_p = wait_p + (ep - fa) * shown
-            idle_p = idle_p + (ep - pp) * (shown & started_p)
-            started_p = started_p | shown
-            pp = np.where(shown, ep + mus[t], pp)
+        # the state goes in as four names: a *state call costs more per slot
+        state, (d_wait_a, d_wait_p, d_idle_a, d_idle_p), mark = _slot(
+            pa, pp, started_a, started_p, None if taus is None else taus[t],
+            lams[t], mus[t], slot.qplus,
+            everyone if shows is None else shows[:, t])
+        pa, pp, started_a, started_p = state
+        wait_a, idle_a = wait_a + d_wait_a, idle_a + d_idle_a
+        if slot.qplus:                 # a Q slot adds no stage-2 time
+            wait_p, idle_p = wait_p + d_wait_p, idle_p + d_idle_p
         if marks is not None:
-            marks.append((ea, fa, ep))
+            marks.append(mark)
 
-    if regular_time is None:
-        overtime_a = overtime_p = zeros
-    else:
-        overtime_a = np.where(started_a, np.maximum(pa - regular_time, 0), 0)
-        overtime_p = np.where(started_p, np.maximum(pp - regular_time, 0), 0)
-    rows = np.stack([wait_a, wait_p, idle_a, idle_p, overtime_a, overtime_p],
-                    axis=1)
+    overtime = ([zeros, zeros] if regular_time is None
+                else _overtime(pa, pp, started_a, started_p, regular_time))
+    rows = np.stack([wait_a, wait_p, idle_a, idle_p, *overtime], axis=1)
     return rows, scale
 
 

@@ -36,10 +36,6 @@ def on_grid(minutes) -> bool:
     return isinstance(tenths(minutes), int)
 
 
-def to_minutes(value: Scalar) -> Fraction:
-    return Fraction(value) / 10
-
-
 def fmt_minutes(value: Scalar) -> str:
     """Render a tenths value as a decimal-minute string ("17.8", "26.25", "90")."""
     frac = Fraction(value) / 10

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from blocksched import (ClinicInstance, CostWeights, PatientType,
-                        load_instance)
+                        ServiceRealization, load_instance)
 
 FIXDIR = resources.files("blocksched") / "fixtures"
 
@@ -68,6 +68,18 @@ def random_conformant_instance(rng: np.random.Generator, max_r=12,
                               3000, blocks)
         if inst.r <= max_r:
             return inst
+
+
+def realization_for_template(scenario_set, s, template, shows=None):
+    """Path s of a scenario set as a ServiceRealization, slot-aligned via
+    canonical patient ids.  Overbooked duplicates (ids beyond the drawn
+    patients) take their mean times; Q slots take no stage-2 time."""
+    lam, mu = scenario_set.lam[s].tolist(), scenario_set.mu[s].tolist()
+    drawn = lambda xs, p, mean: xs[p.uid] if p.uid < len(xs) else mean
+    return ServiceRealization(
+        tuple(drawn(lam, p, p.lam) for p in template.slots),
+        tuple(drawn(mu, p, p.mu) if p.qplus else 0 for p in template.slots),
+        shows)
 
 
 def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,

@@ -26,11 +26,11 @@ from blocksched.noshow import (NoShowProbs, build_overbook_plan,
                                expected_cost_per_patient)
 from blocksched.stochastic import (DistributionSpec, confidence_halfwidth,
                                    draw_scenarios, incumbent_selection,
-                                   metric_paths, realization_for_template,
-                                   saa_procedure, SAAConfig)
+                                   metric_paths, saa_procedure, SAAConfig)
 from blocksched.units import tenths
 
-from conftest import mk_instance, random_conformant_instance
+from conftest import (mk_instance, random_conformant_instance,
+                      realization_for_template)
 
 M = tenths  # minutes -> internal tenths
 

@@ -45,7 +45,7 @@ def oracle_saa(inst, weights, scen, tau_rule="earliest"):
     every distinct sequence and every appointment candidate of the rule,
     with the slots and taus of its first occurrence (sequences in
     lexicographic type order, deciles in increasing order)."""
-    draws = [scen.draws(s) for s in range(scen.K)]
+    draws = list(zip(scen.lam, scen.mu))
     best = None
     for perm in distinct_sequences(expand_block(inst)):
         lams = [[int(lam[p.uid]) for p in perm] for lam, _ in draws]

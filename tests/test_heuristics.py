@@ -8,11 +8,11 @@ from blocksched import (algorithm1, algorithm2, algorithm3, algorithm4,
                         fcfa, junction_theta, robust_template,
                         single_block_template, w_threshold, wait_bound_block,
                         wait_bound_horizon)
-from blocksched.stochastic import DistributionSpec, draw_scenarios, \
-    realization_for_template
+from blocksched.stochastic import DistributionSpec, draw_scenarios
 from blocksched.units import tenths
 
-from conftest import mk_instance, random_conformant_instance
+from conftest import (mk_instance, random_conformant_instance,
+                      realization_for_template)
 
 
 class TestAlgorithm1:

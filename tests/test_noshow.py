@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from blocksched import (CostWeights, ServiceRealization, algorithm2,
-                        evaluate, expand_block, total_cost)
+                        evaluate, expand_block)
 from blocksched.noshow import (NoShowProbs, build_overbook_plan,
                                enumerate_expected_metrics,
                                expected_cost_per_patient)
 from blocksched.units import tenths
 
-from conftest import mk_instance
+from conftest import mk_instance, oracle_cost, oracle_timeline
 
 PROBS = NoShowProbs.of("0.2", "0.3")
 
@@ -56,10 +56,9 @@ class TestBuildPlan:
 
 
 def brute_force_expected(plan, probs, regular_time):
-    """Oracle: full 2^n enumeration through the public engine."""
+    """Oracle: full 2^n enumeration through the plain conftest timeline."""
     tpl = plan.template()
     n = len(tpl.slots)
-    base = ServiceRealization.from_means(tpl)
     totals = {"wait": Fraction(0), "idle_a": Fraction(0), "idle_p": Fraction(0),
               "overtime_a": Fraction(0), "overtime_p": Fraction(0)}
     mass = Fraction(0)
@@ -68,13 +67,13 @@ def brute_force_expected(plan, probs, regular_time):
         for shown, patient in zip(pattern, tpl.slots):
             ns = probs.for_patient(patient)
             prob *= (1 - ns) if shown else ns
-        ev = evaluate(tpl, ServiceRealization(base.lams, base.mus, pattern),
-                      regular_time)
-        totals["wait"] += prob * ev.wait
-        totals["idle_a"] += prob * ev.idle_a
-        totals["idle_p"] += prob * ev.idle_p
-        totals["overtime_a"] += prob * ev.overtime_a
-        totals["overtime_p"] += prob * ev.overtime_p
+        ev = oracle_timeline(tpl.slots, tpl.taus, shows=list(pattern),
+                             regular_time=regular_time)
+        totals["wait"] += prob * (ev["wait_a"] + ev["wait_p"])
+        totals["idle_a"] += prob * ev["idle_a"]
+        totals["idle_p"] += prob * ev["idle_p"]
+        totals["overtime_a"] += prob * ev["b_a"]
+        totals["overtime_p"] += prob * ev["b_p"]
         mass += prob
     return {k: v / 10 for k, v in totals.items()}, mass
 
@@ -84,12 +83,13 @@ class TestEnumerate:
         plan = build_overbook_plan(schedule_s, "none", NoShowProbs.of(0, 0))
         metrics = enumerate_expected_metrics(plan, NoShowProbs.of(0, 0),
                                              tenths(150))
-        ev = evaluate(schedule_s, regular_time=tenths(150))
-        assert metrics.wait == Fraction(ev.wait, 10)
-        assert metrics.idle_a == Fraction(ev.idle_a, 10)
-        assert metrics.idle_p == Fraction(ev.idle_p, 10)
-        assert metrics.overtime_a == Fraction(ev.overtime_a, 10)
-        assert metrics.overtime_p == Fraction(ev.overtime_p, 10)
+        ev = oracle_timeline(schedule_s.slots, schedule_s.taus,
+                             regular_time=tenths(150))
+        assert metrics.wait == Fraction(ev["wait_a"] + ev["wait_p"], 10)
+        assert metrics.idle_a == Fraction(ev["idle_a"], 10)
+        assert metrics.idle_p == Fraction(ev["idle_p"], 10)
+        assert metrics.overtime_a == Fraction(ev["b_a"], 10)
+        assert metrics.overtime_p == Fraction(ev["b_p"], 10)
         assert metrics.mass == 1
 
     def test_single_patient_expected_overtime(self):
@@ -168,7 +168,6 @@ class TestPerPatientCost:
         weights = CostWeights.of("0.7", 2, 3, "1.1", "1.3")
         # oracle: expectation of the per-path cost, weights applied inside
         expanded = plan.template()
-        base = ServiceRealization.from_means(expanded)
         total = Fraction(0)
         for pattern in itertools.product((True, False),
                                          repeat=len(expanded.slots)):
@@ -176,9 +175,9 @@ class TestPerPatientCost:
             for shown, patient in zip(pattern, expanded.slots):
                 ns = probs.for_patient(patient)
                 prob *= (1 - ns) if shown else ns
-            ev = evaluate(expanded, ServiceRealization(base.lams, base.mus,
-                                                       pattern), tenths(40))
-            total += prob * total_cost(ev, weights)
+            ev = oracle_timeline(expanded.slots, expanded.taus,
+                                 shows=list(pattern), regular_time=tenths(40))
+            total += prob * oracle_cost(ev, weights)
         assert expected_cost_per_patient(metrics, weights, plan.n_scheduled) \
             == total / plan.n_scheduled
 

@@ -29,7 +29,7 @@ class TestDrawScenarios:
         means_lam = [p.lam for b in expand_horizon(ex1) for p in b]
         means_mu = [p.mu for b in expand_horizon(ex1) for p in b]
         for s in range(4):
-            lam, mu = scen.draws(s)
+            lam, mu = scen.lam[s], scen.mu[s]
             assert list(lam) == means_lam and list(mu) == means_mu
 
     def test_uniform_support(self, ex1):
@@ -37,7 +37,7 @@ class TestDrawScenarios:
         scen = draw_scenarios(ex1, DistributionSpec.uniform(w), 50, seed=2)
         patients = [p for b in expand_horizon(ex1) for p in b]
         for s in range(50):
-            lam, mu = scen.draws(s)
+            lam, mu = scen.lam[s], scen.mu[s]
             for i, p in enumerate(patients):
                 assert (1 - w / 2) * p.lam <= lam[i] <= (1 + w / 2) * p.lam
                 if p.qplus:
@@ -257,7 +257,7 @@ class TestSaaProcedure:
                             solve_saa_replication(i, w, s))
         assert res.replications_used == 5
         assert res.halfwidth == 0.0
-        assert res.stopped and res.converged
+        assert res.stopped
 
     def test_stops_when_relative_halfwidth_small(self, ex1):
         cfg = SAAConfig(K=5, nu0=5, nu_max=10, xi=0.04)
@@ -598,7 +598,7 @@ class TestKGrowth:
         inner = fixed_template_inner(tpl, ex1.regular_time)
         res = saa_procedure(ex1, ex1.costs, cfg, seed=17, inner_solver=inner,
                             dist=DistributionSpec.uniform("0.5"))
-        assert not res.stopped and not res.converged
+        assert not res.stopped
         assert res.K == 3 + 5  # one growth round applied
         assert res.replications_used == 3
 

@@ -10,12 +10,12 @@ from blocksched import (CostWeights, ServiceRealization, algorithm1,
 from blocksched.heuristics import robust_template
 from blocksched.noshow import NoShowProbs, build_overbook_plan
 from blocksched.stochastic import (DistributionSpec, draw_scenarios,
-                                   metric_paths, realization_for_template,
-                                   scenario_average_cost)
+                                   metric_paths, scenario_average_cost)
 from blocksched.timeline import AppointmentTemplate, evaluate_paths
 from blocksched.units import tenths
 
-from conftest import mk_instance, oracle_timeline, random_conformant_instance
+from conftest import (mk_instance, oracle_timeline, random_conformant_instance,
+                      realization_for_template)
 
 
 def fig2_template(ex1):

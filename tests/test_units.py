@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from blocksched.units import (fmt_minutes, fmt_number, on_grid,
-                              round_half_away, tenths, to_minutes)
+                              round_half_away, tenths)
 
 
 def test_tenths_roundtrip():
     assert tenths("17.8") == 178
     assert tenths(10) == 100
     assert tenths(17.8) == 178          # via float repr
-    assert to_minutes(178) == Fraction("17.8")
 
 
 def test_on_grid():
