@@ -44,6 +44,15 @@ def _fraction(text: str, flag: str) -> Fraction:
                          "with a nonzero denominator") from None
 
 
+def _weight(text: str, flag: str) -> Fraction:
+    """The value of a cost-weight flag: a Fraction flag that must not be
+    negative, as the instance loader requires of its weights."""
+    value = _fraction(text, flag)
+    if value < 0:
+        raise ValueError(f"{flag} {text}: a cost weight must not be negative")
+    return value
+
+
 def _q6(value) -> Fraction:
     """Quantize to 6 decimals so emitted rows recombine exactly."""
     return Fraction(round(Fraction(value) * 10**6), 10**6)
@@ -319,10 +328,10 @@ def _cmd_noshow(args):
                          "minutes on the 0.1-minute grid")
     probs = noshow_mod.NoShowProbs.of(_fraction(args.p_plus, "--p-plus"),
                                       _fraction(args.p, "--p"))
-    alphas = [_fraction(a, "--alpha-grid")
+    alphas = [_weight(a, "--alpha-grid")
               for a in args.alpha_grid.split(",") if a]
     _check_nonempty("--alpha-grid", alphas)
-    beta, o = _fraction(args.beta, "--beta"), _fraction(args.o, "--o")
+    beta, o = _weight(args.beta, "--beta"), _weight(args.o, "--o")
     inst = load_instance(args.instance)
     if args.k is None:
         base = heuristics.algorithm2(expand_block(inst))
@@ -359,13 +368,13 @@ def _cmd_noshow(args):
 
 def _cmd_compare(args):
     methods = [m for m in args.methods.split(",") if m]
-    alphas = [_fraction(a, "--alphas") for a in args.alphas.split(",") if a]
-    overtimes = [_fraction(o, "--overtimes")
+    alphas = [_weight(a, "--alphas") for a in args.alphas.split(",") if a]
+    overtimes = [_weight(o, "--overtimes")
                  for o in args.overtimes.split(",") if o]
     for flag, values in (("--methods", methods), ("--alphas", alphas),
                          ("--overtimes", overtimes)):
         _check_nonempty(flag, values)
-    beta = _fraction(args.beta, "--beta")
+    beta = _weight(args.beta, "--beta")
     inst = load_instance(args.instance)
     dist = _dist_from_args(args)
     # an unknown method fails here, before any path is drawn

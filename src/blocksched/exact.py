@@ -31,8 +31,8 @@ SAA_BEAM cheapest children, for an incumbent, and then a pass that prunes
 on the cost accumulated so far against it; ``nodes_explored`` counts the
 children examined and the leaves completed, chunk by chunk.  Branch and
 bound certifies the table7 block (seed 7) at K=1 (objective 55.9) in
-64.65M nodes, 8.7 s and 44 MB peak memory, and at K=5 (77.48) in 286.8M
-nodes, 83 s and 46 MB, on 2 cores.
+64.65M nodes, 8.7 s and 44 MB peak memory, at K=2 (47.9) in 37.6M nodes
+and 9 s, and at K=5 (57.176) in 69.0M nodes, 23 s and 44 MB, on 2 cores.
 
 Every solver returns the lexicographically first optimal sequence.
 Sequences are over type multisets, not labeled patients; same-type patients

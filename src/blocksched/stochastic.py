@@ -1,23 +1,19 @@
 """Scenario generation, Monte-Carlo template evaluation, and the SAA loop.
 
-Draws are a pure function of (seed, purpose tag, replication, scenario,
-patient, stage): each scenario owns a keyed generator and consumes draws in
-canonical patient order, so reordering evaluation or sharing sample paths
-across methods cannot change them.  Draws are quantized to the 0.1-minute
-grid (uniform draws stay inside their interval), which keeps every
-downstream evaluation exact.
+Draws are a pure function of (seed, purpose tag, replication): each scenario
+set draws from one keyed generator, scenario by scenario in canonical
+patient order, so reordering evaluation or sharing sample paths across
+methods cannot change them, and the first K' scenarios of a K-set are the
+K'-set.  Draws are quantized to the 0.1-minute grid (uniform draws stay
+inside their interval), which keeps every downstream evaluation exact.
 
-Scenario s draws from exactly default_rng(SeedSequence([seed, tag key,
-replication, s])), the tag key being the first 8 bytes of the tag's SHA-256.
-The seed states are hashed on numpy vectors, 256 scenarios at a time, by
-code that repeats SeedSequence's mixing.  Every call checks scenario 0's pool
-and seeded PCG64 state against numpy's own, so a numpy change cannot shift
-draws silently.
+A set draws from default_rng(SeedSequence([seed, tag key, replication, 0])),
+the tag key being the first 8 bytes of the tag's SHA-256; scenario s takes
+the s-th n x 2 block of that stream.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -81,106 +77,36 @@ def _uniform_bounds(mean: int, width: Fraction) -> tuple[int, int]:
 
 
 def _uniform_bound_arrays(means: np.ndarray, width: Fraction):
-    """Per-patient (lo, hi) clamp vectors of the uniform family."""
-    bounds = [_uniform_bounds(int(m), width) for m in means]
-    return np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    """Per-patient (lo, hi) clamp vectors of the uniform family, the rule
+    run once per distinct mean."""
+    distinct, inverse = np.unique(means, return_inverse=True)
+    bounds = np.array([_uniform_bounds(int(m), width) for m in distinct],
+                      dtype=np.int64).reshape(-1, 2)
+    return bounds[inverse].T
 
 
-# numpy.random.SeedSequence's hash constants.  _seed_pools and _pool_states
-# repeat its mixing (O'Neill's seed_seq) step by step on numpy vectors, with
-# 32-bit values held in uint64 and masked after every product.
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
 _CHUNK = 256   # scenarios per post-processing pass (the float buffer's rows)
-
-
-def _words(n: int) -> list[int]:
-    """An entropy integer as SeedSequence splits it: 32-bit words, least
-    significant first, at least one."""
-    if n < 0:
-        raise ValueError(f"seeds must be non-negative integers, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_pools(entropy: list[int], scenarios: np.ndarray) -> np.ndarray:
-    """SeedSequence(entropy + [s]).pool for every s in scenarios at once, as
-    a len(scenarios) x 4 uint32 array.  Each s must be below 2**32, so that it
-    is one entropy word."""
-    words = [w for e in entropy for w in _words(e)]
-    words.append(scenarios.astype(np.uint64))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(words[i] if i < len(words) else 0)
-            for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-    return np.stack(pool, axis=1).astype(np.uint32)
-
-
-def _pool_states(pools: np.ndarray) -> np.ndarray:
-    """generate_state(4, np.uint64) of every pool row: eight hashed 32-bit
-    words, read pairwise as little-endian 64-bit values."""
-    pools = pools.astype(np.uint64)
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pools[:, i % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        halves.append(value ^ (value >> 16))
-    return np.stack([halves[j] | (halves[j + 1] << 32) for j in range(0, 8, 2)],
-                    axis=1)
-
-
-@functools.cache
-def _precomputed_seed():
-    """The seed-sequence type that hands a bit generator its generate_state
-    row, computed beforehand.  Made on first use: numpy.random loads lazily,
-    and importing it (2 MB) in every command would cost those that draw
-    nothing."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PrecomputedSeed(ISeedSequence):
-        def __init__(self, state): self.state = state
-        def generate_state(self, n_words, dtype=np.uint32): return self.state
-    return PrecomputedSeed
 
 
 def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                    seed: int, tag: str = "scenario",
                    replication: int = 0) -> ScenarioSet:
     """K independent realizations, one (stage-1, stage-2) draw per expanded
-    patient, reproducible from (seed, tag, replication, scenario).
+    patient, reproducible from (seed, tag, replication).
 
-    Scenario s draws from default_rng(SeedSequence([seed, tag key,
-    replication, s])).  Each chunk of _CHUNK scenarios is seeded by one
-    vectorised hash, drawn into a reused float buffer and post-processed at
-    once; scenario 0's seeding is checked against numpy's SeedSequence."""
+    The set draws from default_rng(SeedSequence([seed, tag key, replication,
+    0])), scenario s taking the s-th n x 2 block of its stream: standard
+    normals for the normal family, uniforms on [0, 1) for the uniform one.
+    The trailing 0 makes scenario 0 the draw of a generator keyed by the
+    scenario alone, so one-scenario sets keep the values that keying gave.
+    The draws fill a reused float buffer _CHUNK scenarios at a time, each
+    chunk post-processed at once."""
     if K < 1:
         raise ValueError(f"K = {K} scenarios (sample paths): at least one "
                          "is needed")
+    for key in (seed, replication):
+        if key < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {key}")
     patients = [p for block in expand_horizon(inst) for p in block]
     n = len(patients)
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
@@ -200,29 +126,16 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                            for p in patients], dtype=np.int64)
         stages = ((means_lam, sds_lam, 0, None), (means_mu, sds_mu, 0, None))
 
-    entropy = [seed, _tag_int(tag), replication]
-    seeded = _precomputed_seed()
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, _tag_int(tag), replication, 0]))
+    fill = rng.standard_normal if dist.family == "normal" else rng.random
     lam_out = np.empty((K, n), dtype=np.int64)
     mu_out = np.empty((K, n), dtype=np.int64)
     buffer = np.empty((min(K, _CHUNK), n, 2))
     for start in range(0, K, _CHUNK):
         stop = min(start + _CHUNK, K)
-        pools = _seed_pools(entropy, np.arange(start, stop))
-        states = _pool_states(pools)
-        if start == 0:
-            reference = np.random.SeedSequence(entropy + [0])
-            if not (np.array_equal(pools[0], reference.pool)
-                    and np.random.PCG64(seeded(states[0])).state
-                    == np.random.PCG64(reference).state):
-                raise RuntimeError("vectorised seeding no longer matches "
-                                   "numpy's SeedSequence; draws would shift")
         block = buffer[:stop - start]
-        for row, state in zip(block, states):
-            rng = np.random.Generator(np.random.PCG64(seeded(state)))
-            if dist.family == "normal":
-                rng.standard_normal(out=row)
-            else:
-                rng.random(out=row)
+        fill(out=block)
         # in place, in the order of the per-scenario formulas:
         # rint(mean + sd * z), rint(mean * (1 - w / 2 + w * u)), then clip
         for j, out in enumerate((lam_out[start:stop], mu_out[start:stop])):

@@ -401,6 +401,27 @@ class TestRejectedInputs:
         assert captured.err == (f"error: {flag} {bad}: must be a number or "
                                 "a fraction with a nonzero denominator\n")
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["compare"], "--alphas", "0.5,-1"),
+        (["compare"], "--overtimes", "-1"),
+        (["compare"], "--beta", "-2"),
+        (["noshow"], "--alpha-grid", "-1"),
+        (["noshow"], "--beta", "-1"),
+        (["noshow"], "--o", "-1"),
+    ])
+    def test_negative_weight_flag_exits_one(self, ex1_path, capsys,
+                                            monkeypatch, command, flag, value):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        assert run(command + ["--instance", ex1_path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert drawn == [] and captured.out == ""
+        bad = value.split(",")[-1]
+        assert captured.err == (f"error: {flag} {bad}: a cost weight must "
+                                "not be negative\n")
+
 
     @pytest.mark.parametrize("command, message", [
         (["template", "--method", "alg1", "--k", "3"],

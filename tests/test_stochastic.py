@@ -18,8 +18,7 @@ from blocksched.stochastic import (DistributionSpec, SAAConfig,
                                    fixed_template_inner, t_critical,
                                    scenario_average_cost,
                                    summarize_paths, _column_floats,
-                                   _pool_states,
-                                   _seed_pools, _tag_int, _uniform_bounds)
+                                   _tag_int, _uniform_bounds)
 from conftest import mk_instance, random_conformant_instance
 
 
@@ -73,10 +72,10 @@ class TestDrawScenarios:
                                    replication=1).lam == base.lam).all()
 
 
-def reference_draws(inst, dist, K, seed, tag, replication=0):
-    """The per-scenario loop draw_scenarios replaced: a fresh
-    default_rng(SeedSequence([seed, tag key, replication, s])) per scenario,
-    with the uniform family clamped patient by patient."""
+def scenario_formula(inst, dist):
+    """The per-scenario formula, as a function of a generator: an n x 2
+    block of its standard normals (normal family) or uniforms (uniform
+    family), made into tenths and clamped patient by patient."""
     patients = [p for b in expand_horizon(inst) for p in b]
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
     means_mu = np.array([int(p.mu) for p in patients], dtype=np.int64)
@@ -84,14 +83,11 @@ def reference_draws(inst, dist, K, seed, tag, replication=0):
                         for p in patients], dtype=np.int64)
     sds_mu = np.array([int(inst.types[p.type_index].mu_sd)
                        for p in patients], dtype=np.int64)
-    if dist.family == "uniform_width":
-        w = float(dist.width)
-        bounds = [(_uniform_bounds(int(p.lam), dist.width),
-                   _uniform_bounds(int(p.mu), dist.width)) for p in patients]
-    lam_rows, mu_rows = [], []
-    for s in range(K):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _tag_int(tag), replication, s]))
+    w = float(dist.width)
+    bounds = [(_uniform_bounds(int(p.lam), dist.width),
+               _uniform_bounds(int(p.mu), dist.width)) for p in patients]
+
+    def one_scenario(rng):
         if dist.family == "normal":
             z = rng.standard_normal((len(patients), 2))
             lam = np.rint(means_lam + sds_lam * z[:, 0]).astype(np.int64)
@@ -106,25 +102,37 @@ def reference_draws(inst, dist, K, seed, tag, replication=0):
                    for v, ((lo, hi), _) in zip(lam.tolist(), bounds)]
             mu = [min(max(v, lo), hi)
                   for v, (_, (lo, hi)) in zip(mu.tolist(), bounds)]
-        lam_rows.append(lam)
-        mu_rows.append([v if p.qplus else 0 for v, p in zip(mu, patients)])
-    return np.array(lam_rows), np.array(mu_rows)
+        return lam, [v if p.qplus else 0 for v, p in zip(mu, patients)]
+    return one_scenario
+
+
+def reference_draws(inst, dist, K, seed, tag, replication=0):
+    """The plain oracle: one default_rng(SeedSequence([seed, tag key,
+    replication, 0])), then K scenarios drawn from it one after another."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, _tag_int(tag), replication, 0]))
+    one_scenario = scenario_formula(inst, dist)
+    rows = [one_scenario(rng) for _ in range(K)]
+    return (np.array([lam for lam, _ in rows]),
+            np.array([mu for _, mu in rows]))
+
+
+FAMILIES = pytest.mark.parametrize(
+    "dist", [DistributionSpec("normal"), DistributionSpec.uniform(0),
+             DistributionSpec.uniform("0.4"), DistributionSpec.uniform(2)],
+    ids=["normal", "w0", "w0.4", "w2"])
 
 
 class TestDrawContract:
-    """draw_scenarios seeds all K generators in one vectorised pass and
-    post-processes the draws in chunks; path s must still be exactly the
-    draws of its own keyed generator."""
+    """draw_scenarios draws a whole set from one keyed generator and
+    post-processes the draws in chunks; scenario s must still be exactly
+    the s-th scenario of the plain oracle."""
 
     # K = 255, 256 and 257 sit on the post-processing chunk edge
     SIZES = (1, 255, 256, 257, 2000)
 
     @pytest.mark.parametrize("fixture", ["ex1", "ex2", "table7"])
-    @pytest.mark.parametrize("dist", [DistributionSpec("normal"),
-                                      DistributionSpec.uniform(0),
-                                      DistributionSpec.uniform("0.4"),
-                                      DistributionSpec.uniform(2)],
-                             ids=["normal", "w0", "w0.4", "w2"])
+    @FAMILIES
     def test_draws_equal_the_per_scenario_loop(self, request, fixture, dist):
         base = request.getfixturevalue(fixture)
         for k in (1, 2, 3):
@@ -139,19 +147,35 @@ class TestDrawContract:
                 assert np.array_equal(sset.lam, lam[:K]), (k, K)
                 assert np.array_equal(sset.mu, mu[:K]), (k, K)
 
+    @pytest.mark.parametrize("fixture", ["ex2", "table7"])
+    @FAMILIES
+    def test_scenario_zero_is_the_one_path_draw(self, request, fixture, dist):
+        # path s once drew from its own default_rng(SeedSequence([seed,
+        # tag key, replication, s])); scenario 0 of any set is still that
+        # keying's path 0, so one-path sets (K = 1) keep their values
+        inst = request.getfixturevalue(fixture)
+        path = 0
+        for seed, tag, replication in ((0, "scenario", 0), (7, "saa-K1", 3),
+                                       (2**40, "compare", 2**33)):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [seed, _tag_int(tag), replication, path]))
+            lam, mu = scenario_formula(inst, dist)(rng)
+            for K in (1, 3):
+                sset = draw_scenarios(inst, dist, K, seed, tag, replication)
+                assert sset.lam[0].tolist() == lam
+                assert sset.mu[0].tolist() == mu
+
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("replication", [0, 2**33])
-    def test_seeding_equals_seed_sequence(self, seed, replication):
-        scenarios = np.array([0, 1, 255, 256, 2**32 - 1])
+    def test_seeding_equals_seed_sequence(self, table7, seed, replication):
+        # keys of more than one 32-bit word reach SeedSequence whole
         for tag in ("scenario", "mc", "saa-K15", "compare-shows"):
-            entropy = [seed, _tag_int(tag), replication]
-            pools = _seed_pools(entropy, scenarios)
-            states = _pool_states(pools)
-            for s, pool, state in zip(scenarios.tolist(), pools, states):
-                ref = np.random.SeedSequence(entropy + [s])
-                assert np.array_equal(pool, ref.pool)
-                assert state.dtype == np.uint64
-                assert np.array_equal(state, ref.generate_state(4, np.uint64))
+            sset = draw_scenarios(table7, DistributionSpec("normal"), 3, seed,
+                                  tag, replication)
+            lam, mu = reference_draws(table7, DistributionSpec("normal"), 3,
+                                      seed, tag, replication)
+            assert np.array_equal(sset.lam, lam)
+            assert np.array_equal(sset.mu, mu)
 
     @pytest.mark.parametrize("key", [dict(seed=-1), dict(replication=-2)])
     def test_negative_key_rejected(self, ex1, key):
@@ -159,23 +183,9 @@ class TestDrawContract:
         with pytest.raises(ValueError, match="non-negative"):
             draw_scenarios(ex1, DistributionSpec("normal"), 3, **kwargs)
 
-    def test_seeding_mismatch_raises_instead_of_shifting(self, ex1,
-                                                         monkeypatch):
-        from blocksched import stochastic
-        real = stochastic._seed_pools
-
-        def shifted(entropy, scenarios):
-            pools = real(entropy, scenarios)
-            pools[:, 0] ^= 1
-            return pools
-
-        monkeypatch.setattr(stochastic, "_seed_pools", shifted)
-        with pytest.raises(RuntimeError, match="SeedSequence"):
-            draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=1)
-
 
 class TestUniformDraws:
-    @pytest.mark.parametrize("width", ["0.4", "2"])
+    @pytest.mark.parametrize("width", ["0", "0.4", "1.7", "2"])
     def test_draws_equal_the_per_patient_clamp(self, table7, width):
         w = Fraction(width)
         sset = draw_scenarios(table7, DistributionSpec.uniform(w), 40, seed=4,
