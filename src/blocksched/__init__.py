@@ -5,15 +5,14 @@ from .instance import (BalanceResult, ClinicInstance, CostWeights,
                        PatientType, ValidationReport, balance_workload,
                        balanced_blocks, expand_block, expand_horizon,
                        instance_from_dict, instance_to_dict, load_instance,
-                       reduced_instance, validate_instance, workloads)
+                       validate_instance, workloads)
 from .timeline import (AppointmentTemplate, ScheduleEvaluation,
                        ServiceRealization, concatenate, evaluate,
                        pa_prefix_taus, sections, single_block_template,
                        total_cost)
-from .heuristics import (BoundReport, RobustnessReport, algorithm1,
-                         algorithm2, algorithm3, algorithm4, bound_report,
-                         closed_form_wait, fcfa, junction_theta,
-                         robust_template, robustness_report, w_threshold,
+from .heuristics import (BoundReport, algorithm1, algorithm2, algorithm3,
+                         algorithm4, bound_report, closed_form_wait, fcfa,
+                         junction_theta, robust_template, w_threshold,
                          wait_bound_block, wait_bound_horizon)
 from .exact import (SearchConfig, Solution, solve_block_exact,
                     solve_horizon_exact, solve_saa_replication)

@@ -17,13 +17,12 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import exact as exact_mod
 from . import heuristics, noshow as noshow_mod, stochastic
-from .instance import (ClinicInstance, CostWeights, InstanceFormatError,
-                       InvalidInstanceError, balance_workload, expand_block,
-                       load_instance, validate_instance)
+from .instance import (MAX_TIME, ClinicInstance, CostWeights,
+                       InstanceFormatError, InvalidInstanceError,
+                       balance_workload, expand_block, load_instance,
+                       validate_instance)
 from .timeline import METRICS, evaluate, evaluation_rows, weighted_cost
 from .units import fmt_minutes, fmt_number, tenths
 
@@ -50,6 +49,15 @@ def _weight(text: str, flag: str) -> Fraction:
     value = _fraction(text, flag)
     if value < 0:
         raise ValueError(f"{flag} {text}: a cost weight must not be negative")
+    return value
+
+
+def _probability(text: str, flag: str) -> Fraction:
+    """The value of a no-show probability flag: a Fraction flag in [0, 1]."""
+    value = _fraction(text, flag)
+    if not 0 <= value <= 1:
+        raise ValueError(f"{flag} {text}: a no-show probability must be in "
+                         "[0, 1]")
     return value
 
 
@@ -118,9 +126,7 @@ def _build_template(inst, method, seed=0):
     if method == "alg4":
         return heuristics.algorithm4(inst)
     if method == "fcfa":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), stochastic._tag_int("fcfa")]))
-        return heuristics.fcfa(inst, rng)
+        return heuristics.fcfa(inst, stochastic.keyed_rng(seed, "fcfa"))
     raise ValueError(f"unknown method: {method}")
 
 
@@ -231,6 +237,10 @@ def _cmd_exact(args):
     given = [f for f in EXACT_SAA_DEFAULTS if getattr(args, f) is not None]
     if args.scope != "saa" and given:
         raise ValueError(f"--{given[0]} applies to --scope saa only")
+    if args.scope != "saa" and args.tau_rule != "earliest":
+        raise ValueError(f"--tau-rule {args.tau_rule} applies to --scope saa "
+                         "only; the deterministic models pin appointments "
+                         "to the earliest starts")
     if args.scope != "horizon" and args.k is not None:
         raise ValueError(f"--k applies to --scope horizon only; the "
                          f"{args.scope} scope solves one block")
@@ -240,7 +250,7 @@ def _cmd_exact(args):
     inst = _with_k(load_instance(args.instance), args.k)
     config = exact_mod.SearchConfig(node_limit=args.node_limit,
                                     time_limit=args.time_limit,
-                                    mode=args.mode, tau_rule=args.tau_rule)
+                                    mode=args.mode)
     weights = inst.costs
     if args.scope == "block":
         solution = exact_mod.solve_block_exact(expand_block(inst), weights, config)
@@ -251,8 +261,8 @@ def _cmd_exact(args):
     else:
         scenario_set = stochastic.draw_scenarios(
             inst, _dist_from_args(args), args.K, args.seed, tag="exact-saa")
-        solution = exact_mod.solve_saa_replication(inst, weights, scenario_set,
-                                                   config)
+        solution = exact_mod.solve_saa_replication(
+            inst, weights, scenario_set, config, tau_rule=args.tau_rule)
         regular = None
     payload = {
         "scope": args.scope, "mode": args.mode,
@@ -326,8 +336,11 @@ def _cmd_noshow(args):
     if not isinstance(R, int) or R < 0:
         raise ValueError(f"--R {args.R}: must be a non-negative number of "
                          "minutes on the 0.1-minute grid")
-    probs = noshow_mod.NoShowProbs.of(_fraction(args.p_plus, "--p-plus"),
-                                      _fraction(args.p, "--p"))
+    if R > MAX_TIME:
+        raise ValueError(f"--R {args.R}: must be at most {MAX_TIME // 10} "
+                         "minutes")
+    probs = noshow_mod.NoShowProbs.of(_probability(args.p_plus, "--p-plus"),
+                                      _probability(args.p, "--p"))
     alphas = [_weight(a, "--alpha-grid")
               for a in args.alpha_grid.split(",") if a]
     _check_nonempty("--alpha-grid", alphas)

@@ -223,38 +223,26 @@ def bound_report(inst: ClinicInstance) -> BoundReport:
 # Uniform service-time uncertainty: width threshold and robust appointments
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    w_star: Fraction
-    prefix_ratios: tuple[Fraction, ...]
-    robust_taus: tuple[Scalar, ...]
-
-
 MAX_WIDTH = Fraction(2)  # width 2 is the whole support [0, 2*mean]
-
-
-def _prefix_ratios(sequence: PatientList) -> tuple[Fraction, ...]:
-    """Per front prefix j, 2*sum(mu_l - lam_{l+1}) / sum(mu_l + lam_{l+1}),
-    or 0 where that prefix sum of slack is negative."""
-    front = [p for p in sequence if p.qplus]
-    ratios = []
-    num = den = 0
-    for j in range(1, len(front)):
-        num += front[j - 1].mu - front[j].lam
-        den += front[j - 1].mu + front[j].lam
-        ratios.append(Fraction(2 * num, den) if num >= 0 else Fraction(0))
-    return tuple(ratios)
 
 
 def w_threshold(sequence: PatientList) -> Fraction:
     """Largest uniform width w for which the slack-adjusted appointment times
     keep the physician idle-free on every sample path.
 
-    Minimum over front prefixes of their ratio (see _prefix_ratios); zero as
-    soon as any prefix sum of slack goes negative.  With fewer than two Q+
-    patients there is no constraint and the full width is allowed.
+    Minimum over front prefixes j of 2*sum(mu_l - lam_{l+1}) /
+    sum(mu_l + lam_{l+1}); zero as soon as any prefix sum of slack goes
+    negative.  With fewer than two Q+ patients there is no constraint and
+    the full width is allowed.
     """
-    return min((*_prefix_ratios(sequence), MAX_WIDTH))
+    front = [p for p in sequence if p.qplus]
+    w = MAX_WIDTH
+    num = den = 0
+    for j in range(1, len(front)):
+        num += front[j - 1].mu - front[j].lam
+        den += front[j - 1].mu + front[j].lam
+        w = min(w, Fraction(2 * num, den) if num >= 0 else Fraction(0))
+    return w
 
 
 def robust_template(sequence: PatientList, w) -> AppointmentTemplate:
@@ -270,11 +258,3 @@ def robust_template(sequence: PatientList, w) -> AppointmentTemplate:
                     else tau)
         prefix = prefix + p.lam
     return AppointmentTemplate(tuple(sequence), tuple(taus), (0, len(sequence)))
-
-
-def robustness_report(inst: ClinicInstance, w=None) -> RobustnessReport:
-    seq = algorithm1(expand_block(inst))
-    ratios = _prefix_ratios(seq)
-    w_star = w_threshold(seq)
-    template = robust_template(seq, w if w is not None else w_star)
-    return RobustnessReport(w_star, ratios, template.taus)

@@ -5,6 +5,17 @@ patients of type i; Q-group types (stage-2 mean 0) see only the assistant,
 Q+ types see assistant then physician.  All times are tenths of a minute
 (see units.py); construct from minutes via ``PatientType.from_minutes`` or
 the JSON loader.
+
+No time an instance holds (means, standard deviations, the regular time)
+may exceed MAX_TIME = 10^7 tenths (10^6 minutes) in size: the loader and
+validate_instance reject one that does, naming its field, and so does
+``noshow --R``.  This keeps the int64 arithmetic exact.  A standard normal
+from numpy stays below 14 in size and a uniform draw below twice its mean,
+so every drawn time is below 15 * MAX_TIME < 2^53, and the float draws
+round exactly.  On a path of n slots every free time stays below
+32 * n * MAX_TIME and the summed waits below 32 * n^2 * MAX_TIME, which
+is under 2^63 up to n = 160,000 slots; a sum over K paths stays under it
+while K * n^2 < 2.8 * 10^10.
 """
 
 from __future__ import annotations
@@ -22,6 +33,17 @@ class InstanceFormatError(ValueError):
 
 class InvalidInstanceError(ValueError):
     """Raised when a solver is handed an instance with hard validation errors."""
+
+
+MAX_TIME = 10 ** 7   # tenths: the largest size of any time (see above)
+
+
+def _beyond_limit(value: Scalar) -> str | None:
+    """Why a time of value tenths is too large, or None when it is not."""
+    if abs(value) > MAX_TIME:
+        return (f"{fmt_minutes(value)} minutes is beyond the "
+                f"{MAX_TIME // 10}-minute limit")
+    return None
 
 
 @dataclass(frozen=True)
@@ -148,6 +170,10 @@ def validate_instance(inst: ClinicInstance) -> ValidationReport:
             report.errors.append(f"{where}: negative standard deviation")
         if t.mu < 0:
             report.errors.append(f"{where}: negative stage-2 time")
+        for name, value in (("lambda_mean", t.lam), ("lambda_sd", t.lam_sd),
+                            ("mu_mean", t.mu), ("mu_sd", t.mu_sd)):
+            if why := _beyond_limit(value):
+                report.errors.append(f"{where}: {name} {why}")
         if t.qplus and t.mu < t.lam:
             report.warnings.append(
                 f"{where}: stage-2 mean below stage-1 mean; no-idle guarantees void")
@@ -156,6 +182,8 @@ def validate_instance(inst: ClinicInstance) -> ValidationReport:
             report.errors.append(f"costs.{name}: negative weight")
     if inst.regular_time < 0:
         report.errors.append("regular_time: negative")
+    if why := _beyond_limit(inst.regular_time):
+        report.errors.append(f"regular_time: {why}")
     if inst.blocks < 1:
         report.errors.append("blocks: must be >= 1")
     if not inst.types:
@@ -219,14 +247,6 @@ def balance_workload(inst: ClinicInstance) -> BalanceResult:
     return BalanceResult(ratios, tuple(removed), L_a, L_p)
 
 
-def reduced_instance(inst: ClinicInstance, result: BalanceResult) -> ClinicInstance:
-    """Instance with the post-balance per-block ratios (types at 0 dropped)."""
-    kept = tuple(
-        PatientType(t.name, t.lam, t.lam_sd, t.mu, t.mu_sd, result.reduced_ratios[t.name])
-        for t in inst.types if result.reduced_ratios.get(t.name, 0) > 0)
-    return ClinicInstance(kept, inst.costs, inst.regular_time, inst.blocks)
-
-
 def balanced_blocks(inst: ClinicInstance, result: BalanceResult
                     ) -> tuple[tuple[PatientList, ...], PatientList]:
     """Split the canonical horizon expansion into k reduced blocks plus the
@@ -274,6 +294,18 @@ def _number(mapping, key, where, integer: bool = False):
     return raw
 
 
+def _time(mapping, key, where, name) -> Scalar:
+    """mapping[key] in tenths, when it is a number of minutes on the
+    0.1-minute grid and within MAX_TIME; errors begin with name."""
+    raw = _number(mapping, key, where)
+    if not on_grid(raw):
+        raise InstanceFormatError(f"{name}: finer than 0.1-minute resolution")
+    value = tenths(raw)
+    if why := _beyond_limit(value):
+        raise InstanceFormatError(f"{name}: {why}")
+    return value
+
+
 def load_instance(path) -> ClinicInstance:
     with open(path) as fh:
         try:
@@ -296,22 +328,17 @@ def instance_from_dict(data: dict) -> ClinicInstance:
             if fieldname in ("lambda_sd", "mu_sd") and fieldname not in td:
                 values[fieldname] = 0
                 continue
-            raw = _number(td, fieldname, where)
-            if not on_grid(raw):
-                raise InstanceFormatError(
-                    f"{where}.{fieldname}: finer than 0.1-minute resolution")
-            values[fieldname] = tenths(raw)
+            values[fieldname] = _time(td, fieldname, where,
+                                      f"{where}.{fieldname}")
         ratio = _number(td, "ratio", where, integer=True)
         types.append(PatientType(str(name), values["lambda_mean"], values["lambda_sd"],
                                  values["mu_mean"], values["mu_sd"], ratio))
     costs_d = _need(data, "costs", "instance")
     costs = CostWeights(*(Fraction(_number(costs_d, k, "costs"))
                           for k in ("alpha", "beta_a", "beta_p", "o_a", "o_p")))
-    regular = _number(data, "regular_time", "instance")
-    if not on_grid(regular):
-        raise InstanceFormatError("regular_time: finer than 0.1-minute resolution")
+    regular = _time(data, "regular_time", "instance", "regular_time")
     blocks = _number(data, "blocks", "instance", integer=True)
-    return ClinicInstance(tuple(types), costs, tenths(regular), blocks)
+    return ClinicInstance(tuple(types), costs, regular, blocks)
 
 
 def instance_to_dict(inst: ClinicInstance) -> dict:

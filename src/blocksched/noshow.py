@@ -144,8 +144,7 @@ class ExpectedMetrics:
 
 
 def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
-                               regular_time: Scalar,
-                               cap: int = STATE_BUDGET) -> ExpectedMetrics:
+                               regular_time: Scalar) -> ExpectedMetrics:
     """Exact expectation over all show/no-show patterns.
 
     Walks ``plan.template()`` one slot at a time, each duplicate its own
@@ -155,7 +154,7 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
     does not show, and `timeline._slot`'s step, when they do.  Wait and
     idle add up along a pattern, so their expectations are summed slot by
     slot from the show children's increments; overtime follows from the
-    last layer.  ``cap`` bounds the live states after any slot.
+    last layer.  STATE_BUDGET bounds the live states after any slot.
 
     The children's keys are packed into one integer and sorted, and the
     weights of each run of equal keys are summed with ``np.add.reduceat``,
@@ -173,12 +172,12 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
     R = int(regular_time * D)
     # free times lie in [0, day]; per state, a slot's wait, each idle and
     # each overtime stay below bound, and the weights of a layer sum to at
-    # most denominator.  So keys < 4(day + 1)^2 and every weighted sum <
-    # denominator * bound.
+    # most denominator.  So keys < 4(day + 1)^2, |free time - R| <= day +
+    # |R| and every weighted sum < denominator * bound.
     day = int(D * (max((abs(tau) for tau in tpl.taus), default=0)
                    + sum(slot.lam + slot.mu for slot in tpl.slots)))
     bound = 2 * day + abs(R) + 1
-    time_dtype = np.int64 if 4 * (day + 1)**2 < 2**63 else object
+    time_dtype = np.int64 if 4 * (day + 1)**2 + abs(R) < 2**63 else object
     weight_dtype = (np.int64 if time_dtype is np.int64
                     and denominator * bound < 2**63 else object)
     state = (*np.zeros((2, 1), time_dtype), *np.zeros((2, 1), bool))
@@ -214,10 +213,10 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
         state = (pa[first], p[first], sa[first], sp[first])
         W = np.add.reduceat(np.concatenate([W * w for w in weights])[order],
                             runs)
-        if len(W) > cap:
+        if len(W) > STATE_BUDGET:
             raise ValueError(
                 f"{len(W)} merged show states after slot {t + 1} exceed the "
-                f"{cap}-state budget; use the Monte-Carlo fallback "
+                f"{STATE_BUDGET}-state budget; use the Monte-Carlo fallback "
                 "(evaluate_template_mc with noshow_probs)")
         visited += len(W)
 

@@ -54,6 +54,17 @@ def _tag_int(tag: str) -> int:
     return int.from_bytes(hashlib.sha256(tag.encode()).digest()[:8], "big")
 
 
+def keyed_rng(seed: int, tag: str, *keys: int) -> np.random.Generator:
+    """default_rng(SeedSequence([seed, tag key, *keys])), the tag key being
+    the first 8 bytes of the tag's SHA-256; the seed and the keys must be
+    non-negative integers."""
+    for key in (seed, *keys):
+        if key < 0:
+            raise ValueError(f"seeds must be non-negative integers, got {key}")
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, _tag_int(tag), *keys]))
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """K equally weighted sample paths over the instance's canonical horizon
@@ -104,9 +115,7 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
     if K < 1:
         raise ValueError(f"K = {K} scenarios (sample paths): at least one "
                          "is needed")
-    for key in (seed, replication):
-        if key < 0:
-            raise ValueError(f"seeds must be non-negative integers, got {key}")
+    rng = keyed_rng(seed, tag, replication, 0)
     patients = [p for block in expand_horizon(inst) for p in block]
     n = len(patients)
     means_lam = np.array([int(p.lam) for p in patients], dtype=np.int64)
@@ -126,8 +135,6 @@ def draw_scenarios(inst: ClinicInstance, dist: DistributionSpec, K: int,
                            for p in patients], dtype=np.int64)
         stages = ((means_lam, sds_lam, 0, None), (means_mu, sds_mu, 0, None))
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, _tag_int(tag), replication, 0]))
     fill = rng.standard_normal if dist.family == "normal" else rng.random
     lam_out = np.empty((K, n), dtype=np.int64)
     mu_out = np.empty((K, n), dtype=np.int64)
@@ -254,19 +261,15 @@ def evaluate_template_mc(template: AppointmentTemplate, inst: ClinicInstance,
                          weights: CostWeights | None = None,
                          regular_time: Scalar | None = None,
                          tag: str = "mc",
-                         scenario_set: ScenarioSet | None = None,
                          noshow_probs=None) -> MetricStats:
-    """Per-metric mean and standard error over N paths.  Pass the same
-    scenario_set to several methods for common-random-number comparisons."""
+    """Per-metric mean and standard error over N paths."""
     weights = weights or inst.costs
     if regular_time is None:
         regular_time = inst.regular_time
-    if scenario_set is None:
-        scenario_set = draw_scenarios(inst, dist, N, seed, tag)
+    scenario_set = draw_scenarios(inst, dist, N, seed, tag)
     shows_per_path = None
     if noshow_probs is not None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _tag_int(tag + "-shows")]))
+        rng = keyed_rng(seed, tag + "-shows")
         thresholds = np.array([float(noshow_probs.for_patient(p))
                                for p in template.slots])
         u = rng.random((scenario_set.K, len(template.slots)))
@@ -315,6 +318,9 @@ def confidence_halfwidth(psis, confidence: float = 0.95):
     return psi_bar, S2, h
 
 
+MAX_K_ROUNDS = 3   # sample sizes K, K + k_step, ... saa_procedure tries
+
+
 @dataclass(frozen=True)
 class SAAConfig:
     K: int = 15
@@ -323,7 +329,6 @@ class SAAConfig:
     xi: float = 0.04
     confidence: float = 0.95
     k_step: int = 5
-    max_k_rounds: int = 3
 
     def __post_init__(self):
         if self.nu0 < 2:
@@ -333,9 +338,6 @@ class SAAConfig:
                              f"{self.nu0}")
         if self.k_step < 1:
             raise ValueError(f"k_step must be >= 1, not {self.k_step}")
-        if self.max_k_rounds < 1:
-            raise ValueError("max_k_rounds must be >= 1, not "
-                             f"{self.max_k_rounds}")
         if not 0 < self.xi < 1:
             raise ValueError("xi must be in (0, 1)")
         if self.confidence not in _T_TABLE:
@@ -438,7 +440,7 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
     K = config.K
     threshold = config.xi / (1 + config.xi)
     last_state = None
-    for _ in range(config.max_k_rounds):
+    for _ in range(MAX_K_ROUNDS):
         tag = f"saa-K{K}"
         sets = []
         sols = []

@@ -306,9 +306,41 @@ class TestRejectedInputs:
         assert err.startswith("error: the node limit (20 nodes) ran out")
 
     def test_tau_rule_on_block_scope_exits_one(self, ex1_path, capsys):
-        assert run(["exact", "--instance", ex1_path, "--scope", "block",
-                    "--tau-rule", "quantile_grid"]) == 1
-        assert capsys.readouterr().err.startswith("error: tau rule")
+        for scope in ("block", "horizon"):
+            for mode in ("enumerate", "branch_and_bound"):
+                assert run(["exact", "--instance", ex1_path, "--scope", scope,
+                            "--mode", mode, "--tau-rule",
+                            "quantile_grid"]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    "error: --tau-rule quantile_grid applies to --scope saa "
+                    "only; the deterministic models pin appointments to the "
+                    "earliest starts\n")
+
+    @pytest.mark.parametrize("scope", ["block", "horizon"])
+    def test_earliest_tau_rule_on_deterministic_scopes_changes_nothing(
+            self, ex1_path, capsys, scope):
+        outputs = []
+        for rule in ([], ["--tau-rule", "earliest"]):
+            assert run(["exact", "--instance", ex1_path, "--scope",
+                        scope] + rule) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [
+        ["template", "--method", "fcfa"],
+        ["simulate", "--method", "fcfa", "--paths", "5"],
+        ["simulate", "--method", "alg4", "--paths", "5"],
+        ["compare", "--paths", "5"],
+    ], ids=lambda command: "-".join(command[:3:2]))
+    def test_negative_seed_names_the_seed_for_every_method(
+            self, ex1_path, capsys, command):
+        assert run(command + ["--instance", ex1_path, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: seeds must be non-negative integers, "
+                                "got -1\n")
 
     @pytest.mark.parametrize("command", [
         ["exact", "--scope", "saa"],
@@ -566,6 +598,17 @@ class TestNoshowCommand:
         assert payload["n_scheduled"] == 35
         assert payload["mass"] == "1"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--p", "-0.5"), ("--p", "3/2"), ("--p-plus", "2"),
+        ("--p-plus", "11/10")])
+    def test_no_show_probability_outside_unit_interval_names_the_flag(
+            self, table7_path, capsys, flag, value):
+        assert run(["noshow", "--instance", table7_path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} {value}: a no-show "
+                                "probability must be in [0, 1]\n")
+
     @pytest.mark.parametrize("R", ["-5", "0.05", "1/0"])
     def test_negative_off_grid_or_malformed_R_exits_one(self, table7_path,
                                                         capsys, R):
@@ -573,3 +616,96 @@ class TestNoshowCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --R {R}:")
+
+
+def instance_file(tmp_path, types=None, **fields):
+    """ex1 as a file, with its types or top-level fields replaced."""
+    data = json.loads((FIXDIR / "ex1.json").read_text())
+    if types is not None:
+        data["types"] = types
+    data.update(fields)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestTimesBeyondTheLimit:
+    """Times above 10^6 minutes would wrap in the int64 arithmetic; the
+    loader and --R reject them, naming the field or flag."""
+
+    def check_rejected(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--method", "alg4", "--paths", "5"],
+        ["compare", "--paths", "5"],
+        ["template", "--method", "alg4"],
+        ["saa", "--inner", "alg4", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+    ], ids=lambda command: command[0])
+    def test_huge_regular_time_exits_one(self, tmp_path, capsys, command):
+        path = instance_file(tmp_path, regular_time=10 ** 18)
+        self.check_rejected(
+            capsys, command + ["--instance", path],
+            "regular_time: 1000000000000000000 minutes is beyond the "
+            "1000000-minute limit")
+
+    def test_huge_noshow_R_exits_one(self, ex1_path, capsys):
+        self.check_rejected(
+            capsys, ["noshow", "--instance", ex1_path, "--R", "1e18"],
+            "--R 1e18: must be at most 1000000 minutes")
+
+    def test_R_at_the_limit_is_accepted(self, ex1_path, capsys):
+        assert run(["noshow", "--instance", ex1_path, "--R", "1000000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["expected"]["overtime_a"] == "0"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--method", "alg4", "--paths", "5"],
+        ["template", "--method", "alg4"],
+        ["exact", "--scope", "saa", "--K", "2"],
+    ], ids=lambda command: command[0])
+    def test_huge_lambda_mean_exits_one(self, tmp_path, capsys, command):
+        types = json.loads((FIXDIR / "ex1.json").read_text())["types"]
+        types[1]["lambda_mean"] = 10 ** 18
+        path = instance_file(tmp_path, types=types)
+        self.check_rejected(
+            capsys, command + ["--instance", path],
+            "types[1].lambda_mean: 1000000000000000000 minutes is beyond "
+            "the 1000000-minute limit")
+
+    def test_wrapping_alg2_template_writes_nothing(self, tmp_path, capsys):
+        # two stage-1 times of 4.7e17 minutes sum past 2^63 tenths: the
+        # parent wrote a negative f_a with no overtime here
+        path = instance_file(
+            tmp_path, regular_time=300, blocks=1,
+            types=[{"name": "A", "lambda_mean": 470000000000000000,
+                    "mu_mean": 0, "ratio": 2}])
+        csv_path = tmp_path / "t.csv"
+        self.check_rejected(
+            capsys, ["template", "--method", "alg2", "--instance", path,
+                     "--csv", str(csv_path)],
+            "types[0].lambda_mean: 470000000000000000 minutes is beyond the "
+            "1000000-minute limit")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("field", ["lambda_sd", "mu_mean", "mu_sd"])
+    def test_every_time_field_is_bounded(self, tmp_path, capsys, field):
+        types = json.loads((FIXDIR / "ex1.json").read_text())["types"]
+        types[0][field] = -1000000.1
+        path = instance_file(tmp_path, types=types)
+        self.check_rejected(
+            capsys, ["validate", "--instance", path],
+            f"types[0].{field}: -1000000.1 minutes is beyond the "
+            "1000000-minute limit")
+
+    def test_times_at_the_limit_are_accepted(self, tmp_path, capsys):
+        path = instance_file(
+            tmp_path, regular_time=1000000, blocks=1,
+            types=[{"name": "A", "lambda_mean": 1000000, "lambda_sd": 1000000,
+                    "mu_mean": 1000000, "mu_sd": 1000000, "ratio": 3}])
+        assert run(["simulate", "--method", "alg4", "--instance", path,
+                    "--paths", "50"]) == 0
+        assert json.loads(capsys.readouterr().out)["paths"] == 50

@@ -225,7 +225,7 @@ class TestSaaReplication:
         best, slots, taus = oracle_saa(inst, w, scen, "quantile_grid")
         for mode in MODES:
             sol = solve_saa_replication(
-                inst, w, scen, SearchConfig(mode=mode, tau_rule="quantile_grid"))
+                inst, w, scen, SearchConfig(mode=mode), tau_rule="quantile_grid")
             assert sol.optimal and sol.objective == best
             assert (sol.template.slots, sol.template.taus) == (slots, taus)
             assert scenario_average_cost(sol.template, scen, w) == best
@@ -245,7 +245,7 @@ class TestSaaReplication:
                 best, slots, taus = oracle_saa(inst, w, scen, rule)
                 for mode in MODES:
                     sol = solve_saa_replication(
-                        inst, w, scen, SearchConfig(mode=mode, tau_rule=rule))
+                        inst, w, scen, SearchConfig(mode=mode), tau_rule=rule)
                     assert sol.optimal and sol.objective == best
                     assert (sol.template.slots, sol.template.taus) == (slots,
                                                                        taus)
@@ -281,7 +281,7 @@ class TestSaaReplication:
                 best, slots, taus = oracle_saa(inst, w, scen, rule)
                 for mode in MODES:
                     sol = solve_saa_replication(
-                        inst, w, scen, SearchConfig(mode=mode, tau_rule=rule))
+                        inst, w, scen, SearchConfig(mode=mode), tau_rule=rule)
                     assert sol.optimal and sol.objective == best
                     assert (sol.template.slots, sol.template.taus) == (slots,
                                                                        taus)
@@ -292,7 +292,7 @@ class TestSaaReplication:
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 4, seed=3)
         for rule in ("earliest", "quantile_grid"):
             enum, bnb = (solve_saa_replication(
-                ex1, ex1.costs, scen, SearchConfig(mode=mode, tau_rule=rule))
+                ex1, ex1.costs, scen, SearchConfig(mode=mode), tau_rule=rule)
                 for mode in MODES)
             assert enum.optimal and bnb.optimal
             assert (enum.objective, enum.template) == (bnb.objective,
@@ -364,7 +364,7 @@ class TestSaaChunkedSearch:
             for mode in MODES:
                 sol = solve_saa_replication(
                     inst, inst.costs, scen,
-                    SearchConfig(mode=mode, tau_rule=rule))
+                    SearchConfig(mode=mode), tau_rule=rule)
                 assert sol.optimal and sol.objective == best
                 assert (sol.template.slots, sol.template.taus) == (slots, taus)
 
@@ -418,7 +418,7 @@ class TestSaaChunkedSearch:
                         chunks.clear()
                         sol = solve_saa_replication(
                             inst, inst.costs, scen,
-                            SearchConfig(mode=mode, tau_rule=rule))
+                            SearchConfig(mode=mode), tau_rule=rule)
                         seen.add((sol.objective, sol.template, sol.optimal)
                                  + ((sol.nodes_explored,)
                                     if mode == "enumerate" else ()))
@@ -829,12 +829,14 @@ class TestLayeredDP:
 
 
 class TestRejectedConfigs:
-    def test_deterministic_scopes_reject_quantile_grid(self, ex1):
-        config = SearchConfig(tau_rule="quantile_grid")
-        with pytest.raises(ValueError, match="quantile_grid"):
-            solve_block_exact(expand_block(ex1), ex1.costs, config)
-        with pytest.raises(ValueError, match="quantile_grid"):
-            solve_horizon_exact(ex1, ex1.costs, config)
+    def test_search_config_holds_what_every_solver_reads(self):
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+            "node_limit", "time_limit", "mode"]
+
+    def test_saa_rejects_an_unknown_tau_rule(self, ex1):
+        scen = draw_scenarios(ex1, DistributionSpec("normal"), 2, seed=1)
+        with pytest.raises(ValueError, match="^unknown tau rule: latest$"):
+            solve_saa_replication(ex1, ex1.costs, scen, tau_rule="latest")
 
     @pytest.mark.parametrize("blocks", [0, -1])
     def test_horizon_rejects_fewer_than_one_block(self, ex1, blocks):

@@ -244,13 +244,3 @@ class TestReports:
             assert report.conformant
             assert report.closed_form_wait <= report.block_bound
             assert report.horizon_bound >= inst.blocks * report.block_bound
-
-    def test_robustness_report_shape(self, ex1):
-        from blocksched import robustness_report
-        report = robustness_report(ex1)
-        assert report.w_star == Fraction(1, 2)
-        assert report.robust_taus[0] == 0
-        assert all(a <= b for a, b in
-                   zip(report.robust_taus, report.robust_taus[1:]))
-        assert len(report.prefix_ratios) == 3  # gamma - 1 prefixes
-        assert min(report.prefix_ratios) == report.w_star

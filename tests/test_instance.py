@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from blocksched import (InstanceFormatError, balance_workload, expand_block,
                         instance_from_dict, instance_to_dict, load_instance,
-                        reduced_instance, validate_instance, workloads)
+                        validate_instance, workloads)
+from blocksched.instance import MAX_TIME
 from blocksched.units import tenths
 
 from conftest import mk_instance, random_conformant_instance
@@ -37,6 +39,21 @@ class TestValidate:
         report = validate_instance(inst)
         assert report.ok
         assert any("no-idle guarantees void" in w for w in report.warnings)
+
+    def test_times_beyond_the_limit_name_their_field(self, ex1):
+        # instances built in code skip the loader: the validator bounds
+        # every time at MAX_TIME tenths (10^6 minutes), each field named
+        inst = mk_instance([("A", 10 ** 6, 10 ** 6 + 1, 1, 10 ** 7, 10 ** 6)])
+        assert validate_instance(inst).errors == [
+            "types[0] (A): lambda_sd 10000000 minutes is beyond the "
+            "1000000-minute limit",
+            "types[0] (A): mu_mean 1000001 minutes is beyond the "
+            "1000000-minute limit"]
+        late = dataclasses.replace(ex1, regular_time=-MAX_TIME - 1)
+        assert validate_instance(late).errors == [
+            "regular_time: negative",
+            "regular_time: -1000000.1 minutes is beyond the 1000000-minute "
+            "limit"]
 
 
 class TestExpandBlock:
@@ -142,8 +159,8 @@ class TestBalance:
 
     def test_reduced_instance_plus_overflow_matches_original(self, ex2):
         result = balance_workload(ex2)
-        reduced = reduced_instance(ex2, result)
-        merged = {t.name: t.ratio for t in reduced.types}
+        assert result.overflow_list
+        merged = dict(result.reduced_ratios)
         for name in result.overflow_list:
             merged[name] = merged.get(name, 0) + 1
         assert merged == {t.name: t.ratio for t in ex2.types}

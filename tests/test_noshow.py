@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blocksched import (CostWeights, ServiceRealization, algorithm2,
-                        evaluate, expand_block)
+                        evaluate, expand_block, noshow)
 from blocksched.noshow import (NoShowProbs, build_overbook_plan,
                                enumerate_expected_metrics,
                                expected_cost_per_patient)
@@ -101,10 +101,12 @@ class TestEnumerate:
         assert metrics.overtime_a == Fraction(7)  # 0.7 * 10 minutes
         assert metrics.mass == 1 and metrics.path_count == 2
 
-    def test_cap_exceeded_points_to_monte_carlo(self, schedule_s):
+    def test_cap_exceeded_points_to_monte_carlo(self, schedule_s,
+                                                monkeypatch):
+        monkeypatch.setattr(noshow, "STATE_BUDGET", 10)
         plan = build_overbook_plan(schedule_s, "lf", PROBS)
         with pytest.raises(ValueError, match="Monte-Carlo"):
-            enumerate_expected_metrics(plan, PROBS, tenths(150), cap=10)
+            enumerate_expected_metrics(plan, PROBS, tenths(150))
 
     def test_class_aggregation_matches_full_enumeration(self):
         # 4 base slots + 3 duplicates = 7 patients, 128 raw patterns
@@ -219,11 +221,12 @@ def test_class_aggregation_random_plans_match_brute_force():
                                       oracle["overtime_p"])
 
 
-def test_state_budget_error_names_the_state_count(schedule_s):
+def test_state_budget_error_names_the_state_count(schedule_s, monkeypatch):
+    monkeypatch.setattr(noshow, "STATE_BUDGET", 10)
     plan = build_overbook_plan(schedule_s, "lf", PROBS)
     with pytest.raises(ValueError, match=r"^\d+ merged show states .* "
                                          r"10-state budget"):
-        enumerate_expected_metrics(plan, PROBS, tenths(150), cap=10)
+        enumerate_expected_metrics(plan, PROBS, tenths(150))
 
 
 def test_merged_pass_matches_brute_force_on_seeded_random_plans():

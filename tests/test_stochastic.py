@@ -292,8 +292,10 @@ class TestSaaProcedure:
         assert a.incumbent.template == b.incumbent.template
         assert a.incumbent_average == b.incumbent_average
 
-    def test_shrinking_variance_never_adds_replications(self, ex1):
-        cfg = SAAConfig(K=3, nu0=2, nu_max=8, xi=0.002, max_k_rounds=1)
+    def test_shrinking_variance_never_adds_replications(self, ex1,
+                                                        monkeypatch):
+        monkeypatch.setattr(stochastic, "MAX_K_ROUNDS", 1)
+        cfg = SAAConfig(K=3, nu0=2, nu_max=8, xi=0.002)
         tpl = algorithm4(ex1)
         inner = fixed_template_inner(tpl, ex1.regular_time)
         noisy = saa_procedure(ex1, ex1.costs, cfg, seed=5, inner_solver=inner,
@@ -333,7 +335,7 @@ class TestReplicationObjectiveContract:
                 for mode in ("enumerate", "branch_and_bound"):
                     sol = solve_saa_replication(
                         inst, inst.costs, scen,
-                        SearchConfig(mode=mode, tau_rule=rule))
+                        SearchConfig(mode=mode), tau_rule=rule)
                     assert Fraction(sol.objective) == scenario_average_cost(
                         sol.template, scen, inst.costs)
 
@@ -354,8 +356,8 @@ class TestReplicationObjectiveContract:
 
 
 class TestTournamentReuse:
-    CONFIG = SAAConfig(K=3, nu0=3, nu_max=4, xi=1e-9, k_step=2,
-                       max_k_rounds=2)
+    CONFIG = SAAConfig(K=3, nu0=3, nu_max=4, xi=1e-9, k_step=2)
+    ROUNDS = 2   # stochastic.MAX_K_ROUNDS for these runs
 
     def spied_run(self, monkeypatch, inst, inner):
         """saa_procedure with scenario_average_cost and the inner solver
@@ -374,6 +376,7 @@ class TestTournamentReuse:
             return sol
 
         monkeypatch.setattr(stochastic, "scenario_average_cost", spy)
+        monkeypatch.setattr(stochastic, "MAX_K_ROUNDS", self.ROUNDS)
         result = saa_procedure(inst, inst.costs, self.CONFIG, seed=21,
                                inner_solver=counted,
                                dist=DistributionSpec.uniform("0.5"))
@@ -389,6 +392,7 @@ class TestTournamentReuse:
                 getattr(sol, "regular_time", None)))
 
         monkeypatch.setattr(stochastic, "incumbent_selection", raw)
+        monkeypatch.setattr(stochastic, "MAX_K_ROUNDS", self.ROUNDS)
         result = saa_procedure(inst, inst.costs, self.CONFIG, seed=21,
                                inner_solver=inner,
                                dist=DistributionSpec.uniform("0.5"))
@@ -601,9 +605,9 @@ class TestNoshowFallback:
 
 
 class TestKGrowth:
-    def test_unconverged_run_grows_k_and_flags(self, ex1):
-        cfg = SAAConfig(K=3, nu0=2, nu_max=3, xi=0.0005, k_step=5,
-                        max_k_rounds=2)
+    def test_unconverged_run_grows_k_and_flags(self, ex1, monkeypatch):
+        monkeypatch.setattr(stochastic, "MAX_K_ROUNDS", 2)
+        cfg = SAAConfig(K=3, nu0=2, nu_max=3, xi=0.0005, k_step=5)
         tpl = algorithm4(ex1)
         inner = fixed_template_inner(tpl, ex1.regular_time)
         res = saa_procedure(ex1, ex1.costs, cfg, seed=17, inner_solver=inner,
@@ -625,15 +629,6 @@ def test_saa_config_rejects_rounds_that_cannot_work(fields, message):
     with pytest.raises(ValueError, match=message):
         SAAConfig(**fields)
     SAAConfig(nu0=2, nu_max=2, k_step=1)
-
-
-@pytest.mark.parametrize("rounds", [0, -1])
-def test_saa_config_rejects_no_k_rounds(rounds):
-    # with no round the K-growth loop never runs and no result comes back
-    with pytest.raises(ValueError,
-                       match=f"^max_k_rounds must be >= 1, not {rounds}$"):
-        SAAConfig(max_k_rounds=rounds)
-    assert SAAConfig(max_k_rounds=1).max_k_rounds == 1
 
 
 def test_saa_config_rejects_confidence_without_t_table():
