@@ -22,8 +22,8 @@ from . import heuristics, noshow as noshow_mod, stochastic
 from .instance import (MAX_TIME, ClinicInstance, CostWeights,
                        InstanceFormatError, InvalidInstanceError,
                        balance_workload, expand_block, load_instance,
-                       validate_instance)
-from .timeline import METRICS, evaluate, evaluation_rows, weighted_cost
+                       require_valid, validate_instance)
+from .timeline import METRICS, evaluate, evaluation_rows
 from .units import fmt_minutes, fmt_number, tenths
 
 RESULT_COLUMNS = ("method", "alpha", "beta_a", "beta_p", "o_a", "o_p",
@@ -72,23 +72,6 @@ RESULT_METRICS = (("pa_overtime", "overtime_a"), ("p_overtime", "overtime_p"),
                   ("wait_stage1", "wait_a"), ("wait_stage2", "wait_p"))
 
 
-def result_row(method: str, weights: CostWeights, means: dict, cells: dict,
-               seed, paths) -> dict:
-    """One compare row.  means maps METRICS to their _q6-quantised means
-    and cells maps RESULT_METRICS columns to those means' strings; both
-    are made once per method and shared by its rows."""
-    row = {"method": method,
-           "alpha": fmt_number(weights.alpha),
-           "beta_a": fmt_number(weights.beta_a),
-           "beta_p": fmt_number(weights.beta_p),
-           "o_a": fmt_number(weights.o_a),
-           "o_p": fmt_number(weights.o_p),
-           "seed": str(seed), "paths": str(paths), **cells}
-    row["objective"] = fmt_number(
-        weighted_cost(weights, (means[m] for m in METRICS)))
-    return row
-
-
 def _write_json(payload, path=None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
@@ -116,6 +99,8 @@ def _template_payload(method, template):
 
 
 def _build_template(inst, method, seed=0):
+    if method in ("alg1", "alg2"):
+        require_valid(inst)     # alg3, alg4 and fcfa check for themselves
     if method == "alg1":
         return heuristics.single_block_template(
             heuristics.algorithm1(expand_block(inst)))
@@ -200,9 +185,9 @@ def _cmd_template(args):
                          f"{args.method} draws nothing")
     inst = _with_k(load_instance(args.instance), args.k)
     template = _build_template(inst, args.method, args.seed or 0)
-    ev = evaluate(template, regular_time=inst.regular_time)
     _write_json(_template_payload(args.method, template), args.output)
     if args.csv:
+        ev = evaluate(template, regular_time=inst.regular_time)
         _write_csv_rows(evaluation_rows(template, ev, inst.costs), args.csv,
                         TIMELINE_COLUMNS)
     return 0
@@ -347,6 +332,7 @@ def _cmd_noshow(args):
     beta, o = _weight(args.beta, "--beta"), _weight(args.o, "--o")
     inst = load_instance(args.instance)
     if args.k is None:
+        require_valid(inst)
         base = heuristics.algorithm2(expand_block(inst))
     else:
         base = heuristics.algorithm4(_with_k(inst, args.k))
@@ -396,20 +382,30 @@ def _cmd_compare(args):
                                              tag="compare")
     # rows sort on the printed alpha and overtime values, as the CSV shows
     printed = {v: Fraction(fmt_number(v)) for v in alphas + overtimes}
+    beta_cell = fmt_number(beta)
+    grid = [(alpha, o, {"alpha": fmt_number(alpha), "beta_a": beta_cell,
+                        "beta_p": beta_cell, "o_a": fmt_number(o),
+                        "o_p": fmt_number(o)})
+            for alpha in alphas for o in overtimes]
+    base_weights = CostWeights(Fraction(1), beta, beta, Fraction(1),
+                               Fraction(1))
     keyed = []
     for method, template in zip(methods, templates):
         paths = stochastic.metric_paths(template, scenario_set,
                                         inst.regular_time)
-        base_weights = CostWeights(Fraction(1), beta, beta, Fraction(1), Fraction(1))
         stats = stochastic.summarize_paths(paths, base_weights)
         means = {m: _q6(stats.mean[m]) for m in METRICS}
         cells = {name: fmt_number(means[m]) for name, m in RESULT_METRICS}
-        for alpha in alphas:
-            for o in overtimes:
-                weights = CostWeights(alpha, beta, beta, o, o)
-                keyed.append(((method, printed[alpha], printed[o]),
-                              result_row(method, weights, means, cells,
-                                         args.seed, args.paths)))
+        # the objective is alpha * wait + beta * idle + o * overtime, with
+        # each sum taken once per method
+        wait = means["wait_a"] + means["wait_p"]
+        idle = beta * (means["idle_a"] + means["idle_p"])
+        overtime = means["overtime_a"] + means["overtime_p"]
+        for alpha, o, weight_cells in grid:
+            keyed.append(((method, printed[alpha], printed[o]), {
+                "method": method, **weight_cells,
+                "seed": str(args.seed), "paths": str(args.paths), **cells,
+                "objective": fmt_number(alpha * wait + idle + o * overtime)}))
     keyed.sort(key=lambda pair: pair[0])
     _write_csv_rows([row for _, row in keyed], _out_dir(args, "compare.csv"),
                     RESULT_COLUMNS)

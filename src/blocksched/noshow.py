@@ -190,9 +190,13 @@ def enumerate_expected_metrics(plan: OverbookPlan, probs: NoShowProbs,
         q = no_show[t]
         show_num = q.denominator - q.numerator
         rest //= q.denominator
-        show_state, (d_wait_a, d_wait_p, d_idle_a, d_idle_p), _ = _slot(
+        (pa, pp, _, sp), (d_wait_a, d_wait_p, d_idle_a, d_idle_p), _ = _slot(
             *state, *(int(x * D) for x in (tpl.taus[t], slot.lam, slot.mu)),
-            slot.qplus, True)
+            slot.qplus)
+        # every show child has served someone at stage 1, and at stage 2
+        # after a Q+ slot
+        started = np.full(len(W), True)
+        show_state = (pa, pp, started, started if slot.qplus else sp)
         # the show children's Σ weight·increment, as show_num·Σ W·increment:
         # no weight array is made for them before the merge
         wait += int(W.dot(d_wait_a + d_wait_p)) * show_num * rest

@@ -211,25 +211,28 @@ def metric_paths(template: AppointmentTemplate, scenario_set: ScenarioSet,
                           regular_time)
 
 
-def _standard_error(values: np.ndarray, mean: float) -> float:
-    """sqrt(sample variance / n), the squared deviations summed in row order
-    and squared by the C library's pow, as a Python float loop takes them."""
-    n = len(values)
+def _standard_errors(values: np.ndarray, means: np.ndarray) -> list[float]:
+    """sqrt(sample variance / n) of each row of values, the squared
+    deviations summed in path order and squared by the C library's pow, as
+    a Python float loop takes them."""
+    n = values.shape[1]
     if n == 1:
-        return 0.0
-    squares = np.float_power(values - mean, 2)
-    return math.sqrt(np.cumsum(squares)[-1] / (n - 1) / n)
+        return [0.0] * len(values)
+    squares = np.float_power(values - means[:, None], 2)
+    return [math.sqrt(total / (n - 1) / n)
+            for total in np.cumsum(squares, axis=1)[:, -1].tolist()]
 
 
-def _column_floats(column: np.ndarray, scale: int) -> np.ndarray:
-    """float(Fraction(v, scale)) for every v of an integer column: one
+def _column_floats(table: np.ndarray, scale: int) -> np.ndarray:
+    """float(Fraction(v, scale)) for every v of an integer array: one
     division when both are exact in a float, Python's correctly rounded
     integer division otherwise."""
     if scale == 1:
-        return column.astype(float)
-    if scale <= 2 ** 53 and int(np.abs(column).max()) <= 2 ** 53:
-        return column.astype(float) / scale
-    return np.array([v / scale for v in column.tolist()], dtype=float)
+        return table.astype(float)
+    if scale <= 2 ** 53 and int(np.abs(table).max()) <= 2 ** 53:
+        return table.astype(float) / scale
+    return np.array([v / scale for v in table.ravel().tolist()],
+                    dtype=float).reshape(table.shape)
 
 
 def summarize_paths(paths: tuple[np.ndarray, int],
@@ -242,17 +245,18 @@ def summarize_paths(paths: tuple[np.ndarray, int],
     n = len(table)
     if table.dtype != object and n * int(np.abs(table).max()) >= 2 ** 63:
         table = table.astype(object)   # column sums would wrap in int64
-    mean, se = {}, {}
-    objs = 0.0   # per path: sum of c * v / 10 over the metrics, in order
-    for name, c, total, column in zip(
-            METRICS, metric_coefficients(weights), table.sum(axis=0).tolist(),
-            table.T):
-        mean[name] = Fraction(total, n * scale) / 10
-        column = _column_floats(column, scale)
-        objs = objs + float(c) * column / 10
-        se[name] = _standard_error(column / 10, float(mean[name]))
+    mean = {name: Fraction(total, n * scale) / 10
+            for name, total in zip(METRICS, table.sum(axis=0).tolist())}
     mean["objective"] = weighted_cost(weights, (mean[m] for m in METRICS))
-    se["objective"] = _standard_error(objs, np.cumsum(objs)[-1] / n)
+    # one row per metric: every path's value in tenths
+    floats = _column_floats(np.ascontiguousarray(table.T), scale)
+    coefficients = np.array([[float(c)] for c in metric_coefficients(weights)])
+    # per path: c * v / 10 added up over the metrics in METRICS order
+    objs = sum(coefficients * floats / 10)
+    values = np.vstack((floats / 10, objs))
+    means = np.array([float(mean[m]) for m in METRICS]
+                     + [np.cumsum(objs)[-1] / n])
+    se = dict(zip((*METRICS, "objective"), _standard_errors(values, means)))
     return MetricStats(n, mean, se)
 
 

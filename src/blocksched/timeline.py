@@ -9,10 +9,13 @@ finish minus busy time); overtime is the positive part of the last finish
 past the regular day length.
 
 One slot step (`_slot`) holds the recurrence for a batch of resource
-states.  `_recurrence` runs it over a batch of paths: `evaluate` is the
-one-path case of `evaluate_paths`, with every slot's marks.  The exact
-no-show pass (`noshow.enumerate_expected_metrics`) runs it over merged show
-states, and both take the day's overtime from `_overtime`.
+states.  Its show mask is optional: the step is written once for everyone
+showing, and one block at its end applies a mask when there is one, the
+only place the no-show rule is written.  `_recurrence` runs it over a batch
+of paths: `evaluate` is the one-path case of `evaluate_paths`, with every
+slot's marks.  The exact no-show pass (`noshow.enumerate_expected_metrics`)
+runs it, without a mask, for the show children of merged show states, and
+both take the day's overtime from `_overtime`.
 
 Everything here is a pure function of its inputs; callers may evaluate many
 realizations concurrently.  Times are tenths of a minute (ints, or Fractions
@@ -136,32 +139,48 @@ def weighted_cost(weights: CostWeights, values) -> Scalar:
     return sum(c * v for c, v in zip(metric_coefficients(weights), values))
 
 
-def _slot(pa, pp, started_a, started_p, tau, lam, mu, qplus, shown):
+def _slot(pa, pp, started_a, started_p, tau, lam, mu, qplus, shown=None):
     """One slot of the recurrence over a batch of resource states.
 
     pa and pp are the assistant's and the physician's free times, and
-    started_a and started_p say whether each has served anyone yet.  tau is
-    the slot's appointment time (None: it tracks the assistant), lam and mu
-    its service times, and shown a boolean mask, or True.  Returns the new
-    (pa, pp, started_a, started_p), the slot's (stage-1 wait, stage-2 wait,
-    assistant idle, physician idle) increments and its (stage-1 start,
-    stage-1 finish, stage-2 start) marks.  A Q slot's stage-2 increments are
-    0 and its stage-2 start is its stage-1 finish; a no-show moves nothing
-    and adds nothing, and its stage-1 start is where it would have started.
+    started_a and started_p say whether each has served anyone yet (boolean
+    arrays, or True).  tau is the slot's appointment time (None: it tracks
+    the assistant), lam and mu its service times, and shown a boolean mask,
+    or None when everyone shows.  Returns the new (pa, pp, started_a,
+    started_p), the slot's (stage-1 wait, stage-2 wait, assistant idle,
+    physician idle) increments and its (stage-1 start, stage-1 finish,
+    stage-2 start) marks.  A Q slot's stage-2 increments are 0 and its
+    stage-2 start is its stage-1 finish.  Without a mask the step runs no
+    mask arithmetic and the started flags come back as True; a mask is
+    applied in one block at the end.
     """
     ea = pa if tau is None else np.maximum(pa, tau)
     fa = ea + lam
-    ep = np.maximum(fa, pp) if qplus else fa
-    wait_a = 0 if tau is None else (ea - tau) * shown
-    idle_a = (ea - pa) * (shown & started_a)
-    wait_p = idle_p = 0
+    wait_a = 0 if tau is None else ea - tau
+    # idle counts from a resource's first patient on: no mask once started
+    # is True everywhere
+    idle_a = ea - pa if started_a is True else (ea - pa) * started_a
     if qplus:
-        wait_p = (ep - fa) * shown
-        idle_p = (ep - pp) * (shown & started_p)
-        pp = np.where(shown, ep + mu, pp)
-        started_p = started_p | shown
-    return ((np.where(shown, fa, pa), pp, started_a | shown, started_p),
-            (wait_a, wait_p, idle_a, idle_p), (ea, fa, ep))
+        ep = np.maximum(fa, pp)
+        wait_p = ep - fa
+        idle_p = ep - pp if started_p is True else (ep - pp) * started_p
+        pp_next, started_p_next = ep + mu, True
+    else:
+        ep = fa
+        wait_p = idle_p = 0
+        pp_next, started_p_next = pp, started_p
+    if shown is None:
+        return ((fa, pp_next, True, started_p_next),
+                (wait_a, wait_p, idle_a, idle_p), (ea, fa, ep))
+    # the no-show rule, written only here: a no-show adds nothing and leaves
+    # the state as it was; its stage-1 start is where it would have started
+    wait_a, idle_a = wait_a * shown, idle_a * shown
+    if qplus:
+        wait_p, idle_p = wait_p * shown, idle_p * shown
+        pp_next = np.where(shown, pp_next, pp)
+        started_p_next = started_p | shown
+    return ((np.where(shown, fa, pa), pp_next, started_a | shown,
+             started_p_next), (wait_a, wait_p, idle_a, idle_p), (ea, fa, ep))
 
 
 def _overtime(pa, pp, started_a, started_p, regular_time):
@@ -193,13 +212,13 @@ def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
     zeros = np.zeros(n_paths, dtype)
     pa = pp = wait_a = wait_p = idle_a = idle_p = zeros
     started_a = started_p = np.zeros(n_paths, bool)
-    everyone = np.ones(n_paths, bool)
+    if shows is not None:           # a contiguous mask row for each slot
+        shows = np.ascontiguousarray(shows.T)
     for t, slot in enumerate(template.slots):
         # the state goes in as four names: a *state call costs more per slot
         state, (d_wait_a, d_wait_p, d_idle_a, d_idle_p), mark = _slot(
             pa, pp, started_a, started_p, None if taus is None else taus[t],
-            lams[t], mus[t], slot.qplus,
-            everyone if shows is None else shows[:, t])
+            lams[t], mus[t], slot.qplus, None if shows is None else shows[t])
         pa, pp, started_a, started_p = state
         wait_a, idle_a = wait_a + d_wait_a, idle_a + d_idle_a
         if slot.qplus:                 # a Q slot adds no stage-2 time
@@ -253,8 +272,8 @@ def evaluate(template: AppointmentTemplate,
         raise ValueError("realization length must match template slots")
     marks: list = []
     rows, scale = _recurrence(template, lams, mus, 1,
-                              np.array([shows], dtype=bool), regular_time,
-                              marks)
+                              None if all(shows) else np.array([shows], bool),
+                              regular_time, marks)
 
     def value(x):                  # a scaled integer, divided by scale
         if scale == 1:

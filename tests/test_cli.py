@@ -157,6 +157,41 @@ class TestCompare:
             assert objective == recombined
 
 
+    def test_grid_rows_price_the_printed_means(self, ex1_path, tmp_path):
+        # a non-default grid, and a beta that is not 1: each row's weight
+        # cells and objective are those of its own weights
+        from blocksched import CostWeights
+        from blocksched.cli import RESULT_METRICS
+        from blocksched.timeline import METRICS, weighted_cost
+        from blocksched.units import fmt_number
+        out = tmp_path / "grid.csv"
+        alphas, overtimes, beta = ("0.15", "1", "0.333"), ("2", "0.5"), "0.75"
+        assert run(["compare", "--instance", ex1_path, "--paths", "40",
+                    "--seed", "4", "--alphas", ",".join(alphas),
+                    "--overtimes", ",".join(overtimes), "--beta", beta,
+                    "--output", str(out)]) == 0
+        rows = read_report(out)
+        grid = sorted((Fraction(a), Fraction(o))
+                      for a in alphas for o in overtimes)
+        assert [(row["method"], Fraction(row["alpha"]), Fraction(row["o_a"]))
+                for row in rows] == [(m, a, o) for m in ("alg3", "alg4", "fcfa")
+                                     for a, o in grid]
+        column = dict((m, name) for name, m in RESULT_METRICS)
+        for row in rows:
+            weights = CostWeights(Fraction(row["alpha"]), Fraction(beta),
+                                  Fraction(beta), Fraction(row["o_a"]),
+                                  Fraction(row["o_a"]))
+            assert {key: row[key] for key in ("alpha", "beta_a", "beta_p",
+                                              "o_a", "o_p")} == {
+                "alpha": fmt_number(weights.alpha),
+                "beta_a": fmt_number(weights.beta_a),
+                "beta_p": fmt_number(weights.beta_p),
+                "o_a": fmt_number(weights.o_a),
+                "o_p": fmt_number(weights.o_p)}
+            assert row["objective"] == fmt_number(weighted_cost(
+                weights, (Fraction(row[column[m]]) for m in METRICS)))
+
+
 class TestStochasticCommands:
     def test_simulate(self, ex1_path, capsys):
         assert run(["simulate", "--instance", ex1_path, "--method", "alg4",
@@ -627,6 +662,24 @@ def instance_file(tmp_path, types=None, **fields):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["template", "--method", "alg1"], ["template", "--method", "alg2"],
+    ["noshow", "--plan", "lf"], ["noshow", "--plan", "none"]],
+    ids=" ".join)
+def test_invalid_instance_names_its_field_before_any_template(
+        tmp_path, capsys, command):
+    # alg1, alg2 and the one-block noshow plan build their template without
+    # the horizon heuristics' check; a negative stage-1 mean must be named
+    # as the loader's check names it, not found by the template
+    types = json.loads((FIXDIR / "ex1.json").read_text())["types"]
+    types[0]["lambda_mean"] = -5
+    path = instance_file(tmp_path, types=types)
+    assert run(command + ["--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: types[0] (T1): nonpositive stage-1 time\n"
 
 
 class TestTimesBeyondTheLimit:

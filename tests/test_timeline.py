@@ -344,3 +344,96 @@ class TestPerSlotOracle:
                             ev.overtime_a, ev.overtime_p) \
                         == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
                             ref["idle_p"], ref["b_a"], ref["b_p"])
+
+
+class TestMaskFreeStep:
+    """`_slot` without a mask is the step where everyone shows: it must give
+    what an all-True mask gives, and both what the oracle gives."""
+
+    @staticmethod
+    def instances(rng):
+        """A Q-only, a Q+-only and a mixed instance, on the 0.1 grid."""
+        for kinds in (("Q",) * 3, ("Q+",) * 3, ("Q", "Q+", "Q+", "Q")):
+            yield mk_instance([
+                (f"T{i}", int(rng.integers(5, 40)) + int(rng.integers(10)) / 10,
+                 0 if kind == "Q" else int(rng.integers(5, 60)),
+                 int(rng.integers(1, 4))) for i, kind in enumerate(kinds)],
+                regular_time=int(rng.integers(20, 200)))
+
+    @staticmethod
+    def templates(inst):
+        """taus given (int64 and Fraction), taus=None, and duplicates."""
+        seq = algorithm1(expand_block(inst))
+        yield single_block_template(seq)
+        # declaration order: the mixed instance starts with a Q slot
+        yield single_block_template(expand_block(inst))
+        yield AppointmentTemplate(tuple(seq), None, (0, len(seq)))
+        yield robust_template(seq, Fraction(1, 3))
+        for plan in ("lf", "ff"):
+            yield build_overbook_plan(algorithm2(expand_block(inst)), plan,
+                                      NoShowProbs.of("0.4", "0.4")).template()
+
+    def test_paths_without_a_mask_equal_all_true_and_the_oracle(self):
+        rng = np.random.default_rng(34)
+        kinds = set()
+        for _ in range(4):
+            for inst in self.instances(rng):
+                K = 9
+                for tpl in self.templates(inst):
+                    n = len(tpl.slots)
+                    lams = [rng.integers(0, 500, K) for _ in range(n)]
+                    mus = [rng.integers(0, 500, K) if p.qplus else 0
+                           for p in tpl.slots]
+                    R = inst.regular_time
+                    rows, scale = evaluate_paths(tpl, lams, mus, K, None, R)
+                    masked = evaluate_paths(tpl, lams, mus, K,
+                                            np.ones((K, n), bool), R)
+                    assert scale == masked[1]
+                    assert rows.dtype == masked[0].dtype
+                    assert rows.tolist() == masked[0].tolist()
+                    kinds.add((rows.dtype.name, tpl.taus is None,
+                               n > inst.r))
+                    for s, values in enumerate(rows.tolist()):
+                        ref = oracle_timeline(
+                            tpl.slots, taus=tpl.taus,
+                            lams=[int(x[s]) for x in lams],
+                            mus=[int(x[s]) if p.qplus else 0
+                                 for x, p in zip(mus, tpl.slots)],
+                            regular_time=R)
+                        assert [Fraction(v, scale) for v in values] == [
+                            ref[m] for m in ("wait_a", "wait_p", "idle_a",
+                                             "idle_p", "b_a", "b_p")]
+        # int64 and Python-integer rows, taus=None, overbooked duplicates
+        assert {dtype for dtype, _, _ in kinds} == {"int64", "object"}
+        assert any(no_taus for _, no_taus, _ in kinds)
+        assert any(dups for _, _, dups in kinds)
+
+    def test_slot_without_a_mask_equals_an_all_true_mask(self):
+        from blocksched.timeline import _slot
+        rng = np.random.default_rng(35)
+        n = 50
+        for case in range(40):
+            pa, pp = rng.integers(0, 300, n), rng.integers(0, 300, n)
+            started = [rng.random(n) < 0.5 for _ in range(2)]
+            if case % 4 == 0:
+                started = [True, True]      # as the step leaves them
+            tau = None if case % 3 == 0 else int(rng.integers(0, 300))
+            qplus = bool(case % 2)
+            args = (pa, pp, *started, tau, int(rng.integers(0, 99)),
+                    int(rng.integers(0, 99)) if qplus else 0, qplus)
+            free = _slot(*args)
+            masked = _slot(*args, np.ones(n, bool))
+            for a, b in zip((*free[0], *free[1], *free[2]),
+                            (*masked[0], *masked[1], *masked[2])):
+                assert np.broadcast_to(a, n).tolist() == \
+                    np.broadcast_to(b, n).tolist()
+
+    def test_evaluate_all_shown_equals_no_shows(self):
+        rng = np.random.default_rng(36)
+        for inst in self.instances(rng):
+            for tpl in self.templates(inst):
+                real = ServiceRealization.from_means(tpl)
+                shown = ServiceRealization(real.lams, real.mus,
+                                           (True,) * len(tpl.slots))
+                assert evaluate(tpl, shown, inst.regular_time) \
+                    == evaluate(tpl, real, inst.regular_time)
