@@ -99,8 +99,6 @@ def _template_payload(method, template):
 
 
 def _build_template(inst, method, seed=0):
-    if method in ("alg1", "alg2"):
-        require_valid(inst)     # alg3, alg4 and fcfa check for themselves
     if method == "alg1":
         return heuristics.single_block_template(
             heuristics.algorithm1(expand_block(inst)))
@@ -160,7 +158,7 @@ def _cmd_validate(args):
 
 
 def _cmd_balance(args):
-    inst = load_instance(args.instance)
+    inst = _load_valid(args.instance)
     result = balance_workload(inst)
     _write_json({
         "reduced_ratios": result.reduced_ratios,
@@ -172,10 +170,15 @@ def _cmd_balance(args):
     return 0
 
 
-def _with_k(inst, k):
-    if k is None:
-        return inst
-    return ClinicInstance(inst.types, inst.costs, inst.regular_time, k)
+def _load_valid(path, k=None) -> ClinicInstance:
+    """The instance in the file at path, with k blocks when k is given; an
+    instance with a validation error is rejected here, naming the field,
+    before any command works on it."""
+    inst = load_instance(path)
+    if k is not None:
+        inst = ClinicInstance(inst.types, inst.costs, inst.regular_time, k)
+    require_valid(inst)
+    return inst
 
 
 def _cmd_template(args):
@@ -183,7 +186,7 @@ def _cmd_template(args):
     if args.seed is not None and args.method != "fcfa":
         raise ValueError(f"--seed applies to --method fcfa only; "
                          f"{args.method} draws nothing")
-    inst = _with_k(load_instance(args.instance), args.k)
+    inst = _load_valid(args.instance, args.k)
     template = _build_template(inst, args.method, args.seed or 0)
     _write_json(_template_payload(args.method, template), args.output)
     if args.csv:
@@ -194,7 +197,7 @@ def _cmd_template(args):
 
 
 def _cmd_bounds(args):
-    inst = load_instance(args.instance)
+    inst = _load_valid(args.instance)
     report = heuristics.bound_report(inst)
     seq = heuristics.algorithm1(expand_block(inst))
     record = {
@@ -232,7 +235,7 @@ def _cmd_exact(args):
     for flag, default in EXACT_SAA_DEFAULTS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-    inst = _with_k(load_instance(args.instance), args.k)
+    inst = _load_valid(args.instance, args.k)
     config = exact_mod.SearchConfig(node_limit=args.node_limit,
                                     time_limit=args.time_limit,
                                     mode=args.mode)
@@ -265,7 +268,7 @@ def _cmd_exact(args):
 
 
 def _cmd_saa(args):
-    inst = load_instance(args.instance)
+    inst = _load_valid(args.instance)
     config = stochastic.SAAConfig(K=args.K, nu0=args.nu0, nu_max=args.nu_max,
                                   xi=args.xi, confidence=args.conf,
                                   k_step=args.k_step)
@@ -301,7 +304,7 @@ def _cmd_saa(args):
 
 def _cmd_simulate(args):
     _check_k(args)
-    inst = _with_k(load_instance(args.instance), args.k)
+    inst = _load_valid(args.instance, args.k)
     template = _build_template(inst, args.method, args.seed)
     stats = stochastic.evaluate_template_mc(
         template, inst, _dist_from_args(args), args.paths, args.seed,
@@ -330,12 +333,11 @@ def _cmd_noshow(args):
               for a in args.alpha_grid.split(",") if a]
     _check_nonempty("--alpha-grid", alphas)
     beta, o = _weight(args.beta, "--beta"), _weight(args.o, "--o")
-    inst = load_instance(args.instance)
+    inst = _load_valid(args.instance, args.k)
     if args.k is None:
-        require_valid(inst)
         base = heuristics.algorithm2(expand_block(inst))
     else:
-        base = heuristics.algorithm4(_with_k(inst, args.k))
+        base = heuristics.algorithm4(inst)
     plan = noshow_mod.build_overbook_plan(base, args.plan, probs)
     metrics = noshow_mod.enumerate_expected_metrics(plan, probs, R)
     payload = {
@@ -374,7 +376,7 @@ def _cmd_compare(args):
                          ("--overtimes", overtimes)):
         _check_nonempty(flag, values)
     beta = _weight(args.beta, "--beta")
-    inst = load_instance(args.instance)
+    inst = _load_valid(args.instance)
     dist = _dist_from_args(args)
     # an unknown method fails here, before any path is drawn
     templates = [_build_template(inst, method, args.seed) for method in methods]

@@ -250,11 +250,5 @@ def robust_template(sequence: PatientList, w) -> AppointmentTemplate:
     the stage-1 mean prefix sums."""
     w = Fraction(str(w)) if isinstance(w, float) else Fraction(w)
     factor = 1 - w / 2
-    taus = []
-    prefix: Scalar = 0
-    for p in sequence:
-        tau = factor * prefix
-        taus.append(int(tau) if isinstance(tau, Fraction) and tau.denominator == 1
-                    else tau)
-        prefix = prefix + p.lam
-    return AppointmentTemplate(tuple(sequence), tuple(taus), (0, len(sequence)))
+    taus = tuple(_as_scalar(factor * t) for t in pa_prefix_taus(sequence))
+    return AppointmentTemplate(tuple(sequence), taus, (0, len(sequence)))

@@ -97,14 +97,6 @@ class ClinicInstance:
     def r(self) -> int:
         return sum(t.ratio for t in self.types)
 
-    @property
-    def v(self) -> int:
-        return sum(t.ratio for t in self.types if not t.qplus)
-
-    @property
-    def n(self) -> int:
-        return self.blocks * self.r
-
 
 @dataclass(frozen=True)
 class Patient:

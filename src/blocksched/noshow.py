@@ -107,12 +107,10 @@ def build_overbook_plan(template: AppointmentTemplate, strategy: str,
     q_slots = [t for t in first if not template.slots[t].qplus]
     e_plus = round_half_away(probs.p_plus * len(qplus_slots))
     e = round_half_away(probs.p * len(q_slots))
-    if strategy == "none" or (e_plus == 0 and e == 0):
-        dups: tuple[tuple[int, int], ...] = ()
-        if strategy == "none":
-            e_plus = e = 0
-        return OverbookPlan(template, dups, "none" if strategy == "none" else strategy,
-                            e_plus, e)
+    if strategy == "none":
+        e_plus = e = 0
+    if e_plus == 0 and e == 0:
+        return OverbookPlan(template, (), strategy, e_plus, e)
     pairs: list[tuple[int, int]] = []
     for count, slots, label in ((e_plus, qplus_slots, "Q+"), (e, q_slots, "Q")):
         if count == 0:

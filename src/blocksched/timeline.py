@@ -11,11 +11,13 @@ past the regular day length.
 One slot step (`_slot`) holds the recurrence for a batch of resource
 states.  Its show mask is optional: the step is written once for everyone
 showing, and one block at its end applies a mask when there is one, the
-only place the no-show rule is written.  `_recurrence` runs it over a batch
-of paths: `evaluate` is the one-path case of `evaluate_paths`, with every
-slot's marks.  The exact no-show pass (`noshow.enumerate_expected_metrics`)
-runs it, without a mask, for the show children of merged show states, and
-both take the day's overtime from `_overtime`.
+only place in this module where the no-show rule is written.  `_recurrence`
+runs it over a batch of paths: `evaluate_paths` takes an optional mask (the
+Monte-Carlo no-show fallback), and `evaluate` is its one-path case where
+everyone shows, with every slot's marks.  The exact no-show pass
+(`noshow.enumerate_expected_metrics`) runs the step, without a mask, for
+the show children of merged show states, and both take the day's overtime
+from `_overtime`.
 
 Everything here is a pure function of its inputs; callers may evaluate many
 realizations concurrently.  Times are tenths of a minute (ints, or Fractions
@@ -59,10 +61,6 @@ class AppointmentTemplate:
         if self.block_bounds[0] != 0 or self.block_bounds[-1] != len(self.slots):
             raise ValueError("block_bounds must span the slot range")
 
-    @property
-    def k(self) -> int:
-        return len(self.block_bounds) - 1
-
 
 def single_block_template(sequence: PatientList) -> AppointmentTemplate:
     """One-block template whose appointment times are the stage-1 mean
@@ -82,13 +80,13 @@ def pa_prefix_taus(sequence: PatientList, start: Scalar = 0) -> tuple[Scalar, ..
 
 @dataclass(frozen=True)
 class ServiceRealization:
-    """Realized per-slot service times, aligned with a template's slots.
+    """Realized per-slot service times, aligned with a template's slots,
+    for a path on which everyone shows.
 
-    mu must be 0 for Q-group slots; shows defaults to everyone showing up.
+    mu must be 0 for Q-group slots.
     """
     lams: tuple[Scalar, ...]
     mus: tuple[Scalar, ...]
-    shows: tuple[bool, ...] | None = None
 
     @classmethod
     def from_means(cls, template: AppointmentTemplate) -> "ServiceRealization":
@@ -105,7 +103,6 @@ class ScheduleEvaluation:
     w_a: tuple[Scalar, ...]
     w_p: tuple[Scalar, ...]
     qplus: tuple[bool, ...]
-    shown: tuple[bool, ...]
     wait_a: Scalar
     wait_p: Scalar
     idle_a: Scalar
@@ -254,26 +251,23 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
 def evaluate(template: AppointmentTemplate,
              realization: ServiceRealization | None = None,
              regular_time: Scalar | None = None) -> ScheduleEvaluation:
-    """The one-path case of `evaluate_paths`, with every slot's marks.
+    """The one-path case of `evaluate_paths` where everyone shows, with
+    every slot's marks.
 
-    A no-show consumes zero time at both stages and zero wait; resources
-    stay gated by later appointment times rather than pulling patients
-    earlier.  Its four marks are the time it would have started stage 1,
-    and a Q slot's stage-2 marks are its stage-1 finish.
-    regular_time=None is single-block mode: overtime is zero.  Values are
-    ints wherever they are integral.
+    A Q slot's stage-2 marks are its stage-1 finish.  regular_time=None is
+    single-block mode: overtime is zero.  Values are ints wherever they are
+    integral.  No-shows are evaluated by `evaluate_paths` with a show mask
+    and, exactly, by `noshow.enumerate_expected_metrics`.
     """
     slots = template.slots
     if realization is None:
         realization = ServiceRealization.from_means(template)
     lams, mus = realization.lams, realization.mus
-    shows = realization.shows or (True,) * len(slots)
-    if not (len(lams) == len(mus) == len(shows) == len(slots)):
+    if not (len(lams) == len(mus) == len(slots)):
         raise ValueError("realization length must match template slots")
     marks: list = []
-    rows, scale = _recurrence(template, lams, mus, 1,
-                              None if all(shows) else np.array([shows], bool),
-                              regular_time, marks)
+    rows, scale = _recurrence(template, lams, mus, 1, None, regular_time,
+                              marks)
 
     def value(x):                  # a scaled integer, divided by scale
         if scale == 1:
@@ -285,20 +279,17 @@ def evaluate(template: AppointmentTemplate,
     for t, (ea, fa, ep) in enumerate(np.array(marks).reshape(-1, 3).tolist()):
         w_a = ea - int(template.taus[t] * scale) if template.taus else 0
         fp = ep + int(mus[t] * scale) if slots[t].qplus else ep
-        per_slot.append((ea, fa, ep, fp, w_a, ep - fa) if shows[t]
-                        else (ea,) * 4 + (0, 0))
+        per_slot.append((ea, fa, ep, fp, w_a, ep - fa))
     e_a, f_a, e_p, f_p, w_a, w_p = (tuple(map(value, column)) for column
                                     in list(zip(*per_slot)) or [()] * 6)
-    served = [t for t in range(len(slots)) if shows[t]]
-    served_p = [t for t in served if slots[t].qplus]
+    # both resources' starts and finishes never decrease along the slots
+    qplus = [t for t, slot in enumerate(slots) if slot.qplus]
     return ScheduleEvaluation(
         e_a, f_a, e_p, f_p, w_a, w_p, tuple(s.qplus for s in slots),
-        tuple(shows), *map(value, rows[0]),
-        max((f_p[t] for t in served), default=0),
-        e_a[served[0]] if served else None,
-        f_a[served[-1]] if served else None,
-        e_p[served_p[0]] if served_p else None,
-        f_p[served_p[-1]] if served_p else None, template.block_bounds)
+        *map(value, rows[0]), max(f_p, default=0),
+        e_a[0] if slots else None, f_a[-1] if slots else None,
+        e_p[qplus[0]] if qplus else None, f_p[qplus[-1]] if qplus else None,
+        template.block_bounds)
 
 
 def total_cost(ev: ScheduleEvaluation, weights: CostWeights) -> Fraction:
@@ -316,18 +307,19 @@ def sections(ev: ScheduleEvaluation
     Head: span from the block's first stage-1 start until its first stage-2
     start, where only the assistant works.  Tail: span after the block's last
     stage-1 finish where only the physician works.  Body: the remainder.  A
-    block with no Q+ patients is all head.
+    block's slots are range(block_bounds[c], block_bounds[c + 1]), every one
+    of them served.  A block with no Q+ patients is all head.
     """
     bounds = ev.block_bounds
     out = []
     for c in range(len(bounds) - 1):
-        served = [t for t in range(bounds[c], bounds[c + 1]) if ev.shown[t]]
-        qplus_ts = [t for t in served if ev.qplus[t]]
-        if not served:
+        block = range(bounds[c], bounds[c + 1])
+        qplus_ts = [t for t in block if ev.qplus[t]]
+        if not block:
             out.append((0, 0, 0, 0))
             continue
-        start = min(ev.e_a[t] for t in served)
-        last_a = max(ev.f_a[t] for t in served)
+        start = min(ev.e_a[t] for t in block)
+        last_a = max(ev.f_a[t] for t in block)
         if not qplus_ts:
             out.append((last_a - start, 0, 0, last_a - start))
             continue

@@ -70,7 +70,7 @@ def random_conformant_instance(rng: np.random.Generator, max_r=12,
             return inst
 
 
-def realization_for_template(scenario_set, s, template, shows=None):
+def realization_for_template(scenario_set, s, template):
     """Path s of a scenario set as a ServiceRealization, slot-aligned via
     canonical patient ids.  Overbooked duplicates (ids beyond the drawn
     patients) take their mean times; Q slots take no stage-2 time."""
@@ -78,8 +78,7 @@ def realization_for_template(scenario_set, s, template, shows=None):
     drawn = lambda xs, p, mean: xs[p.uid] if p.uid < len(xs) else mean
     return ServiceRealization(
         tuple(drawn(lam, p, p.lam) for p in template.slots),
-        tuple(drawn(mu, p, p.mu) if p.qplus else 0 for p in template.slots),
-        shows)
+        tuple(drawn(mu, p, p.mu) if p.qplus else 0 for p in template.slots))
 
 
 def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,

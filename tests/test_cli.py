@@ -68,6 +68,14 @@ class TestDispatch:
         assert run(["validate", "--instance", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_file_that_is_not_json_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert run(["bounds", "--instance", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid JSON")
+
     def test_validate_ok(self, ex1_path, capsys):
         assert run(["validate", "--instance", ex1_path]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -86,6 +94,17 @@ class TestDispatch:
         assert lines[0].startswith("block,slot,type,tau")
         assert len(lines) == 1 + 18 + 1  # header, slots, TOTAL
         assert lines[-1].startswith("TOTAL")
+
+    def test_template_alg2_emits_the_gap_filled_block(self, ex1_path,
+                                                      capsys):
+        assert run(["template", "--method", "alg2",
+                    "--instance", ex1_path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "alg2"
+        assert payload["block_bounds"] == [0, 9]
+        assert [s["type"] for s in payload["slots"]] == [
+            "T3", "T1", "T4", "T1", "T1", "T4", "T2", "T4", "T2"]
+        assert payload["slots"][0]["tau"] == "0"
 
     def test_bounds_contains_w_star(self, ex1_path, capsys):
         assert run(["bounds", "--instance", ex1_path]) == 0
@@ -587,29 +606,25 @@ def test_saa_reports_whether_replications_certified(fixture, args, certified,
     assert json.loads(capsys.readouterr().out)["all_inner_optimal"] is certified
 
 
-@pytest.mark.parametrize("command, code", [
-    (["exact", "--scope", "saa", "--K", "2"], 0),
-    (["saa", "--K", "2", "--nu0", "2", "--nu-max", "2"], 0),
-    (["compare", "--paths", "5"], 1),
-])
+@pytest.mark.parametrize("command", [
+    ["exact", "--scope", "saa", "--K", "2"],
+    ["saa", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+    ["compare", "--paths", "5"],
+], ids=" ".join)
 def test_instance_with_no_patients_has_no_traceback(tmp_path, capsys,
-                                                    command, code):
-    # every ratio 0: the block is empty, so the scenario draws have no
-    # columns
+                                                    command):
+    # every ratio 0: the block would be empty, so the scenario draws would
+    # have no columns; the instance check names the ratio first
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
         "types": [{"name": "A", "lambda_mean": 10, "lambda_sd": 0,
                    "mu_mean": 15, "mu_sd": 0, "ratio": 0}],
         "costs": {"alpha": 1, "beta_a": 1, "beta_p": 1, "o_a": 1, "o_p": 1},
         "regular_time": 300, "blocks": 1}))
-    assert run(command + ["--instance", str(path)]) == code
+    assert run(command + ["--instance", str(path)]) == 1
     captured = capsys.readouterr()
-    if code:
-        assert captured.err == "error: types[0] (A): ratio must be >= 1\n"
-    elif command[0] == "exact":
-        payload = json.loads(captured.out)
-        assert payload["objective"] == "0"
-        assert payload["template"]["slots"] == []
+    assert captured.out == ""
+    assert captured.err == "error: types[0] (A): ratio must be >= 1\n"
 
 
 def test_validate_hard_error_exits_one(tmp_path, capsys):
@@ -666,13 +681,24 @@ def instance_file(tmp_path, types=None, **fields):
 
 @pytest.mark.parametrize("command", [
     ["template", "--method", "alg1"], ["template", "--method", "alg2"],
-    ["noshow", "--plan", "lf"], ["noshow", "--plan", "none"]],
+    ["template", "--method", "alg4", "--csv", "timeline.csv"],
+    ["noshow", "--plan", "lf"], ["noshow", "--plan", "none"],
+    ["noshow", "--plan", "ff", "--k", "2"],
+    ["balance"], ["bounds"], ["bounds", "--format", "csv"],
+    ["exact", "--scope", "block"], ["exact", "--scope", "horizon"],
+    ["exact", "--scope", "saa", "--K", "2"],
+    ["saa", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+    ["saa", "--inner", "alg4", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+    ["simulate", "--method", "alg1", "--paths", "5"],
+    ["compare", "--methods", "alg1,alg2", "--paths", "5"]],
     ids=" ".join)
 def test_invalid_instance_names_its_field_before_any_template(
-        tmp_path, capsys, command):
-    # alg1, alg2 and the one-block noshow plan build their template without
-    # the horizon heuristics' check; a negative stage-1 mean must be named
-    # as the loader's check names it, not found by the template
+        tmp_path, capsys, monkeypatch, command):
+    # every command but validate checks the instance as it loads it: a
+    # negative stage-1 mean must be named as validate names it, not found
+    # while a template is built or a solver runs, and nothing may be written
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BLOCKSCHED_OUT", raising=False)
     types = json.loads((FIXDIR / "ex1.json").read_text())["types"]
     types[0]["lambda_mean"] = -5
     path = instance_file(tmp_path, types=types)
@@ -680,6 +706,18 @@ def test_invalid_instance_names_its_field_before_any_template(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: types[0] (T1): nonpositive stage-1 time\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["instance.json"]
+
+
+def test_validate_names_the_field_on_stdout(tmp_path, capsys):
+    types = json.loads((FIXDIR / "ex1.json").read_text())["types"]
+    types[0]["lambda_mean"] = -5
+    assert run(["validate", "--instance",
+                instance_file(tmp_path, types=types)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["errors"] == [
+        "types[0] (T1): nonpositive stage-1 time"]
 
 
 class TestTimesBeyondTheLimit:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,20 @@ class TestInstanceIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(InstanceFormatError, match=r"types\[2\]\.ratio missing"):
+            load_instance(path)
+
+    def test_missing_standard_deviations_default_to_zero(self):
+        data = instance_to_dict(mk_instance([("A", 10, 20, 1, 2, 3)]))
+        del data["types"][0]["lambda_sd"], data["types"][0]["mu_sd"]
+        t = instance_from_dict(data).types[0]
+        assert (t.lam, t.lam_sd, t.mu, t.mu_sd) == (tenths(10), 0,
+                                                    tenths(20), 0)
+
+    def test_file_that_is_not_json_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(InstanceFormatError,
+                           match=rf"^{re.escape(str(path))}: not valid JSON"):
             load_instance(path)
 
     def test_subgrid_time_rejected(self):

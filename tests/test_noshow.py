@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from blocksched import (CostWeights, ServiceRealization, algorithm2,
-                        evaluate, expand_block, noshow)
+from blocksched import CostWeights, algorithm2, expand_block, noshow
 from blocksched.noshow import (NoShowProbs, build_overbook_plan,
                                enumerate_expected_metrics,
                                expected_cost_per_patient)
+from blocksched.timeline import evaluate_paths
 from blocksched.units import tenths
 
 from conftest import mk_instance, oracle_cost, oracle_timeline
@@ -130,16 +131,12 @@ class TestEnumerate:
         plan = build_overbook_plan(tpl, "ff", NoShowProbs.of("0.5", "0.5"))
         expanded = plan.template()
         host = next(t for t, p in enumerate(expanded.slots) if p.qplus)
-        base = ServiceRealization.from_means(expanded)
-        shows = [True] * len(expanded.slots)
-        shows[host] = False
-        a = evaluate(expanded, ServiceRealization(base.lams, base.mus,
-                                                  tuple(shows)), tenths(30))
-        shows[host], shows[host + 1] = True, False
-        b = evaluate(expanded, ServiceRealization(base.lams, base.mus,
-                                                  tuple(shows)), tenths(30))
-        assert (a.wait, a.idle_a, a.idle_p, a.overtime_a, a.overtime_p) == \
-               (b.wait, b.idle_a, b.idle_p, b.overtime_a, b.overtime_p)
+        shows = np.ones((2, len(expanded.slots)), bool)
+        shows[0, host] = shows[1, host + 1] = False
+        rows, _ = evaluate_paths(expanded, [p.lam for p in expanded.slots],
+                                 [p.mu for p in expanded.slots], 2, shows,
+                                 tenths(30))
+        assert rows[0].tolist() == rows[1].tolist()
 
 
 class TestPerPatientCost:
@@ -194,7 +191,6 @@ class TestPerPatientCost:
 
 
 def test_class_aggregation_random_plans_match_brute_force():
-    import numpy as np
     rng = np.random.default_rng(91)
     for trial in range(6):
         n_q = int(rng.integers(0, 3))
@@ -232,7 +228,6 @@ def test_state_budget_error_names_the_state_count(schedule_s, monkeypatch):
 def test_merged_pass_matches_brute_force_on_seeded_random_plans():
     """FF multi-copy slots, no-show probabilities 0, 1 and 1/3, and R
     before the day, at its start and mid-day."""
-    import numpy as np
     rng = np.random.default_rng(505)
     levels = (Fraction(0), Fraction(1), Fraction(1, 3))
     multi_copy = checked = 0
@@ -296,7 +291,6 @@ def test_fraction_times_match_brute_force():
     """Robust-template (Fraction) appointment times, service means off the
     tenths grid and a Fraction regular time: the pass scales every time to
     an exact integer and back."""
-    import numpy as np
     from dataclasses import replace
 
     from blocksched.heuristics import robust_template
@@ -350,7 +344,6 @@ def test_times_and_weights_run_as_int64_or_python_integers(
     """Times and weights are int64 when every key and weighted sum provably
     fits, Python integers otherwise; each gives the brute-force
     expectation."""
-    import numpy as np
 
     from blocksched import noshow
     from blocksched.heuristics import robust_template

@@ -59,15 +59,14 @@ class TestEvaluate:
     def test_noshow_consumes_nothing(self):
         inst = mk_instance([("A", 10, 20, 2)])
         tpl = single_block_template(expand_block(inst))
-        real = ServiceRealization.from_means(tpl)
-        ev = evaluate(tpl, ServiceRealization(real.lams, real.mus,
-                                              (False, True)),
-                      regular_time=tenths(100))
-        # second patient still starts at their own appointment time
-        assert ev.e_a[1] == tenths(10)
-        assert ev.wait == 0
-        assert ev.idle_a == 0 and ev.idle_p == 0
-        assert ev.overtime_a == 0 and ev.overtime_p == 0
+        rows, scale = evaluate_paths(tpl, [p.lam for p in tpl.slots],
+                                     [p.mu for p in tpl.slots], 1,
+                                     np.array([[False, True]]), tenths(25))
+        # the second patient still starts at their own appointment time
+        # (10), so the physician finishes at 40, 15 past the day's end; no
+        # wait and no idle
+        assert scale == 1
+        assert rows.tolist() == [[0, 0, 0, 0, 0, tenths(15)]]
 
 
 class TestTotalCost:
@@ -128,6 +127,17 @@ class TestConcatenate:
         ev = evaluate(tpl, regular_time=ex2.regular_time)
         assert ev.last_finish_a == tenths(365)
         assert ev.overtime_a == tenths(65)
+
+    def test_block_without_qplus_packs_on_the_assistant(self):
+        inst = mk_instance([("Q", 30, 0, 2), ("R", 10, 0, 1)])
+        base = single_block_template(algorithm1(expand_block(inst)))
+        tpl = concatenate(base, 3)
+        # each block starts where the previous block's assistant finished
+        assert tpl.taus == tuple(map(tenths, (0, 30, 60, 70, 100, 130,
+                                              140, 170, 200)))
+        ev = evaluate(tpl)
+        assert ev.idle_a == 0 and ev.last_finish_a == tenths(210)
+        assert ev.first_start_p is None
 
     def test_k_below_one_rejected(self, ex1):
         with pytest.raises(ValueError):
@@ -234,7 +244,8 @@ def test_junction_clamps_to_assistant_availability_when_stage2_light():
 
 class TestEvaluatePaths:
     """The batched kernel, row by row, against the oracle.  `evaluate` runs
-    the same kernel, so comparing with it checks only the one-path case."""
+    the same kernel, so comparing with it checks only the one-path case
+    where everyone shows; masked rows are checked against the oracle."""
 
     @staticmethod
     def check_rows(tpl, sset, shows=None, regular_time=None):
@@ -244,16 +255,17 @@ class TestEvaluatePaths:
         for s, values in enumerate(table.tolist()):
             row = tuple(Fraction(v, scale) for v in values)
             show_row = None if shows is None else tuple(bool(x) for x in shows[s])
-            real = realization_for_template(sset, s, tpl, show_row)
-            ev = evaluate(tpl, real, regular_time)
-            assert row == (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
-                           ev.overtime_a, ev.overtime_p)
+            real = realization_for_template(sset, s, tpl)
             ref = oracle_timeline(tpl.slots, taus=tpl.taus, lams=list(real.lams),
                                   mus=list(real.mus), shows=show_row,
                                   regular_time=regular_time)
             assert row == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
                            ref["idle_p"], ref["b_a"], ref["b_p"])
-            costs.append(total_cost(ev, CostWeights.of(1, 2, 3, 4, 5)))
+            if shows is None:
+                ev = evaluate(tpl, real, regular_time)
+                assert row == (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
+                               ev.overtime_a, ev.overtime_p)
+                costs.append(total_cost(ev, CostWeights.of(1, 2, 3, 4, 5)))
         if shows is None:
             assert scenario_average_cost(
                 tpl, sset, CostWeights.of(1, 2, 3, 4, 5), regular_time) \
@@ -324,26 +336,22 @@ class TestPerSlotOracle:
                 lams = tuple(int(x) for x in rng.integers(0, 400, size=n))
                 mus = tuple(int(rng.integers(0, 400)) if p.qplus else 0
                             for p in tpl.slots)
-                masks = [None, (False,) * n,
-                         tuple(bool(x) for x in rng.random(n) >= 0.3)]
-                for shows in masks:
-                    real = ServiceRealization(lams, mus, shows)
-                    ev = evaluate(tpl, real, inst.regular_time)
-                    ref = oracle_timeline(tpl.slots, taus=tpl.taus,
-                                          lams=list(lams), mus=list(mus),
-                                          shows=shows,
-                                          regular_time=inst.regular_time)
-                    for field in self.FIELDS:
-                        assert list(getattr(ev, field)) == ref[field], field
-                    assert (ev.first_start_a, ev.last_finish_a) \
-                        == (ref["first_a"], ref["last_a"])
-                    assert (ev.first_start_p, ev.last_finish_p) \
-                        == (ref["first_p"], ref["last_p"])
-                    assert ev.completion == ref["completion"]
-                    assert (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
-                            ev.overtime_a, ev.overtime_p) \
-                        == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
-                            ref["idle_p"], ref["b_a"], ref["b_p"])
+                ev = evaluate(tpl, ServiceRealization(lams, mus),
+                              inst.regular_time)
+                ref = oracle_timeline(tpl.slots, taus=tpl.taus,
+                                      lams=list(lams), mus=list(mus),
+                                      regular_time=inst.regular_time)
+                for field in self.FIELDS:
+                    assert list(getattr(ev, field)) == ref[field], field
+                assert (ev.first_start_a, ev.last_finish_a) \
+                    == (ref["first_a"], ref["last_a"])
+                assert (ev.first_start_p, ev.last_finish_p) \
+                    == (ref["first_p"], ref["last_p"])
+                assert ev.completion == ref["completion"]
+                assert (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
+                        ev.overtime_a, ev.overtime_p) \
+                    == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
+                        ref["idle_p"], ref["b_a"], ref["b_p"])
 
 
 class TestMaskFreeStep:
@@ -427,13 +435,3 @@ class TestMaskFreeStep:
                             (*masked[0], *masked[1], *masked[2])):
                 assert np.broadcast_to(a, n).tolist() == \
                     np.broadcast_to(b, n).tolist()
-
-    def test_evaluate_all_shown_equals_no_shows(self):
-        rng = np.random.default_rng(36)
-        for inst in self.instances(rng):
-            for tpl in self.templates(inst):
-                real = ServiceRealization.from_means(tpl)
-                shown = ServiceRealization(real.lams, real.mus,
-                                           (True,) * len(tpl.slots))
-                assert evaluate(tpl, shown, inst.regular_time) \
-                    == evaluate(tpl, real, inst.regular_time)
