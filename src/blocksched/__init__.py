@@ -6,10 +6,9 @@ from .instance import (BalanceResult, ClinicInstance, CostWeights,
                        balanced_blocks, expand_block, expand_horizon,
                        instance_from_dict, instance_to_dict, load_instance,
                        validate_instance, workloads)
-from .timeline import (AppointmentTemplate, ScheduleEvaluation,
-                       ServiceRealization, concatenate, evaluate,
-                       pa_prefix_taus, sections, single_block_template,
-                       total_cost)
+from .timeline import (AppointmentTemplate, ScheduleEvaluation, concatenate,
+                       evaluate, pa_prefix_taus, sections,
+                       single_block_template, total_cost)
 from .heuristics import (BoundReport, algorithm1, algorithm2, algorithm3,
                          algorithm4, bound_report, closed_form_wait, fcfa,
                          junction_theta, robust_template, w_threshold,

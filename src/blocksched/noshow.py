@@ -64,14 +64,15 @@ class OverbookPlan:
 
     def template(self) -> AppointmentTemplate:
         """Base template with duplicates inserted after their hosts, sharing
-        the host appointment time."""
+        the host appointment time.  Each block bound lands where its base
+        slot does, so an empty block stays empty."""
         extra = dict(self.duplicates)
         slots: list[Patient] = []
         taus: list[Scalar] = []
-        bounds = [0]
+        landed = []                 # where each base slot lands
         next_uid = max((p.uid for p in self.base.slots), default=-1) + 1
-        boundary = 1
         for t, host in enumerate(self.base.slots):
+            landed.append(len(slots))
             slots.append(host)
             taus.append(self.base.taus[t])
             for _ in range(extra.get(t, 0)):
@@ -80,10 +81,9 @@ class OverbookPlan:
                 next_uid += 1
                 slots.append(dup)
                 taus.append(self.base.taus[t])
-            if t + 1 == self.base.block_bounds[boundary]:
-                bounds.append(len(slots))
-                boundary += 1
-        return AppointmentTemplate(tuple(slots), tuple(taus), tuple(bounds))
+        landed.append(len(slots))
+        return AppointmentTemplate(tuple(slots), tuple(taus), tuple(
+            landed[b] for b in self.base.block_bounds))
 
     def listing(self) -> str:
         """Compact first-block listing in the HC(2) duplicate notation."""

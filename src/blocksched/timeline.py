@@ -1,12 +1,13 @@
 """Timeline evaluation kernel for two-stage block schedules.
 
 Realizes the earliest-start semantics shared by the single-block and
-planning-horizon recurrences: a patient starts stage 1 at the later of their
-appointment time and the assistant becoming free, and starts stage 2 (Q+
-patients only) at the later of their stage-1 finish and the physician
-becoming free.  Idle time is span-based per resource (first start to last
-finish minus busy time); overtime is the positive part of the last finish
-past the regular day length.
+planning-horizon recurrences: every template fixes each slot's appointment
+time, a patient starts stage 1 at the later of their appointment time and
+the assistant becoming free, and starts stage 2 (Q+ patients only) at the
+later of their stage-1 finish and the physician becoming free.  Idle time
+is span-based per resource (first start to last finish minus busy time);
+overtime is the positive part of the last finish past the regular day
+length.
 
 One slot step (`_slot`) holds the recurrence for a batch of resource
 states.  Its show mask is optional: the step is written once for everyone
@@ -14,7 +15,8 @@ showing, and one block at its end applies a mask when there is one, the
 only place in this module where the no-show rule is written.  `_recurrence`
 runs it over a batch of paths: `evaluate_paths` takes an optional mask (the
 Monte-Carlo no-show fallback), and `evaluate` is its one-path case where
-everyone shows, with every slot's marks.  The exact no-show pass
+everyone shows, with every slot's marks; it takes a path's realized service
+times as two sequences, lams and mus.  The exact no-show pass
 (`noshow.enumerate_expected_metrics`) runs the step, without a mask, for
 the show children of merged show states, and both take the day's overtime
 from `_overtime`.
@@ -40,24 +42,21 @@ from .units import Scalar, fmt_minutes, fmt_number
 class AppointmentTemplate:
     """A horizon sequence with fixed appointment times.
 
-    taus is the first-stage appointment decision: nondecreasing, first slot
-    at 0.  taus=None means appointments track the realized stage-1 starts
-    (the single-block model's convention, where stage-1 wait is zero by
-    definition).  block_bounds[c] is the slot index where block c starts,
-    with a final sentinel equal to the slot count.
+    taus is the first-stage appointment decision, one time per slot:
+    nondecreasing, first slot at 0.  block_bounds[c] is the slot index where
+    block c starts, with a final sentinel equal to the slot count.
     """
     slots: PatientList
-    taus: tuple[Scalar, ...] | None
+    taus: tuple[Scalar, ...]
     block_bounds: tuple[int, ...]
 
     def __post_init__(self):
-        if self.taus is not None:
-            if len(self.taus) != len(self.slots):
-                raise ValueError("taus length must match slots")
-            if any(self.taus[i] > self.taus[i + 1] for i in range(len(self.taus) - 1)):
-                raise ValueError("appointment times must be nondecreasing")
-            if self.taus and self.taus[0] != 0:
-                raise ValueError("first appointment must be at time 0")
+        if len(self.taus) != len(self.slots):
+            raise ValueError("taus length must match slots")
+        if any(self.taus[i] > self.taus[i + 1] for i in range(len(self.taus) - 1)):
+            raise ValueError("appointment times must be nondecreasing")
+        if self.taus and self.taus[0] != 0:
+            raise ValueError("first appointment must be at time 0")
         if self.block_bounds[0] != 0 or self.block_bounds[-1] != len(self.slots):
             raise ValueError("block_bounds must span the slot range")
 
@@ -76,22 +75,6 @@ def pa_prefix_taus(sequence: PatientList, start: Scalar = 0) -> tuple[Scalar, ..
         taus.append(t)
         t = t + p.lam
     return tuple(taus)
-
-
-@dataclass(frozen=True)
-class ServiceRealization:
-    """Realized per-slot service times, aligned with a template's slots,
-    for a path on which everyone shows.
-
-    mu must be 0 for Q-group slots.
-    """
-    lams: tuple[Scalar, ...]
-    mus: tuple[Scalar, ...]
-
-    @classmethod
-    def from_means(cls, template: AppointmentTemplate) -> "ServiceRealization":
-        return cls(tuple(p.lam for p in template.slots),
-                   tuple(p.mu for p in template.slots))
 
 
 @dataclass(frozen=True)
@@ -141,19 +124,18 @@ def _slot(pa, pp, started_a, started_p, tau, lam, mu, qplus, shown=None):
 
     pa and pp are the assistant's and the physician's free times, and
     started_a and started_p say whether each has served anyone yet (boolean
-    arrays, or True).  tau is the slot's appointment time (None: it tracks
-    the assistant), lam and mu its service times, and shown a boolean mask,
-    or None when everyone shows.  Returns the new (pa, pp, started_a,
-    started_p), the slot's (stage-1 wait, stage-2 wait, assistant idle,
-    physician idle) increments and its (stage-1 start, stage-1 finish,
-    stage-2 start) marks.  A Q slot's stage-2 increments are 0 and its
+    arrays, or True).  tau is the slot's appointment time, lam and mu its
+    service times, and shown a boolean mask, or None when everyone shows.
+    Returns the new (pa, pp, started_a, started_p), the slot's (stage-1
+    wait, stage-2 wait, assistant idle, physician idle) increments and its
+    (stage-1 start, stage-1 finish, stage-2 start) marks.  A Q slot's stage-2 increments are 0 and its
     stage-2 start is its stage-1 finish.  Without a mask the step runs no
     mask arithmetic and the started flags come back as True; a mask is
     applied in one block at the end.
     """
-    ea = pa if tau is None else np.maximum(pa, tau)
+    ea = np.maximum(pa, tau)
     fa = ea + lam
-    wait_a = 0 if tau is None else ea - tau
+    wait_a = ea - tau
     # idle counts from a resource's first patient on: no mask once started
     # is True everywhere
     idle_a = ea - pa if started_a is True else (ea - pa) * started_a
@@ -193,16 +175,14 @@ def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
     """The body of `evaluate_paths`: `_slot` over the template's slots.
     When marks is a list, each slot appends its scaled marks to it."""
     taus = template.taus
-    fractions = [x for x in (*(taus or ()), regular_time, *lams, *mus)
+    fractions = [x for x in (*taus, regular_time, *lams, *mus)
                  if isinstance(x, Fraction)]
     scale = lcm(*(x.denominator for x in fractions))
     dtype = object if fractions else np.int64
     if fractions:
         up = lambda x: (x.astype(object) * scale if isinstance(x, np.ndarray)
                         else int(x * scale))
-        lams, mus = [up(x) for x in lams], [up(x) for x in mus]
-        if taus is not None:
-            taus = [up(x) for x in taus]
+        taus, lams, mus = ([up(x) for x in xs] for xs in (taus, lams, mus))
         if regular_time is not None:
             regular_time = up(regular_time)
 
@@ -214,8 +194,8 @@ def _recurrence(template: AppointmentTemplate, lams, mus, n_paths: int,
     for t, slot in enumerate(template.slots):
         # the state goes in as four names: a *state call costs more per slot
         state, (d_wait_a, d_wait_p, d_idle_a, d_idle_p), mark = _slot(
-            pa, pp, started_a, started_p, None if taus is None else taus[t],
-            lams[t], mus[t], slot.qplus, None if shows is None else shows[t])
+            pa, pp, started_a, started_p, taus[t], lams[t], mus[t],
+            slot.qplus, None if shows is None else shows[t])
         pa, pp, started_a, started_p = state
         wait_a, idle_a = wait_a + d_wait_a, idle_a + d_idle_a
         if slot.qplus:                 # a Q slot adds no stage-2 time
@@ -248,21 +228,21 @@ def evaluate_paths(template: AppointmentTemplate, lams, mus, n_paths: int,
     return _recurrence(template, lams, mus, n_paths, shows, regular_time)
 
 
-def evaluate(template: AppointmentTemplate,
-             realization: ServiceRealization | None = None,
+def evaluate(template: AppointmentTemplate, lams=None, mus=None,
              regular_time: Scalar | None = None) -> ScheduleEvaluation:
     """The one-path case of `evaluate_paths` where everyone shows, with
     every slot's marks.
 
-    A Q slot's stage-2 marks are its stage-1 finish.  regular_time=None is
+    lams[t] and mus[t] are slot t's realized service times (mu 0 for a Q
+    slot); either one, when None, takes the slots' means.  A Q slot's
+    stage-2 marks are its stage-1 finish.  regular_time=None is
     single-block mode: overtime is zero.  Values are ints wherever they are
     integral.  No-shows are evaluated by `evaluate_paths` with a show mask
     and, exactly, by `noshow.enumerate_expected_metrics`.
     """
     slots = template.slots
-    if realization is None:
-        realization = ServiceRealization.from_means(template)
-    lams, mus = realization.lams, realization.mus
+    lams = [p.lam for p in slots] if lams is None else lams
+    mus = [p.mu for p in slots] if mus is None else mus
     if not (len(lams) == len(mus) == len(slots)):
         raise ValueError("realization length must match template slots")
     marks: list = []
@@ -277,7 +257,7 @@ def evaluate(template: AppointmentTemplate,
 
     per_slot = []                  # (e_a, f_a, e_p, f_p, w_a, w_p), scaled
     for t, (ea, fa, ep) in enumerate(np.array(marks).reshape(-1, 3).tolist()):
-        w_a = ea - int(template.taus[t] * scale) if template.taus else 0
+        w_a = ea - int(template.taus[t] * scale)
         fp = ep + int(mus[t] * scale) if slots[t].qplus else ep
         per_slot.append((ea, fa, ep, fp, w_a, ep - fa))
     e_a, f_a, e_p, f_p, w_a, w_p = (tuple(map(value, column)) for column
@@ -366,7 +346,7 @@ def concatenate(block_template: AppointmentTemplate, k: int,
         slots.extend(block_template.slots)
         taus.extend(offset + tau for tau in block_template.taus)
         bounds.append(len(slots))
-        prev_pa_end = offset + base.last_finish_a
+        prev_pa_end = offset + (base.last_finish_a or 0)   # empty: no time
         if base.last_finish_p is not None:
             prev_p_end = offset + base.last_finish_p
     if overflow:
@@ -377,9 +357,10 @@ def concatenate(block_template: AppointmentTemplate, k: int,
 
 
 def evaluation_rows(template: AppointmentTemplate, ev: ScheduleEvaluation,
-                    weights: CostWeights | None = None) -> list[dict]:
+                    weights: CostWeights) -> list[dict]:
     """Flatten an evaluation to one dict per slot plus a TOTAL summary row
-    (minutes as decimal strings), ready for CSV emission."""
+    with the weighted cost (minutes as decimal strings), ready for CSV
+    emission."""
     rows = []
     block = 0
     for t, slot in enumerate(template.slots):
@@ -389,7 +370,7 @@ def evaluation_rows(template: AppointmentTemplate, ev: ScheduleEvaluation,
             "block": block + 1,
             "slot": t + 1,
             "type": slot.name,
-            "tau": fmt_minutes(template.taus[t]) if template.taus else fmt_minutes(ev.e_a[t]),
+            "tau": fmt_minutes(template.taus[t]),
             "e_a": fmt_minutes(ev.e_a[t]),
             "f_a": fmt_minutes(ev.f_a[t]),
             "e_p": fmt_minutes(ev.e_p[t]) if slot.qplus else "",
@@ -403,8 +384,7 @@ def evaluation_rows(template: AppointmentTemplate, ev: ScheduleEvaluation,
         "w_a": fmt_minutes(ev.wait_a), "w_p": fmt_minutes(ev.wait_p),
         "idle_a": fmt_minutes(ev.idle_a), "idle_p": fmt_minutes(ev.idle_p),
         "b_a": fmt_minutes(ev.overtime_a), "b_p": fmt_minutes(ev.overtime_p),
+        "cost": fmt_number(total_cost(ev, weights)),
     }
-    if weights is not None:
-        summary["cost"] = fmt_number(total_cost(ev, weights))
     rows.append(summary)
     return rows

@@ -12,8 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from blocksched import (ClinicInstance, CostWeights, PatientType,
-                        ServiceRealization, load_instance)
+from blocksched import ClinicInstance, CostWeights, PatientType, load_instance
 
 FIXDIR = resources.files("blocksched") / "fixtures"
 
@@ -71,14 +70,13 @@ def random_conformant_instance(rng: np.random.Generator, max_r=12,
 
 
 def realization_for_template(scenario_set, s, template):
-    """Path s of a scenario set as a ServiceRealization, slot-aligned via
-    canonical patient ids.  Overbooked duplicates (ids beyond the drawn
-    patients) take their mean times; Q slots take no stage-2 time."""
+    """Path s of a scenario set as (lams, mus), slot-aligned via canonical
+    patient ids.  Overbooked duplicates (ids beyond the drawn patients) take
+    their mean times; Q slots take no stage-2 time."""
     lam, mu = scenario_set.lam[s].tolist(), scenario_set.mu[s].tolist()
     drawn = lambda xs, p, mean: xs[p.uid] if p.uid < len(xs) else mean
-    return ServiceRealization(
-        tuple(drawn(lam, p, p.lam) for p in template.slots),
-        tuple(drawn(mu, p, p.mu) if p.qplus else 0 for p in template.slots))
+    return (tuple(drawn(lam, p, p.lam) for p in template.slots),
+            tuple(drawn(mu, p, p.mu) if p.qplus else 0 for p in template.slots))
 
 
 def oracle_timeline(slots, taus=None, lams=None, mus=None, shows=None,

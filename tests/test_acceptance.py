@@ -127,7 +127,7 @@ def test_criterion_6_robust_templates(ex1):
         scen = draw_scenarios(ex1, DistributionSpec.uniform(w), 1000,
                               seed=60 + int(w * 10), tag="robust")
         for s in range(scen.K):
-            ev = evaluate(tpl, realization_for_template(scen, s, tpl))
+            ev = evaluate(tpl, *realization_for_template(scen, s, tpl))
             assert ev.idle_p == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

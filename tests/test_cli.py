@@ -106,6 +106,29 @@ class TestDispatch:
             "T3", "T1", "T4", "T1", "T1", "T4", "T2", "T4", "T2"]
         assert payload["slots"][0]["tau"] == "0"
 
+    def test_template_alg1_emits_the_sorted_block(self, ex1_path, capsys):
+        assert run(["template", "--method", "alg1",
+                    "--instance", ex1_path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "alg1"
+        assert payload["block_bounds"] == [0, 9]
+        assert [s["type"] for s in payload["slots"]] == [
+            "T3", "T4", "T4", "T4", "T2", "T2", "T1", "T1", "T1"]
+        # appointments are the stage-1 mean prefix sums
+        assert [s["tau"] for s in payload["slots"]] == [
+            "0", "20", "35", "50", "65", "80", "95", "105", "115"]
+
+    def test_bounds_csv_without_output_goes_to_the_output_dir(
+            self, ex1_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "reports"
+        out.mkdir()
+        monkeypatch.setenv("BLOCKSCHED_OUT", str(out))
+        assert run(["bounds", "--instance", ex1_path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == ["bounds.csv"]
+        (row,) = read_report(out / "bounds.csv")
+        assert row["w_star"] == "0.5" and row["horizon_bound"] == "260"
+
     def test_bounds_contains_w_star(self, ex1_path, capsys):
         assert run(["bounds", "--instance", ex1_path]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -800,3 +823,53 @@ class TestTimesBeyondTheLimit:
         assert run(["simulate", "--method", "alg4", "--instance", path,
                     "--paths", "50"]) == 0
         assert json.loads(capsys.readouterr().out)["paths"] == 50
+
+
+NO_QPLUS_TYPES = [{"name": "A", "lambda_mean": 5, "mu_mean": 0, "ratio": 2},
+                  {"name": "B", "lambda_mean": 3, "mu_mean": 0, "ratio": 1}]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("command", [
+    ["template", "--method", "alg3"], ["template", "--method", "alg4"],
+    ["simulate", "--method", "alg3", "--paths", "20"],
+    ["simulate", "--method", "alg4", "--paths", "20"],
+    ["simulate", "--method", "alg3", "--paths", "20", "--dist", "uniform"],
+    ["simulate", "--method", "alg4", "--paths", "20", "--dist", "uniform"],
+    ["compare", "--paths", "20"],
+    ["saa", "--inner", "alg4", "--K", "2", "--nu0", "2", "--nu-max", "2"],
+    ["noshow", "--plan", "none", "--k", "2"],
+    ["noshow", "--plan", "lf", "--k", "2"],
+    ["noshow", "--plan", "ff", "--k", "2"]], ids=" ".join)
+def test_instance_without_qplus_runs(tmp_path, capsys, monkeypatch, command,
+                                     k):
+    # no Q+ type: L_p is 0, so balancing moves every patient to the
+    # overflow block; the k base blocks are empty and take no time
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BLOCKSCHED_OUT", raising=False)
+    path = instance_file(tmp_path, types=NO_QPLUS_TYPES, regular_time=30,
+                         blocks=k)
+    assert run(command + ["--instance", path]) == 0
+    out = capsys.readouterr().out
+    if command[0] == "compare":
+        assert len(read_report(tmp_path / "compare.csv")) > 0
+        return
+    payload = json.loads(out)
+    if command[0] == "template":
+        assert payload["block_bounds"] == [0] * (k + 1) + [3 * k]
+        assert [s["tau"] for s in payload["slots"]][:3] == ["0", "5", "10"]
+    elif command[0] == "noshow":
+        # the overbooked first block is empty: nothing is duplicated
+        assert payload["n_scheduled"] == 6 and payload["mass"] == "1"
+
+
+def test_unbalanceable_instance_exits_one(tmp_path, capsys):
+    path = instance_file(tmp_path, types=[
+        {"name": "P", "lambda_mean": 10, "mu_mean": 4, "ratio": 2},
+        {"name": "R", "lambda_mean": 6, "mu_mean": 9, "ratio": 1},
+        {"name": "Q", "lambda_mean": 3, "mu_mean": 0, "ratio": 2}])
+    assert run(["template", "--method", "alg4", "--instance", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: instance cannot be balanced: Q+ workload "
+                            "alone exceeds the stage-2 workload\n")

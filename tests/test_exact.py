@@ -206,6 +206,25 @@ class TestSaaReplication:
         det = solve_block_exact(expand_block(ex1), w)
         assert saa.objective >= det.objective
 
+    @pytest.mark.parametrize("mode, limits", [
+        ("enumerate", (4533, 6772)), ("branch_and_bound", (698, 792))])
+    def test_budget_out_at_the_leaf_charge_returns_a_schedule(
+            self, ex1, mode, limits):
+        # ex1 at K=3: the search has charged limits[0] nodes, the children
+        # of the first chunk with one patient left among them, when it
+        # charges that chunk's leaves; any limit in the range runs out there
+        w = CostWeights.of(1, 1, 1)
+        scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 3, seed=4)
+        best = solve_saa_replication(ex1, w, scen, SearchConfig(mode=mode))
+        assert best.optimal
+        for limit in limits:
+            sol = solve_saa_replication(
+                ex1, w, scen, SearchConfig(node_limit=limit, mode=mode))
+            assert not sol.optimal and sol.nodes_explored == limit + 1
+            assert len(sol.template.slots) == 9
+            assert sol.objective == scenario_average_cost(sol.template, scen, w)
+            assert sol.objective >= best.objective
+
     def test_k5_uniform_matches_bruteforce_oracle(self, ex1):
         w = CostWeights.of("0.4", 1, 1)
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.2"), 5, seed=11,
@@ -851,6 +870,11 @@ class TestRejectedConfigs:
         # nan compares false both ways, so only "not limit > 0" catches it
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             SearchConfig(**{field: value})
+
+    @pytest.mark.parametrize("mode", ["dfs", "Enumerate", ""])
+    def test_unknown_mode_is_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"^unknown mode: {mode}$"):
+            SearchConfig(mode=mode)
 
     def test_an_infinite_time_limit_is_allowed(self, ex1):
         sol = solve_block_exact(expand_block(ex1), ex1.costs,

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from blocksched import (algorithm1, algorithm2, algorithm3, algorithm4,
                         closed_form_wait, concatenate, evaluate, expand_block,
@@ -221,8 +222,18 @@ class TestRobustness:
             dist = DistributionSpec.uniform(w_star)
             scen = draw_scenarios(inst, dist, 50, seed=checked, tag="robust")
             for s in range(scen.K):
-                ev = evaluate(tpl, realization_for_template(scen, s, tpl))
+                ev = evaluate(tpl, *realization_for_template(scen, s, tpl))
                 assert ev.idle_p == 0
+
+
+@pytest.mark.parametrize("builder", [algorithm3, algorithm4])
+def test_unbalanceable_instance_is_rejected(builder):
+    # L_a = 20 + 6 + 6 > L_p = 8 + 9, and the Q+ stage-1 load (26) alone
+    # exceeds the stage-2 load, so no removal of Q patients can balance it
+    inst = mk_instance([("P", 10, 4, 2), ("R", 6, 9, 1), ("Q", 3, 0, 2)])
+    with pytest.raises(ValueError, match="^instance cannot be balanced: Q\\+ "
+                       "workload alone exceeds the stage-2 workload$"):
+        builder(inst)
 
 
 def test_algorithm1_without_qplus_returns_q_only(caplog):

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blocksched import (InstanceFormatError, balance_workload, expand_block,
-                        instance_from_dict, instance_to_dict, load_instance,
-                        validate_instance, workloads)
+from blocksched import (ClinicInstance, CostWeights, InstanceFormatError,
+                        balance_workload, expand_block, instance_from_dict,
+                        instance_to_dict, load_instance, validate_instance,
+                        workloads)
 from blocksched.instance import MAX_TIME
 from blocksched.units import tenths
 
@@ -40,6 +41,19 @@ class TestValidate:
         report = validate_instance(inst)
         assert report.ok
         assert any("no-idle guarantees void" in w for w in report.warnings)
+
+    @pytest.mark.parametrize("inst, error", [
+        (mk_instance([("A", 10, 20, 1, -1)]),
+         "types[0] (A): negative standard deviation"),
+        (mk_instance([("A", 10, 20, 1, 0, -1)]),
+         "types[0] (A): negative standard deviation"),
+        (mk_instance([("A", 10, -5, 1)]), "types[0] (A): negative stage-2 time"),
+        (mk_instance([("A", 10, 20, 1)], costs=(1, 1, 1, -1, 1)),
+         "costs.o_a: negative weight"),
+        (ClinicInstance((), CostWeights.of(1, 1, 1), 3000, 1), "types: empty"),
+    ], ids=["lambda-sd", "mu-sd", "stage-2-mean", "weight", "no-types"])
+    def test_each_error_names_its_field(self, inst, error):
+        assert validate_instance(inst).errors == [error]
 
     def test_times_beyond_the_limit_name_their_field(self, ex1):
         # instances built in code skip the loader: the validator bounds

@@ -1,14 +1,15 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from blocksched import CostWeights, algorithm2, expand_block, noshow
-from blocksched.noshow import (NoShowProbs, build_overbook_plan,
-                               enumerate_expected_metrics,
+from blocksched.noshow import (ExpectedMetrics, NoShowProbs,
+                               build_overbook_plan, enumerate_expected_metrics,
                                expected_cost_per_patient)
-from blocksched.timeline import evaluate_paths
+from blocksched.timeline import AppointmentTemplate, evaluate_paths
 from blocksched.units import tenths
 
 from conftest import mk_instance, oracle_cost, oracle_timeline
@@ -54,6 +55,15 @@ class TestBuildPlan:
         assert [p.name for p in tpl.slots[:4]] == ["HC", "HC", "HC", "HC"]
         assert tpl.taus[0] == tpl.taus[1] == tpl.taus[2] == 0
         assert len({p.uid for p in tpl.slots}) == 20
+
+    def test_empty_block_keeps_its_bound(self):
+        # blocks 0 and 2 hold two patients each and block 1 none: each bound
+        # moves by the duplicates placed before it
+        seq = expand_block(mk_instance([("Q", 5, 0, 2), ("A", 10, 12, 2)]))
+        base = AppointmentTemplate(seq, (0, 50, 100, 150), (0, 2, 2, 4))
+        plan = build_overbook_plan(base, "lf", NoShowProbs.of(0, "0.5"))
+        assert plan.duplicates == ((0, 1),)
+        assert plan.template().block_bounds == (0, 3, 3, 5)
 
 
 def brute_force_expected(plan, probs, regular_time):
@@ -377,3 +387,20 @@ def test_times_and_weights_run_as_int64_or_python_integers(
     assert metrics.as_tuple() == (oracle["wait"], oracle["idle_a"],
                                   oracle["idle_p"], oracle["overtime_a"],
                                   oracle["overtime_p"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tpl: NoShowProbs.of("0.2", "1.5"),
+     "no-show probabilities must be in [0, 1]"),
+    (lambda tpl: build_overbook_plan(tpl, "late", PROBS),
+     "unknown overbooking strategy: LATE"),
+    # a probability above 1 passes only by building the record directly
+    (lambda tpl: build_overbook_plan(tpl, "lf", NoShowProbs(Fraction(2), 0)),
+     "LF capacity exceeded for Q+ group"),
+    (lambda tpl: expected_cost_per_patient(
+        ExpectedMetrics(0, 0, 0, 0, 0, 1, 1), CostWeights.of(1, 1, 1), 0),
+     "n_scheduled must be positive"),
+], ids=["probability", "strategy", "lf-capacity", "n-scheduled"])
+def test_input_checks_name_the_fault(schedule_s, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(schedule_s)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,6 +201,21 @@ class TestUniformDraws:
             DistributionSpec.uniform(3)
         with pytest.raises(ValueError, match="width 201/100"):
             DistributionSpec("uniform_width", Fraction("2.01"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DistributionSpec("gamma"), "unknown family: gamma"),
+    (lambda: DistributionSpec("uniform_width", Fraction(-1, 10)),
+     "width must be >= 0"),
+    (lambda: t_critical(3, 0.5),
+     "supported confidence levels: 0.90, 0.95, 0.99"),
+    (lambda: SAAConfig(nu0=1), "nu0 must be >= 2"),
+    (lambda: SAAConfig(xi=0), "xi must be in (0, 1)"),
+    (lambda: SAAConfig(xi=1), "xi must be in (0, 1)"),
+], ids=["family", "width", "confidence", "nu0", "xi-0", "xi-1"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestHalfwidth:

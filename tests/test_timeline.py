@@ -1,12 +1,13 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from blocksched import (CostWeights, ServiceRealization, algorithm1,
-                        algorithm2, algorithm3, balance_workload,
-                        balanced_blocks, concatenate, evaluate, expand_block,
-                        sections, single_block_template, total_cost)
+from blocksched import (CostWeights, algorithm1, algorithm2, algorithm3,
+                        balance_workload, balanced_blocks, concatenate,
+                        evaluate, expand_block, sections,
+                        single_block_template, total_cost)
 from blocksched.heuristics import robust_template
 from blocksched.noshow import NoShowProbs, build_overbook_plan
 from blocksched.stochastic import (DistributionSpec, draw_scenarios,
@@ -20,6 +21,13 @@ from conftest import (mk_instance, oracle_timeline, random_conformant_instance,
 
 def fig2_template(ex1):
     return single_block_template(algorithm1(expand_block(ex1)))
+
+
+def no_qplus_instance():
+    """No Q+ type: L_p is 0, so balancing moves every patient to the
+    overflow block and each of the two base blocks is empty."""
+    return mk_instance([("A", 5, 0, 2), ("B", 3, 0, 1)], regular_time=30,
+                       blocks=2)
 
 
 class TestEvaluate:
@@ -96,6 +104,11 @@ class TestSections:
         ev = evaluate(algorithm3(ex2), regular_time=ex2.regular_time)
         assert sections(ev)[2] == (tenths(110), 0, 0, tenths(110))
 
+    def test_empty_block_is_all_zero(self):
+        ev = evaluate(algorithm3(no_qplus_instance()), regular_time=tenths(30))
+        assert sections(ev) == [(0, 0, 0, 0), (0, 0, 0, 0),
+                                (tenths(26), 0, 0, tenths(26))]
+
     def test_single_qplus_patient(self):
         # no overlap is possible beyond the patient's own services: the
         # physician works alone after the assistant finishes
@@ -139,6 +152,13 @@ class TestConcatenate:
         assert ev.idle_a == 0 and ev.last_finish_a == tenths(210)
         assert ev.first_start_p is None
 
+    def test_empty_block_takes_no_time(self):
+        seq = expand_block(no_qplus_instance())
+        tpl = concatenate(AppointmentTemplate((), (), (0, 0)), 3, overflow=seq)
+        # the overflow block starts the day, packed on the assistant
+        assert tpl.block_bounds == (0, 0, 0, 0, 3)
+        assert tpl.taus == tuple(map(tenths, (0, 5, 10)))
+
     def test_k_below_one_rejected(self, ex1):
         with pytest.raises(ValueError):
             concatenate(fig2_template(ex1), 0)
@@ -150,12 +170,11 @@ class TestInvariants:
         for _ in range(30):
             inst = random_conformant_instance(rng)
             tpl = single_block_template(algorithm1(expand_block(inst)))
-            base = ServiceRealization.from_means(tpl)
             ev0 = evaluate(tpl)
             j = int(rng.integers(0, len(tpl.slots)))
-            lams = list(base.lams)
+            lams = [p.lam for p in tpl.slots]
             lams[j] += int(rng.integers(1, 50))
-            ev1 = evaluate(tpl, ServiceRealization(tuple(lams), base.mus))
+            ev1 = evaluate(tpl, lams)
             assert all(a1 >= a0 for a0, a1 in zip(ev0.e_a, ev1.e_a))
             assert all(p1 >= p0 for p0, p1 in zip(ev0.e_p, ev1.e_p))
 
@@ -173,8 +192,7 @@ class TestInvariants:
                 acc += lam
             tpl = AppointmentTemplate(tpl0.slots, tuple(taus),
                                       tpl0.block_bounds)
-            ev = evaluate(tpl, ServiceRealization(
-                lams, ServiceRealization.from_means(tpl0).mus))
+            ev = evaluate(tpl, lams)
             assert ev.wait_a == 0 and ev.idle_a == 0
 
     def test_sorted_block_is_no_idle_on_conformant_means(self):
@@ -193,7 +211,7 @@ class TestInvariants:
                          rng.integers(0, 400, size=len(tpl.slots)))
             mus = tuple(int(rng.integers(0, 400)) if p.qplus else 0
                         for p in tpl.slots)
-            ev = evaluate(tpl, ServiceRealization(lams, mus))
+            ev = evaluate(tpl, lams, mus)
             busy_a = sum(lams)
             assert (ev.last_finish_a - ev.first_start_a) == busy_a + ev.idle_a
             if ev.first_start_p is not None:
@@ -202,10 +220,10 @@ class TestInvariants:
 
     def test_zero_variance_equals_mean_evaluation(self, table7):
         tpl = algorithm3(table7)
-        explicit = ServiceRealization(tuple(p.lam for p in tpl.slots),
-                                      tuple(p.mu for p in tpl.slots))
         ev_mean = evaluate(tpl, regular_time=table7.regular_time)
-        ev_real = evaluate(tpl, explicit, regular_time=table7.regular_time)
+        ev_real = evaluate(tpl, tuple(p.lam for p in tpl.slots),
+                           tuple(p.mu for p in tpl.slots),
+                           table7.regular_time)
         assert ev_mean == ev_real
 
     def test_engine_matches_reference_loop(self):
@@ -217,8 +235,7 @@ class TestInvariants:
                          rng.integers(0, 400, size=len(tpl.slots)))
             mus = tuple(int(rng.integers(0, 400)) if p.qplus else 0
                         for p in tpl.slots)
-            ev = evaluate(tpl, ServiceRealization(lams, mus),
-                          regular_time=inst.regular_time)
+            ev = evaluate(tpl, lams, mus, inst.regular_time)
             ref = oracle_timeline(tpl.slots, taus=tpl.taus, lams=list(lams),
                                   mus=list(mus),
                                   regular_time=inst.regular_time)
@@ -255,14 +272,14 @@ class TestEvaluatePaths:
         for s, values in enumerate(table.tolist()):
             row = tuple(Fraction(v, scale) for v in values)
             show_row = None if shows is None else tuple(bool(x) for x in shows[s])
-            real = realization_for_template(sset, s, tpl)
-            ref = oracle_timeline(tpl.slots, taus=tpl.taus, lams=list(real.lams),
-                                  mus=list(real.mus), shows=show_row,
+            lams, mus = realization_for_template(sset, s, tpl)
+            ref = oracle_timeline(tpl.slots, taus=tpl.taus, lams=list(lams),
+                                  mus=list(mus), shows=show_row,
                                   regular_time=regular_time)
             assert row == (ref["wait_a"], ref["wait_p"], ref["idle_a"],
                            ref["idle_p"], ref["b_a"], ref["b_p"])
             if shows is None:
-                ev = evaluate(tpl, real, regular_time)
+                ev = evaluate(tpl, lams, mus, regular_time)
                 assert row == (ev.wait_a, ev.wait_p, ev.idle_a, ev.idle_p,
                                ev.overtime_a, ev.overtime_p)
                 costs.append(total_cost(ev, CostWeights.of(1, 2, 3, 4, 5)))
@@ -276,7 +293,6 @@ class TestEvaluatePaths:
         seq = algorithm1(expand_block(inst))
         probs = NoShowProbs.of("0.2", "0.3")
         yield algorithm3(inst)
-        yield AppointmentTemplate(tuple(seq), None, (0, len(seq)))
         yield robust_template(seq, Fraction(1, 3))           # Fraction taus
         yield build_overbook_plan(algorithm2(expand_block(inst)), "lf",
                                   probs).template()          # duplicates
@@ -330,14 +346,13 @@ class TestPerSlotOracle:
         rng = np.random.default_rng(33)
         for case in range(20):
             inst = random_conformant_instance(rng, max_r=8, blocks=2)
-            # means, Fraction taus, taus=None and overbooked duplicates
+            # means, Fraction taus and overbooked duplicates
             for tpl in TestEvaluatePaths.templates(inst):
                 n = len(tpl.slots)
                 lams = tuple(int(x) for x in rng.integers(0, 400, size=n))
                 mus = tuple(int(rng.integers(0, 400)) if p.qplus else 0
                             for p in tpl.slots)
-                ev = evaluate(tpl, ServiceRealization(lams, mus),
-                              inst.regular_time)
+                ev = evaluate(tpl, lams, mus, inst.regular_time)
                 ref = oracle_timeline(tpl.slots, taus=tpl.taus,
                                       lams=list(lams), mus=list(mus),
                                       regular_time=inst.regular_time)
@@ -370,12 +385,11 @@ class TestMaskFreeStep:
 
     @staticmethod
     def templates(inst):
-        """taus given (int64 and Fraction), taus=None, and duplicates."""
+        """int64 and Fraction taus, and duplicates."""
         seq = algorithm1(expand_block(inst))
         yield single_block_template(seq)
         # declaration order: the mixed instance starts with a Q slot
         yield single_block_template(expand_block(inst))
-        yield AppointmentTemplate(tuple(seq), None, (0, len(seq)))
         yield robust_template(seq, Fraction(1, 3))
         for plan in ("lf", "ff"):
             yield build_overbook_plan(algorithm2(expand_block(inst)), plan,
@@ -399,8 +413,7 @@ class TestMaskFreeStep:
                     assert scale == masked[1]
                     assert rows.dtype == masked[0].dtype
                     assert rows.tolist() == masked[0].tolist()
-                    kinds.add((rows.dtype.name, tpl.taus is None,
-                               n > inst.r))
+                    kinds.add((rows.dtype.name, n > inst.r))
                     for s, values in enumerate(rows.tolist()):
                         ref = oracle_timeline(
                             tpl.slots, taus=tpl.taus,
@@ -411,10 +424,9 @@ class TestMaskFreeStep:
                         assert [Fraction(v, scale) for v in values] == [
                             ref[m] for m in ("wait_a", "wait_p", "idle_a",
                                              "idle_p", "b_a", "b_p")]
-        # int64 and Python-integer rows, taus=None, overbooked duplicates
-        assert {dtype for dtype, _, _ in kinds} == {"int64", "object"}
-        assert any(no_taus for _, no_taus, _ in kinds)
-        assert any(dups for _, _, dups in kinds)
+        # int64 and Python-integer rows, overbooked duplicates
+        assert {dtype for dtype, _ in kinds} == {"int64", "object"}
+        assert any(dups for _, dups in kinds)
 
     def test_slot_without_a_mask_equals_an_all_true_mask(self):
         from blocksched.timeline import _slot
@@ -425,7 +437,7 @@ class TestMaskFreeStep:
             started = [rng.random(n) < 0.5 for _ in range(2)]
             if case % 4 == 0:
                 started = [True, True]      # as the step leaves them
-            tau = None if case % 3 == 0 else int(rng.integers(0, 300))
+            tau = int(rng.integers(0, 300))
             qplus = bool(case % 2)
             args = (pa, pp, *started, tau, int(rng.integers(0, 99)),
                     int(rng.integers(0, 99)) if qplus else 0, qplus)
@@ -435,3 +447,22 @@ class TestMaskFreeStep:
                             (*masked[0], *masked[1], *masked[2])):
                 assert np.broadcast_to(a, n).tolist() == \
                     np.broadcast_to(b, n).tolist()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: AppointmentTemplate(s, (0,), (0, 2)),
+     "taus length must match slots"),
+    (lambda s: AppointmentTemplate(s, (0, 20, 10), (0, 3)),
+     "appointment times must be nondecreasing"),
+    (lambda s: AppointmentTemplate(s, (10, 20, 30), (0, 3)),
+     "first appointment must be at time 0"),
+    (lambda s: AppointmentTemplate(s, (0, 10, 20), (0, 2)),
+     "block_bounds must span the slot range"),
+    (lambda s: evaluate(single_block_template(s), (100, 100), (0, 0, 200)),
+     "realization length must match template slots"),
+], ids=["taus-length", "decreasing", "first-not-zero", "bounds",
+        "realization-length"])
+def test_input_checks_name_the_fault(call, message):
+    seq = expand_block(mk_instance([("Q", 10, 0, 2), ("P", 10, 20, 1)]))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(seq)
