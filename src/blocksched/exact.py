@@ -1,46 +1,28 @@
 """Desk-scale exact optimization over multiset type sequences.
 
-The deterministic models pin appointments to the planned stage-1 starts
-(zero stage-1 wait; delaying an appointment below its start only adds wait).
-The single-block and horizon models are solved by one forward dynamic
-program over (block, type counts left, physician lag), computed one slot
-(layer) at a time over numpy arrays (see _lag_dp), in two modes.
-``mode="enumerate"`` runs it once over every state.
-``mode="branch_and_bound"`` first runs it with each layer cut to its BEAM
-cheapest states, for an incumbent, and then, unless no layer was cut, runs
-it again without the cut, pruning each child whose cost plus the overtime
-it cannot avoid exceeds the incumbent.  ``nodes_explored`` counts the
-transitions of every pass.  On table7 at k=3 (474.86) enumeration takes
-7,074,446 transitions, about 1 s and 100 MB peak memory, and branch and
-bound 1,041,189 transitions, about 0.3 s and 56 MB (2 cores).  When a
-budget runs out before the n_slots transitions one schedule needs, no
-schedule is reported; otherwise each state of the last full layer is
-completed by its remaining type counts in type order and the cheapest
-completion is returned, not certified, with ``nodes_explored`` = limit + 1.
+Every exact model runs on one layered search (_layers, _search), one slot
+(layer) at a time over numpy arrays, in two modes: ``mode="enumerate"``
+makes one pass, and ``mode="branch_and_bound"`` prunes a second pass
+against the incumbent of a first pass that cuts each layer to its cheapest
+rows.  A model is a step, a state key and a least total cost on that loop:
 
-The scenario-averaged block model is one depth-first search over type
-prefixes that carries all K scenarios at each node.  It works on chunks of
-prefix nodes of one depth, held as numpy arrays (int64, or Python integers
-when an a-priori cost bound does not fit in int64); a chunk's per-node
-arrays hold at most NODE_ELEMENTS elements in all (or one node's children,
-when those alone pass it), so memory stays flat in K.
-Children with one patient left are completed to their leaves in the same
-expansion.  ``mode="enumerate"`` visits every prefix.
-``mode="branch_and_bound"`` first makes a beam pass, each depth cut to its
-SAA_BEAM cheapest children, for an incumbent, and then a pass that prunes
-on the cost accumulated so far against it; ``nodes_explored`` counts the
-children examined and the leaves completed, chunk by chunk.  Branch and
-bound certifies the table7 block (seed 7) at K=1 (objective 55.9) in
-64.65M nodes, 8.7 s and 44 MB peak memory, at K=2 (47.9) in 37.6M nodes
-and 9 s, and at K=5 (57.176) in 69.0M nodes, 23 s and 44 MB, on 2 cores.
+- the deterministic pinned-appointment models (single block, horizon)
+  merge on (block, type counts left, physician lag) (see _lag_dp).  On
+  table7 at k=3 (474.86) enumeration takes 7,074,446 transitions, about
+  1 s and 100 MB peak memory, and branch and bound 1,041,189 transitions,
+  about 0.3 s and 56 MB (2 cores).
+- the scenario-averaged block model carries all K scenarios and every
+  appointment candidate in a row (see solve_saa_replication); branch and
+  bound folds slack into the free times and merges on (type counts left,
+  K assistant-free and K physician-free times).  It certifies the table7
+  block (seed 7) at K=1 (55.9), K=2 (47.9) and K=5 (57.176).
 
 Every solver returns the lexicographically first optimal sequence.
 Sequences are over type multisets, not labeled patients; same-type patients
 take replicates in order of appearance.  Idle time is the span-based
-definition used everywhere else in the package.
-
-Costs are compared in exact scaled-integer arithmetic; reported objectives
-are Fractions in minute units.
+definition used everywhere else in the package.  Costs are compared in
+exact scaled-integer arithmetic; reported objectives are Fractions in
+minute units.
 """
 
 from __future__ import annotations
@@ -105,6 +87,11 @@ class _Budget:
         self.exhausted = self.spent_limit is not None
         self.nodes += allowed + self.exhausted
         return allowed
+
+    def stop(self, limit: str):
+        """End the search as if its budget had run out, naming `limit`."""
+        self.spent_limit = limit
+        self.exhausted = True
 
     def out_of_budget(self) -> ValueError:
         return ValueError(f"the {self.spent_limit} ran out before any "
@@ -192,68 +179,242 @@ def solve_horizon_exact(inst: ClinicInstance, weights: CostWeights,
                    blocks_patients)
 
 
+def _hash_rows(cols) -> np.ndarray:
+    """A 64-bit hash of each row of the integer columns."""
+    h = np.zeros(len(cols[0]), np.uint64)
+    for x in cols:
+        h ^= x.astype(np.uint64)
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    return h
+
+
 def _first_of_each_state(code, d, cost) -> np.ndarray:
     """The rows, in order, that keep their state (code, d): the least cost,
-    the first row on ties.  The rows are sorted on (code, d, cost, row),
-    packed into one int64 key when the spans of the rows fit in it."""
+    the first row on ties.  d is the DP's lag, or a tuple of the saa
+    model's columns of free times.  The rows are sorted on (state, cost,
+    row), packed into one int64 key when the spans of the rows fit in it;
+    otherwise int64 rows are sorted on (hash of the state, cost) and Python
+    integers by lexsort.  A state starts wherever a column changes, so rows
+    of equal hash but unequal state stay apart (a hash collision can only
+    keep a row more)."""
     n = len(cost)
-    d_lo, c_lo = d.min(), cost.min()
-    d_span, c_span = int(d.max() - d_lo) + 1, int(cost.max() - c_lo) + 1
-    if (cost.dtype != object
-            and (int(code.max()) + 1) * d_span * c_span * n < 2 ** 63):
-        order = np.argsort(((code * d_span + (d - d_lo)) * c_span
-                            + (cost - c_lo)) * n + np.arange(n))
+    cols = [code, *d] if isinstance(d, tuple) else [code, d]
+    if cost.dtype == object:   # and so is every column
+        order = np.lexsort([cost, *cols[::-1]])
     else:
-        order = np.lexsort((cost, d, code))
-    code, d = code[order], d[order]
+        packed, room = code, (int(code.max()) + 1) * n
+        for x in [*cols[1:], cost]:
+            lo = x.min()
+            span = int(x.max() - lo) + 1
+            room *= span
+            if room >= 2 ** 63:
+                order = np.lexsort((cost, _hash_rows(cols)))
+                break
+            packed = packed * span + (x - lo)
+        else:
+            order = np.argsort(packed * n + np.arange(n))
     new = np.empty(n, bool)
     new[0] = True
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    new[1:] |= d[1:] != d[:-1]
+    x = code[order]
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    for x in cols[1:]:
+        x = x[order]
+        new[1:] |= x[1:] != x[:-1]
     keep = np.zeros(n, bool)
     keep[order[new]] = True
     return np.flatnonzero(keep)
 
 
-BEAM = 512   # states per layer in branch and bound's incumbent pass
-SAA_BEAM = 64   # nodes per depth in the saa search's incumbent pass
+BEAM = 512   # states per layer in the DP's incumbent pass
+SAA_BEAM = 64   # rows per layer in the saa model's incumbent pass
+NODE_ELEMENTS = 1 << 18   # elements of one chunk's children, all told
+LAYER_ELEMENTS = 1 << 23   # elements of one layer's survivors, all told
+MERGE_FLOOR = 1024   # rows up to which a saa chunk or layer is not merged
+
+
+def _least(cost):
+    """Each row's least cost: over its candidates, when it has several."""
+    return cost if cost.ndim == 1 else cost.min(axis=1)
+
+
+def _take(rows: list, keep) -> list:
+    """Cut each column of the list to the rows `keep`, in place, so each
+    old column is freed as soon as it is cut."""
+    for i, x in enumerate(rows):
+        rows[i] = x[keep]
+    return rows
+
+
+def _layers(budget, n_slots, root, open_types, step, total, merge,
+            beam=None, incumbent=None):
+    """One pass of the layered search that serves every exact model.
+
+    A layer is a list of numpy arrays with one row per state: first the
+    type counts left as one mixed-radix code (see _radix), last the cost,
+    and the model's own columns between.  The model gives four functions:
+    open_types(code, t), the types each row may put in slot t;
+    step(rows, par, kind, t), the children that give slot t of row par[i]
+    to type kind[i]; total(rows, t), each row's least total cost once slot
+    t is filled (per appointment candidate, for a 2-D cost); and
+    merge(rows), the rows to keep, or None to keep them all.
+
+    Each layer is charged to the budget before its children are made.  The
+    children are made in (parent, type) order, a chunk of parents at a
+    time: a chunk's children hold at most NODE_ELEMENTS elements, or one
+    parent's children when those alone pass it.  With an incumbent, each
+    child whose least total exceeds it is dropped.  Each chunk is merged,
+    then the layer; the incumbent pass then cuts the layer to its `beam`
+    rows of least cost (the first rows on ties).  Kept rows stay in order,
+    so with an exact merge each row holds the lexicographically first of
+    its state's cheapest prefixes, and the first row of least total cost
+    reads back the lexicographically first optimum (the lowest candidate
+    on ties).  If a layer's survivors pass LAYER_ELEMENTS, the pass ends as
+    if the budget had run out.
+
+    Returns that least total, its type sequence and candidate, and whether
+    a layer was cut to the beam.  If the budget runs out before the
+    n_slots nodes one schedule needs, no schedule is reported; otherwise
+    each row of the last full layer is completed by its remaining counts in
+    type order and the cheapest completion is returned."""
+    width = sum(x[:1].size for x in root)   # elements one row holds
+    cap = max(1, NODE_ELEMENTS // (width + 2))   # children a chunk holds
+    rows, links, cut = root, [], False
+    depth = 0
+    while depth < n_slots:
+        code = rows[0]
+        if len(code) <= cap:
+            open_ = open_types(code, depth)
+        else:   # a chunk of rows at a time: their counts left take a word each
+            open_ = np.concatenate([open_types(code[i:i + cap], depth)
+                                    for i in range(0, len(code), cap)])
+        n = int(np.count_nonzero(open_))
+        if budget.spend_many(n) < n:
+            break
+        if not depth:
+            kind_type = np.min_scalar_type(open_.shape[1])
+        bounds = [0, len(open_)]
+        if n > cap:   # chunks: parents with at most cap children, one at least
+            ends = np.cumsum(np.count_nonzero(open_, axis=1))
+            del bounds[1:]
+            while bounds[-1] < len(open_):
+                lo = bounds[-1]
+                bounds.append(max(lo + 1, int(np.searchsorted(
+                    ends, (ends[lo - 1] if lo else 0) + cap, "right"))))
+        parts, held = [], 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            par, kind = np.nonzero(open_[lo:hi])
+            child = step(rows if len(bounds) == 2 else
+                         [x[lo:hi] for x in rows], par, kind, depth)
+            if incumbent is not None:
+                alive = _least(total(child, depth)) <= incumbent
+                par, kind, child = par[alive], kind[alive], _take(child, alive)
+            keep = merge(child)
+            if keep is not None:
+                par, kind, child = par[keep], kind[keep], _take(child, keep)
+            if lo:
+                par += lo
+            parts.append((par.astype(np.int32), kind.astype(kind_type), child))
+            held += len(par) * width
+            if held > LAYER_ELEMENTS:
+                budget.stop(f"layer limit ({LAYER_ELEMENTS} elements)")
+                break
+        if budget.exhausted:
+            break
+        del open_
+        par, kind, child = parts[0]
+        if len(parts) > 1:
+            par, kind = (np.concatenate([p[i] for p in parts]) for i in (0, 1))
+            child = []
+            for i in range(len(rows)):   # a column at a time: one copy held
+                child.append(np.concatenate([p[2][i] for p in parts]))
+                for p in parts:
+                    p[2][i] = None
+            keep = merge(child)
+            if keep is not None:
+                par, kind, child = par[keep], kind[keep], _take(child, keep)
+        del parts
+        if beam is not None and len(par) > beam:
+            keep = np.sort(np.argsort(_least(child[-1]), kind="stable")[:beam])
+            par, kind, child = par[keep], kind[keep], _take(child, keep)
+            cut = True
+        rows = child
+        links.append((par, kind))
+        depth += 1
+    if budget.exhausted and budget.nodes <= n_slots:
+        raise budget.out_of_budget()
+    # complete each row by its remaining counts in type order (nothing once
+    # every layer is done), a chunk of rows at a time
+    best = None
+    for lo in range(0, len(rows[0]), cap):
+        part, tails = [x[lo:lo + cap] for x in rows], []
+        for t in range(depth, n_slots):
+            kind = np.argmax(open_types(part[0], t), axis=1)
+            part = step(part, np.arange(len(kind)), kind, t)
+            tails.append(kind)
+        cost = total(part, n_slots - 1).reshape(len(part[0]), -1)
+        row, c = divmod(int(np.argmin(cost)), cost.shape[1])
+        if best is None or cost[row, c] < best[0]:
+            best = int(cost[row, c]), lo + row, c, [int(k[row]) for k in tails]
+    cost, row, c, tail = best
+    seq = []
+    for par, kind in reversed(links):
+        seq.append(int(kind[row]))
+        row = par[row]
+    return cost, seq[::-1] + tail, c, cut
+
+
+def _search(budget, mode, beam, n_slots, root, open_types, step, total,
+            merge):
+    """Both modes on the layer loop: (least total, types, candidate).
+
+    "enumerate" makes one pass over every state.  "branch_and_bound" first
+    makes an incumbent pass that cuts each layer to `beam` rows; if no
+    layer was cut, that pass was the full search and its result is
+    returned.  Otherwise a pruned pass drops each child whose least total
+    exceeds the incumbent.  That total never falls along a path and
+    depends only on the state and its cost, so every state on an optimal
+    path keeps the row it has in the full search, and both modes return
+    the same schedule.  When the budget runs out in the pruned pass, the
+    cheaper of its completion and the incumbent is returned, and on a tie
+    the lexicographically first."""
+    model = (budget, n_slots, root, open_types, step, total, merge)
+    if mode == "enumerate":
+        return _layers(*model)[:3]
+    *found, cut = _layers(*model, beam=beam)
+    if cut and not budget.exhausted:
+        found = min(found, list(_layers(*model, incumbent=found[0])[:3]))
+    return tuple(found)
+
+
+def _open_types(radix, sizes, qplus):
+    """The model's open_types for _layers: the types each row may put in
+    slot t are those it has left, and only Q+ types in slot 0 when there
+    are any."""
+    first = qplus if qplus.any() else None
+
+    def open_types(code, t):
+        open_ = code[:, None] // radix % sizes > 0
+        if not t and first is not None:
+            open_ &= first
+        return open_
+    return open_types
 
 
 def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             regular_time: Scalar | None, blocks_patients) -> Solution:
-    """Forward dynamic program over lag states, one slot (layer) at a time.
+    """The deterministic models on the layer loop (see _layers and _search).
 
     A state is (block, remaining type counts, lag d), d = physician free -
     assistant free, or none until the physician starts (Held-Karp-style
     state merging: the assistant never idles).  The block follows from the
     layer, and so does whether the physician has started: slot 0 takes a Q+
-    type whenever one exists.  A layer holds its states as numpy arrays:
-    the counts as one mixed-radix code (see _radix), the lag, the least
-    cost that reaches the state, and the parent row and type of that
-    prefix.  Expanding a layer lists the children in (parent, type) order
-    and keeps, per state, the cheapest child, the earliest on ties; the
-    kept rows stay in that order, so each row holds the lexicographically
-    first of its cheapest prefixes and the first row of least total cost
-    reads back the lexicographically first optimum.  ``nodes_explored``
-    counts the transitions, one per (state, open type), over every pass.
-
-    "enumerate" makes one pass over every state.  "branch_and_bound" first
-    makes an incumbent pass that cuts each layer to its BEAM cheapest
-    states (the first rows on ties, kept in order); if no layer was cut,
-    that pass was the full DP and its result is returned.  Otherwise a
-    pruned pass drops each child whose cost plus the overtime it cannot
-    avoid exceeds the incumbent.  The bound never falls along a path and
-    depends only on the state and its cost, so every state on an optimal
-    path keeps the row it has in the full DP, and both modes return the
-    same schedule.
-
-    Each layer is charged to the budget before its children are made.  If
-    the budget runs out before the n_slots transitions one schedule needs,
-    no schedule is reported; otherwise each state of the last complete
-    layer of the current pass is completed by its remaining counts in type
-    order and the cheapest completion is returned, not certified.  When
-    that happens in the pruned pass, the cheaper of its completion and the
-    incumbent is returned, and on a tie the lexicographically first."""
+    type whenever one exists.  A layer's columns are the counts code, the
+    lag and the least cost that reaches the state; every chunk and layer is
+    merged on (code, lag).  A child's least total adds the overtime it
+    cannot avoid, and ``nodes_explored`` counts the transitions, one per
+    (state, open type), over every pass; the incumbent pass keeps BEAM
+    states a layer."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
     R = regular_time
@@ -280,37 +441,29 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     lam, mu, radix, sizes = (np.array(x, dtype)
                              for x in (lams, mus, radix, sizes))
     qplus = np.array([g.qplus for g in groups])
-    kind_type = np.min_scalar_type(len(groups))
 
-    def open_types(code, t):
-        """The types each row may give slot t: those it has left, and only
-        Q+ types in slot 0 when there are any."""
-        open_ = code[:, None] // radix % sizes > 0
-        if not t and has_qplus:
-            open_ &= qplus
-        return open_
-
-    def advance(code, d, kind, t):
-        """(step cost, code, lag) after each row gives slot t to its type:
-        a Q type moves d down by its lambda; a Q+ type with lag = d -
-        lambda adds alpha*max(lag, 0) wait and beta_p*max(-lag, 0) idle
-        and leaves d = max(lag, 0) + mu.
+    def advance(rows, par, kind, t):
+        """The children that give slot t of row par[i] to type kind[i]: a
+        Q type moves d down by its lambda; a Q+ type with lag = d - lambda
+        adds alpha*max(lag, 0) wait and beta_p*max(-lag, 0) idle and leaves
+        d = max(lag, 0) + mu.
 
         This is the slot recurrence of timeline._slot in lag form.  Run on
         _slot instead (assistant free at 0, physician at d), the DP gave the
         same results and node counts but took 483 ms, not 419, for table7
         at k=2 under enumerate and 6.31 ms, not 5.81, for the table7 block
         under branch and bound (2 cores), and saved 3 lines."""
-        code = code - radix[kind]
+        code, d, cost = rows
+        code = code[par] - radix[kind]
         if (t + 1) % block_size == 0:
             code[:] = full   # the next block starts with every type left
         if not (t and has_qplus):   # the physician has not started
-            return 0, code, (mu[kind] if has_qplus else d)
-        lag = d - lam[kind]
+            return [code, mu[kind] if has_qplus else d[par], cost[par]]
+        lag = d[par] - lam[kind]
         wait = np.maximum(lag, 0)
         plus = qplus[kind]
         step = np.where(plus, w_alpha * wait + w_bp * (wait - lag), 0)
-        return step, code, np.where(plus, wait, lag) + mu[kind]
+        return [code, np.where(plus, wait, lag) + mu[kind], cost[par] + step]
 
     def overtime(code, d, t):
         """The overtime cost each row cannot avoid once slot t is filled,
@@ -329,97 +482,16 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             extra = extra + w_op * np.maximum(end - R, 0)
         return extra
 
-    def search(beam=None, incumbent=None):
-        """One pass over the layers: the least total cost, the type
-        sequence of its first row, and whether a layer was cut to beam."""
-        code, d, cost = (np.array([x], dtype) for x in (full, 0, 0))
-        links = []   # per layer: the parent row and type of each state
-        cut = False
-        depth = 0
-        while depth < n_slots:
-            open_ = open_types(code, depth)
-            n = int(np.count_nonzero(open_))
-            if budget.spend_many(n) < n:
-                break
-            par, kind = np.nonzero(open_)   # children in (parent, type) order
-            del open_
-            step, code, d = advance(code[par], d[par], kind, depth)
-            cost = cost[par] + step
-            if incumbent is not None:
-                alive = cost + overtime(code, d, depth) <= incumbent
-                par, kind, code, d, cost = (x[alive]
-                                            for x in (par, kind, code, d, cost))
-            keep = _first_of_each_state(code, d, cost)
-            if beam is not None and len(keep) > beam:
-                keep = np.sort(keep[np.argsort(cost[keep],
-                                               kind="stable")[:beam]])
-                cut = True
-            code, d, cost = code[keep], d[keep], cost[keep]
-            links.append((par[keep].astype(np.int32),
-                          kind[keep].astype(kind_type)))
-            depth += 1
-        if budget.exhausted and budget.nodes <= n_slots:
-            raise budget.out_of_budget()
-        # complete each state by its remaining counts in type order (nothing
-        # once every layer is done)
-        tails = []
-        for t in range(depth, n_slots):
-            kind = np.argmax(open_types(code, t), axis=1)
-            step, code, d = advance(code, d, kind, t)
-            cost = cost + step
-            tails.append(kind)
-        cost = cost + overtime(code, d, n_slots - 1)
-        row = int(np.argmin(cost))
-        seq = [int(k[row]) for k in reversed(tails)]
-        best = int(cost[row])
-        for par, kind in reversed(links):
-            seq.append(int(kind[row]))
-            row = par[row]
-        return best, seq[::-1], cut
-
-    if config.mode == "enumerate":
-        best, seq, _ = search()
-    else:
-        best, seq, cut = search(beam=BEAM)
-        if cut and not budget.exhausted:
-            best, seq = min((best, seq), search(incumbent=best)[:2])
+    root = [np.array([x], dtype) for x in (full, 0, 0)]
+    best, seq, _ = _search(budget, config.mode, BEAM, n_slots, root,
+                           _open_types(radix, sizes, qplus), advance,
+                           lambda rows, t: rows[2] + overtime(*rows[:2], t),
+                           lambda rows: _first_of_each_state(*rows))
     return _solution(seq, best, denom * D, budget, blocks_patients)
 
 
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
-
-NODE_ELEMENTS = 1 << 16   # elements of one chunk's per-node arrays, all told
-SAA_MAX_SLOTS = 500   # the saa search keeps a chunk of nodes per slot
-
-
-@dataclass
-class _Chunk:
-    """Prefix nodes of one depth in lexicographic order of their type
-    sequences.  Per node: type counts left, the prefix that fixes the next
-    appointment candidates, each candidate's K assistant-free and
-    physician-free times and summed scaled cost, and the parent row (in the
-    chunk one depth up) and type that reached it.  `next` is the first row
-    not yet expanded."""
-    counts: np.ndarray
-    prefix: np.ndarray
-    pa: np.ndarray
-    p: np.ndarray
-    cost: np.ndarray
-    parent: np.ndarray
-    kind: np.ndarray
-    next: int = 0
-
-    def __post_init__(self):
-        # children each row can have: running totals pick how many rows
-        # one expansion takes
-        self.kids = np.cumsum((self.counts > 0).sum(axis=1))
-
-    def nodes(self, rows=slice(None)):
-        """The (counts, prefix, pa, p, cost) arrays of the given rows."""
-        return (self.counts[rows], self.prefix[rows], self.pa[rows],
-                self.p[rows], self.cost[rows])
-
 
 def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
                           scenario_set, config: SearchConfig | None = None,
@@ -430,38 +502,35 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     "earliest" pins them to the mean prefix sums of the sequence;
     "quantile_grid" tries each decile (order statistic) of the scenario
     prefix-sum distribution and keeps the best.  Either way a slot's
-    appointment candidates depend only on the prefix, so the search carries,
-    per prefix node and candidate, the K scenarios' assistant-free and
-    physician-free times and one summed scaled cost.
+    appointment candidates depend only on the type counts placed, since
+    replicates are taken in order.
 
-    The search is depth first over chunks of prefix nodes (see _Chunk):
-    it expands up to a chunk's worth of one depth's nodes at once, as numpy
-    arrays, and goes down into their children before the next rows.
-    Children are ordered by (parent, type), so complete sequences arrive in
-    lexicographic order.  Children with one patient left are completed in
-    the same expansion, as that chunk would be expanded next anyway.  A
-    leaf must be strictly cheaper than the best one so far, so the first
-    of the least cost is kept, with the lowest decile on ties.
+    The model runs on the layer loop (see _layers and _search).  A layer's
+    columns are the counts code, the prefix that fixes the next
+    appointment candidates (the mean sum, or the K draw sums), and per
+    candidate the K scenarios' assistant-free and physician-free times and
+    one summed scaled cost (times in int32 and costs in int64 when a-priori
+    bounds fit, Python integers otherwise).  A row's least total is its
+    cheapest candidate's cost: waits and span idle never shrink, and there
+    is no overtime.  The incumbent pass keeps SAA_BEAM rows a layer.
 
-    "enumerate" visits every prefix.  "branch_and_bound" first makes an
-    incumbent pass that cuts each depth's children to the SAA_BEAM of least
-    cost, or to as many as one chunk may hold if that is fewer (the first
-    rows on ties, kept in order), and expands each depth as one chunk; if
-    no depth was cut, that pass was the full search and its result is
-    returned.  Otherwise a pruned pass drops each node whose cheapest
-    candidate costs more than the incumbent, and once it has a leaf at or
-    below the incumbent, each node that costs at least its best leaf (waits
-    and span idle never shrink, and there is no overtime).  Both modes
-    return the lexicographically first optimum.
-
-    ``nodes_explored`` counts the children examined and the leaves
-    completed.  Each expansion is charged to the budget before it is made.
-    If the budget runs out before any leaf, the search fails when it has
-    spent no more than the n_slots nodes one schedule needs; otherwise each
-    node of the deepest chunk is completed by its remaining counts in type
-    order and the cheapest completion is returned, not certified.  When it
-    runs out in the pruned pass, that pass's best leaf is returned, or the
-    incumbent if it has none.  The optimality flag refers to the sequence
+    "enumerate" neither merges nor folds, so it visits every prefix.
+    "branch_and_bound" folds slack after each step, which is exact because
+    every later slot shows and the block has no overtime:
+    - each assistant-free time is raised to the next appointment time of
+      its candidate, and the rise is booked as assistant idle (it would be
+      at the next slot);
+    - each physician-free time is raised to the assistant-free time plus
+      the least stage-1 draw of the next patient of any Q+ type left, and
+      the rise is booked as physician idle; with no Q+ patient left it is
+      set to 0.
+    Under "earliest", chunks and layers of more than MERGE_FLOOR rows are
+    then merged on (counts, K assistant-free, K physician-free times).
+    Rows of nine "quantile_grid" candidates are never merged, as one row's
+    candidate costs cannot stand for another's.  Both modes return the
+    lexicographically first optimal sequence, with the lowest decile on
+    ties.  ``nodes_explored`` counts the children made, one per (row, open
+    type), over every pass.  The optimality flag refers to the sequence
     search given the appointment rule.
     """
     if tau_rule not in ("earliest", "quantile_grid"):
@@ -469,10 +538,6 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     config = config or SearchConfig()
     block = expand_block(inst)
     n_slots = len(block)
-    if n_slots > SAA_MAX_SLOTS:
-        raise ValueError(f"the saa search keeps a chunk of nodes per slot "
-                         f"and takes at most {SAA_MAX_SLOTS} slots, "
-                         f"not {n_slots}")
     if not n_slots:
         return Solution(AppointmentTemplate((), (), (0, 0)), Fraction(0),
                         optimal=True, nodes_explored=0)
@@ -480,8 +545,8 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     denom, (w_alpha, w_ba, w_bp, _, _) = _scale(weights)
     budget = _Budget(config)
     quantile = tau_rule == "quantile_grid"
+    fold = config.mode == "branch_and_bound"
     K = scenario_set.K
-    C = 9 if quantile else 1   # appointment candidates per node
     if quantile:   # the deciles np.quantile(..., method="lower") picks
         ranks = [int(np.quantile(np.arange(K), q / 10, method="lower"))
                  for q in range(1, 10)]
@@ -489,34 +554,40 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     # the common denominator of the mean stage-1 times (deciles are draw sums)
     D = 1 if quantile else lcm(*(Fraction(g.lam).denominator for g in groups))
 
-    # patients in group order; a node's next patient of group i is
+    # patients in group order; a row's next patient of group i is
     # ends[i] - (counts left of i)
+    counts0 = [len(g.patients) for g in groups]
+    radix, full = _radix(counts0)
     uids = [p.uid for g in groups for p in g.patients]
-    sizes = np.array([len(g.patients) for g in groups])
-    ends = np.cumsum(sizes)
+    ends = np.cumsum(counts0)
     qplus = np.array([g.qplus for g in groups], dtype=bool)
     lam_draws, mu_draws = scenario_set.lam[:, uids], scenario_set.mu[:, uids]
-    # no time exceeds the largest draw sums plus the mean sum, and each slot
-    # adds at most (2 w_alpha + w_ba + w_bp) K such times to a cost; the
-    # pruned pass compares costs with the incumbent plus one
+    # the horizon: the largest draw sums plus the mean sum; each slot adds at
+    # most (2 w_alpha + w_ba + w_bp) K times twice that to a cost
     horizon = D * (max(map(sum, lam_draws.tolist()))
                    + max(map(sum, mu_draws.tolist())) + sum(p.lam for p in block))
-    bound = n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
-    dtype = np.int64 if bound + 1 < 2 ** 63 else object
-    lams, mus = (x.T.astype(dtype) * D for x in (lam_draws, mu_draws))
-    lam_bar = np.array([int(g.lam * D) for g in groups], dtype)
+    bound = 2 * n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
+    sizes = [n + 1 for n in counts0]
+    dtype = np.int64 if max(bound, prod(sizes)) < 2 ** 63 else object
+    # times, which a row holds 2CK of, in int32 when they fit: none exceeds
+    # three horizons (a decile can be the largest draw sum)
+    tdtype = np.int32 if dtype is np.int64 and 4 * horizon < 2 ** 31 else dtype
+    lams, mus = (x.T.astype(tdtype) * D for x in (lam_draws, mu_draws))
+    lam_bar = np.array([int(g.lam * D) for g in groups], tdtype)
+    radix, sizes = np.array(radix, dtype), np.array(sizes, dtype)
+    # the next patient of each Q+ type, or a row no less than every draw
+    # for a type with none left; no time reaches `low`
+    plus = np.flatnonzero(qplus)
+    plus_lams = np.vstack((lams, lams.max(axis=0)))
+    low = int(4 * horizon) + 1
 
-    def open_types(counts, depth):
-        """The types each node may give slot `depth`: those it has left,
-        and only Q+ types in slot 0 when there are any."""
-        open_ = counts > 0
-        if depth == 0 and qplus.any():
-            open_ &= qplus
-        return open_
+    def appointments(prefix):
+        """Each row's appointment candidates for the slot its prefix ends
+        at: the mean sum, or the deciles of the K draw sums."""
+        return np.sort(prefix, axis=1)[:, ranks] if quantile else prefix[:, None]
 
-    def expand(nodes, depth, par, kind):
-        """The children that give slot `depth` of node par[i] to type
-        kind[i], as (counts, prefix, pa, p, cost) arrays like nodes'.
+    def step(rows, par, kind, t):
+        """The children that give slot t of row par[i] to type kind[i].
 
         This is the slot recurrence of timeline._slot over K scenarios and C
         candidates.  _slot takes the stage-1 start per child, where this
@@ -525,143 +596,68 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         Q+ as a mask), the search gave the same results and node counts but
         the saa workload's 36 branch-and-bound solves took 1,216 ms, not
         514, and 4 enumerate solves at K=10 422 ms, not 188 (2 cores)."""
-        counts, prefix, pa, p, cost = nodes
+        code, prefix, pa, p, cost = rows
         # the stage-1 starts of the slot do not depend on its type: each
         # scenario either waits for the assistant or the assistant idles
-        taus = np.sort(prefix, axis=1)[:, ranks] if quantile else prefix[:, None]
-        ea = np.maximum(pa, taus[:, :, None])
-        ea_sum = ea.sum(axis=2)
-        cost = (cost + w_alpha * (ea_sum - K * taus)
-                + w_ba * (ea_sum - pa.sum(axis=2)))
-        pick = ends[kind] - counts[par, kind]
+        # (folded free times never lie below the appointment)
+        taus = appointments(prefix)[:, :, None]
+        ea = pa if fold else np.maximum(pa, taus)
+        cost = cost + w_alpha * (ea - taus).sum(axis=2)
+        if not fold:
+            cost += w_ba * (ea - pa).sum(axis=2)
+        code, step_code = code[par], radix[kind]
+        pick = ends[kind] - (code // step_code % sizes[kind]).astype(np.intp)
         lam = lams[pick]
         child_pa = ea[par]
         child_pa += lam[:, None, :]
         child_p, child_cost = p[par], cost[par]
-        plus = np.flatnonzero(qplus[kind])
-        if len(plus):
-            pa_plus, p_plus = child_pa[plus], child_p[plus]
-            pa_sum = pa_plus.sum(axis=2)
-            ep = np.maximum(pa_plus, p_plus, out=pa_plus)   # stage-2 starts
-            ep_sum = ep.sum(axis=2)
-            step = w_alpha * (ep_sum - pa_sum)
-            if depth:   # a Q+ slot 0 starts the physician
-                step += w_bp * (ep_sum - p_plus.sum(axis=2))
-            ep += mus[pick[plus]][:, None, :]
-            child_cost[plus] += step
-            child_p[plus] = ep
-        if depth + 1 == n_slots:   # leaves: no next slot to fix
-            return None, None, child_pa, child_p, child_cost
-        child_prefix = prefix[par] + (lam if quantile else lam_bar[kind])
-        child_counts = counts[par]
-        child_counts[np.arange(len(par)), kind] -= 1
-        return child_counts, child_prefix, child_pa, child_p, child_cost
+        q = np.flatnonzero(qplus[kind])
+        if len(q):
+            pa_plus, p_plus = child_pa[q], child_p[q]
+            ep = np.maximum(pa_plus, p_plus)   # stage-2 starts
+            inc = w_alpha * (ep - pa_plus).sum(axis=2)
+            if t:   # a Q+ slot 0 starts the physician
+                inc += w_bp * (ep - p_plus).sum(axis=2)
+            ep += mus[pick[q]][:, None, :]
+            child_cost[q] += inc
+            child_p[q] = ep
+        code = code - step_code
+        prefix = prefix[par] + (lam if quantile else lam_bar[kind])
+        if not fold:
+            return [code, prefix, child_pa, child_p, child_cost]
+        if t + 1 < n_slots:
+            folded = np.maximum(child_pa, appointments(prefix)[:, :, None])
+            child_cost += w_ba * (folded - child_pa).sum(axis=2)
+            child_pa = folded
+        if len(plus):   # the floor depends on the counts alone
+            codes, row_code = np.unique(code, return_inverse=True)
+            left = (codes[:, None] // radix[plus] % sizes[plus]).astype(np.intp)
+            some = (left > 0).any(axis=1)
+            # with no Q+ patient left, a floor below every time: p stays, and
+            # is then dropped
+            floor = np.where(some[:, None], plus_lams[np.where(
+                left > 0, ends[plus] - left, len(uids))].min(axis=1), -low)
+            folded = np.maximum(child_p, child_pa + floor[row_code, None, :])
+            child_cost += w_bp * (folded - child_p).sum(axis=2)
+            child_p = folded
+            child_p[~some[row_code]] = 0
+        return [code, prefix, child_pa, child_p, child_cost]
 
-    def complete(nodes, depth):
-        """Each node of the given depth completed by its remaining counts
-        in type order: the leaf arrays and the type of each slot added."""
-        tails = []
-        for t in range(depth, n_slots):
-            kind = np.argmax(open_types(nodes[0], t), axis=1)
-            nodes = expand(nodes, t, np.arange(len(kind)), kind)
-            tails.append(kind)
-        return nodes, tails
+    def merge(rows):
+        code, _, pa, p, cost = rows
+        if len(code) <= MERGE_FLOOR:
+            return None
+        return _first_of_each_state(code, (*pa[:, 0].T, *p[:, 0].T), cost[:, 0])
 
-    def types_to(stack, row):
-        """The type sequence of a row of the top chunk of the stack."""
-        seq = []
-        for up in reversed(stack[1:]):
-            seq.append(int(up.kind[row]))
-            row = up.parent[row]
-        return seq[::-1]
-
-    # elements one node holds in a chunk: pa and p (C x K each), cost (C),
-    # counts, prefix, parent and kind
-    node_elements = 2 * C * K + C + len(groups) + (K if quantile else 1) + 2
-    rows_cap = max(1, NODE_ELEMENTS // node_elements)
-    zeros = np.zeros((1, C, K), dtype)
-    root = (sizes[None, :], np.zeros((1, K) if quantile else 1, dtype),
-            zeros, zeros, np.zeros((1, C), dtype))
-
-    def search(beam=None, incumbent=None):
-        """One pass: (scaled cost, types, decile) of its best leaf, or of
-        the best completion of the deepest chunk when the budget runs out
-        before any leaf; and whether a depth was cut to beam."""
-        prune = incumbent is not None
-        # a node or leaf lives while its least cost is below the limit
-        limit = None if incumbent is None else incumbent + 1
-        best, cut = None, False
-        stack = [_Chunk(*root, np.zeros(1, np.intp), np.zeros(1, np.intp))]
-        while stack:
-            chunk = stack[-1]
-            if chunk.next == len(chunk.cost):
-                stack.pop()
-                continue
-            depth = len(stack) - 1
-            start = chunk.next
-            if beam is not None:   # a beam depth is expanded as one chunk
-                chunk.next = len(chunk.cost)
-            else:   # as many rows as have at most rows_cap children, at least one
-                done = chunk.kids[start - 1] if start else 0
-                chunk.next = max(start + 1, int(np.searchsorted(
-                    chunk.kids, done + rows_cap, side="right")))
-            nodes = chunk.nodes(slice(start, chunk.next))
-            open_ = open_types(nodes[0], depth)
-            if prune:
-                open_ &= (nodes[4].min(axis=1) < limit)[:, None]
-            par, kind = np.nonzero(open_)   # children in (parent, type) order
-            if not len(par):
-                continue
-            budget.spend_many(len(par))
-            if budget.exhausted:
-                break
-            kids = expand(nodes, depth, par, kind)
-            if prune:
-                keep = np.flatnonzero(kids[4].min(axis=1) < limit)
-                if not len(keep):
-                    continue
-                if len(keep) < len(par):
-                    par, kind = par[keep], kind[keep]
-                    kids = tuple(x[keep] for x in kids)
-            if depth + 2 < n_slots:
-                if beam is not None and len(par) > beam:
-                    keep = np.sort(np.argsort(kids[4].min(axis=1),
-                                              kind="stable")[:beam])
-                    par, kind = par[keep], kind[keep]
-                    kids = tuple(x[keep] for x in kids)
-                    cut = True
-                stack.append(_Chunk(*kids, start + par, kind))
-                continue
-            # the children have at most one patient left: their leaves
-            if depth + 2 == n_slots:
-                budget.spend_many(len(par))
-                if budget.exhausted:
-                    break
-            (*_, cost), tails = complete(kids, depth + 1)
-            # the first row and lowest decile among the least costs
-            leaf, c = divmod(int(cost.argmin()), C)
-            if limit is None or cost[leaf, c] < limit:
-                limit = cost[leaf, c]
-                best = (limit, types_to(stack, start + par[leaf])
-                        + [int(kind[leaf])] + [int(k[leaf]) for k in tails], c)
-        if best is None and budget.exhausted and not prune:
-            if budget.nodes <= n_slots:
-                raise budget.out_of_budget()
-            (*_, cost), tails = complete(chunk.nodes(), depth)
-            row, c = divmod(int(cost.argmin()), C)
-            best = (cost[row, c], types_to(stack, row)
-                    + [int(k[row]) for k in tails], c)
-        return best, cut
-
-    if config.mode == "enumerate":
-        (best, seq, c), _ = search()
-    else:
-        # a beam depth holds no more nodes than a chunk may
-        (best, seq, c), cut = search(beam=min(SAA_BEAM, rows_cap))
-        if cut and not budget.exhausted:
-            found, _ = search(incumbent=best)
-            if found is not None:
-                best, seq, c = found
+    C = 9 if quantile else 1   # appointment candidates per row
+    zeros = np.zeros((1, C, K), tdtype)
+    root = [np.array([full], dtype),
+            np.zeros((1, K) if quantile else 1, tdtype), zeros, zeros,
+            np.zeros((1, C), dtype)]
+    best, seq, c = _search(budget, config.mode, SAA_BEAM, n_slots, root,
+                           _open_types(radix, sizes, qplus), step,
+                           lambda rows, t: rows[-1],
+                           merge if fold and not quantile else lambda rows: None)
 
     slots = _patients_for(groups, seq)
     if quantile:
@@ -672,5 +668,5 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     else:
         taus = pa_prefix_taus(slots)
     template = AppointmentTemplate(slots, tuple(taus), (0, n_slots))
-    return Solution(template, Fraction(int(best), denom * 10 * K * D),
+    return Solution(template, Fraction(best, denom * 10 * K * D),
                     optimal=not budget.exhausted, nodes_explored=budget.nodes)

@@ -39,7 +39,7 @@ def algorithm1(block: PatientList) -> PatientList:
     nonincreasing stage-1 order (any back order works; this one is fixed for
     determinism and matches the worked examples)."""
     front, back = _front_back(block)
-    if not front:
+    if back and not front:
         log.warning("block has no Q+ patient; returning Q patients only")
     back.sort(key=lambda p: -p.lam)
     return tuple(front + back)

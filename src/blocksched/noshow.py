@@ -20,6 +20,7 @@ gated by their own appointment times.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -32,19 +33,22 @@ from .units import Scalar, round_half_away
 
 STATE_BUDGET = 50_000  # live merged states after any slot
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class NoShowProbs:
     p_plus: Fraction   # Q+ group no-show probability
     p: Fraction        # Q group no-show probability
 
+    def __post_init__(self):
+        if not (0 <= self.p_plus <= 1 and 0 <= self.p <= 1):
+            raise ValueError("no-show probabilities must be in [0, 1]")
+
     @classmethod
     def of(cls, p_plus, p) -> "NoShowProbs":
         conv = lambda x: Fraction(str(x)) if isinstance(x, float) else Fraction(x)
-        probs = cls(conv(p_plus), conv(p))
-        if not (0 <= probs.p_plus <= 1 and 0 <= probs.p <= 1):
-            raise ValueError("no-show probabilities must be in [0, 1]")
-        return probs
+        return cls(conv(p_plus), conv(p))
 
     def for_patient(self, patient: Patient) -> Fraction:
         return self.p_plus if patient.qplus else self.p
@@ -103,6 +107,9 @@ def build_overbook_plan(template: AppointmentTemplate, strategy: str,
     if strategy not in ("none", "LF", "FF"):
         raise ValueError(f"unknown overbooking strategy: {strategy}")
     first = range(template.block_bounds[0], template.block_bounds[1])
+    if strategy != "none" and not first:
+        log.warning("the first block is empty, so the %s plan overbooks "
+                    "nothing", strategy)
     qplus_slots = [t for t in first if template.slots[t].qplus]
     q_slots = [t for t in first if not template.slots[t].qplus]
     e_plus = round_half_away(probs.p_plus * len(qplus_slots))
@@ -112,11 +119,10 @@ def build_overbook_plan(template: AppointmentTemplate, strategy: str,
     if e_plus == 0 and e == 0:
         return OverbookPlan(template, (), strategy, e_plus, e)
     pairs: list[tuple[int, int]] = []
-    for count, slots, label in ((e_plus, qplus_slots, "Q+"), (e, q_slots, "Q")):
+    # a probability in [0, 1] never asks for more duplicates than slots
+    for count, slots in ((e_plus, qplus_slots), (e, q_slots)):
         if count == 0:
             continue
-        if not slots or (strategy == "LF" and count > len(slots)):
-            raise ValueError(f"{strategy} capacity exceeded for {label} group")
         if strategy == "LF":
             pairs.extend((t, 1) for t in slots[:count])
         else:

@@ -863,6 +863,28 @@ def test_instance_without_qplus_runs(tmp_path, capsys, monkeypatch, command,
         assert payload["n_scheduled"] == 6 and payload["mass"] == "1"
 
 
+@pytest.mark.parametrize("command, stderr", [
+    # alg3's base blocks are empty, not Q-only: algorithm1 says nothing
+    (["template", "--method", "alg3"], ""),
+    (["noshow", "--plan", "lf", "--k", "2"],
+     "the first block is empty, so the LF plan overbooks nothing\n"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_instance_without_qplus_says_what_its_empty_blocks_do(
+        tmp_path, command, stderr):
+    # in a fresh process, where a logged warning reaches stderr as its bare
+    # message
+    path = instance_file(tmp_path, types=NO_QPLUS_TYPES, regular_time=30,
+                         blocks=2)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(blocksched.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-m", "blocksched.cli", *command,
+                           "--instance", path], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
+
+
 def test_unbalanceable_instance_exits_one(tmp_path, capsys):
     path = instance_file(tmp_path, types=[
         {"name": "P", "lambda_mean": 10, "mu_mean": 4, "ratio": 2},

@@ -207,16 +207,22 @@ class TestSaaReplication:
         assert saa.objective >= det.objective
 
     @pytest.mark.parametrize("mode, limits", [
-        ("enumerate", (4533, 6772)), ("branch_and_bound", (698, 792))])
-    def test_budget_out_at_the_leaf_charge_returns_a_schedule(
-            self, ex1, mode, limits):
-        # ex1 at K=3: the search has charged limits[0] nodes, the children
-        # of the first chunk with one patient left among them, when it
-        # charges that chunk's leaves; any limit in the range runs out there
+        ("enumerate", (9, 953, 4533, 6772)),
+        ("branch_and_bound", (9, 500, 841, 1000, 1869))])
+    def test_budget_out_completes_the_last_full_layer(self, ex1, mode,
+                                                      limits):
+        # ex1 at K=3 (nine slots): enumerate charges its layers 2, 9, 33,
+        # 111, 343, 953, 2293, 4533 and 6773 nodes in all; branch and
+        # bound's incumbent pass takes 841 nodes and its pruned pass 1029
+        # more.  Each limit runs out on some layer, the last one of the
+        # incumbent pass or the first of the pruned pass among them, and the
+        # rows of the layer before are completed in type order
         w = CostWeights.of(1, 1, 1)
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 3, seed=4)
         best = solve_saa_replication(ex1, w, scen, SearchConfig(mode=mode))
         assert best.optimal
+        assert best.nodes_explored == {"enumerate": 6773,
+                                       "branch_and_bound": 1870}[mode]
         for limit in limits:
             sol = solve_saa_replication(
                 ex1, w, scen, SearchConfig(node_limit=limit, mode=mode))
@@ -250,15 +256,29 @@ class TestSaaReplication:
             assert scenario_average_cost(sol.template, scen, w) == best
 
     def test_modes_match_bruteforce_on_random_instances(self):
+        """Both rules and both modes against the oracle on seeded blocks,
+        with K = 1-6 and the three draw families.  Every fourth block adds a
+        twin of its last type (same times), so sequences tie on cost; every
+        fifth takes an alpha over a denominator near 2**62, so its costs run
+        in Python integers."""
         rng = np.random.default_rng(61)
         dists = (DistributionSpec("normal"), DistributionSpec.uniform("0.4"),
                  DistributionSpec.uniform(2))
         for trial in range(30):
-            inst = random_conformant_instance(rng, max_r=6)
-            w = CostWeights.of(Fraction(int(rng.integers(1, 11)), 10),
-                               Fraction(int(rng.integers(1, 11)), 10), 1)
+            inst = random_conformant_instance(
+                rng, max_r=5 if trial % 4 == 1 else 6)
+            if trial % 4 == 1:
+                twin = dataclasses.replace(inst.types[-1], name="twin",
+                                           ratio=1)
+                inst = ClinicInstance(inst.types + (twin,), inst.costs,
+                                      inst.regular_time, 1)
+            alpha, beta_a = (Fraction(int(rng.integers(1, 11)), 10)
+                             for _ in range(2))
+            if trial % 5 == 4:
+                alpha += Fraction(1, HUGE)
+            w = CostWeights.of(alpha, beta_a, 1)
             scen = draw_scenarios(inst, dists[trial % 3],
-                                  (1, 3, 6)[trial // 10], seed=trial,
+                                  1 + trial // 3 % 6, seed=trial,
                                   tag="modes")
             for rule in ("earliest", "quantile_grid"):
                 best, slots, taus = oracle_saa(inst, w, scen, rule)
@@ -319,13 +339,16 @@ class TestSaaReplication:
             assert bnb.nodes_explored < enum.nodes_explored
 
     def test_budget_out_before_any_sequence_raises(self, ex1):
-        # a complete ex1 block is 9 slots deep; the clock is read on the
-        # first node
+        # a complete ex1 block is 9 slots deep: a limit of 8 runs out on the
+        # second layer (2 + 7 nodes); the clock is read on the first layer
         scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)
         for mode in MODES:
-            with pytest.raises(ValueError, match=r"node limit \(5 nodes\)"):
-                solve_saa_replication(ex1, ex1.costs, scen,
-                                      SearchConfig(mode=mode, node_limit=5))
+            for limit in (5, 8):
+                with pytest.raises(ValueError,
+                                   match=rf"node limit \({limit} nodes\)"):
+                    solve_saa_replication(
+                        ex1, ex1.costs, scen,
+                        SearchConfig(mode=mode, node_limit=limit))
             with pytest.raises(ValueError, match=r"time limit \(1e-09 s\)"):
                 solve_saa_replication(ex1, ex1.costs, scen,
                                       SearchConfig(mode=mode, time_limit=1e-9))
@@ -401,38 +424,51 @@ class TestSaaChunkedSearch:
                  ("P2", 6, 15, 1, 2, 7), ("Q0", 8, 0, 1, 3),
                  ("Q1", 11, 0, 1, 4), ("Q2", 5, 0, 1, 2)]
 
-    def test_chunk_budget_changes_only_speed(self, monkeypatch):
-        """A tiny, the default and a large NODE_ELEMENTS, and under branch
-        and bound a beam of 1, the default SAA_BEAM and 10**6, give the same
-        solutions and enumerate node counts; no chunk's per-node arrays pass
-        the budget unless the chunk holds one node's children at most."""
+    def test_chunk_cap_merge_floor_and_beam_change_only_speed(
+            self, monkeypatch):
+        """A tiny, the default and a large NODE_ELEMENTS, a MERGE_FLOOR of
+        0, the default and none (so merging never happens), and under
+        branch and bound a beam of 1, the default SAA_BEAM and 10**6, give
+        the same solutions and enumerate node counts; no chunk's children
+        pass the cap unless they are one parent's.  Merging every layer
+        does change the work: branch and bound under "earliest" makes fewer
+        nodes than with no merging."""
         cases = [(mk_instance(self.SAA_BLOCK), DistributionSpec("normal"), 3)]
         rng = np.random.default_rng(97)
         for K, dist in ((1, DistributionSpec.uniform("0.4")),
                         (5, DistributionSpec.uniform(2))):
             cases.append((random_conformant_instance(rng, max_r=7), dist, K))
-        budgets = (1, exact.NODE_ELEMENTS, 1 << 20)
+        caps = (1, exact.NODE_ELEMENTS, 1 << 20)
+        floors = (0, exact.MERGE_FLOOR, float("inf"))
         beams = (1, exact.SAA_BEAM, 10 ** 6)
         chunks = []
+        layers = exact._layers
 
-        class Spy(exact._Chunk):
-            def __post_init__(self):
-                super().__post_init__()
-                chunks.append((len(self.cost), sum(
-                    getattr(self, f.name).size
-                    for f in dataclasses.fields(self) if f.name != "next")))
+        def spy(budget, n_slots, root, open_types, step, *rest, **kwargs):
+            def counted(rows, par, kind, t):
+                width = sum(x[:1].size for x in rows) + 2   # + par and kind
+                chunks.append((len(rows[0]), len(par) * width))
+                return step(rows, par, kind, t)
+            return layers(budget, n_slots, root, open_types, counted, *rest,
+                          **kwargs)
 
-        monkeypatch.setattr(exact, "_Chunk", Spy)
+        monkeypatch.setattr(exact, "_layers", spy)
         for trial, (inst, dist, K) in enumerate(cases):
             scen = draw_scenarios(inst, dist, K, seed=trial, tag="budget")
-            n_types = len(inst.types)
             for rule in ("earliest", "quantile_grid"):
                 for mode in MODES:
-                    seen = set()
-                    for budget, beam in itertools.product(
-                            budgets, beams if mode == "branch_and_bound"
-                            else beams[1:2]):
-                        monkeypatch.setattr(exact, "NODE_ELEMENTS", budget)
+                    # each setting varied alone from the defaults
+                    settings = {(cap, exact.MERGE_FLOOR, exact.SAA_BEAM)
+                                for cap in caps}
+                    settings |= {(exact.NODE_ELEMENTS, floor, exact.SAA_BEAM)
+                                 for floor in floors}
+                    if mode == "branch_and_bound":
+                        settings |= {(exact.NODE_ELEMENTS, exact.MERGE_FLOOR,
+                                      beam) for beam in beams}
+                    seen, work = set(), {}
+                    for cap, floor, beam in settings:
+                        monkeypatch.setattr(exact, "NODE_ELEMENTS", cap)
+                        monkeypatch.setattr(exact, "MERGE_FLOOR", floor)
                         monkeypatch.setattr(exact, "SAA_BEAM", beam)
                         chunks.clear()
                         sol = solve_saa_replication(
@@ -441,12 +477,50 @@ class TestSaaChunkedSearch:
                         seen.add((sol.objective, sol.template, sol.optimal)
                                  + ((sol.nodes_explored,)
                                     if mode == "enumerate" else ()))
-                        assert all(size <= budget or nodes <= n_types
-                                   for nodes, size in chunks)
+                        assert all(size <= cap or parents == 1
+                                   for parents, size in chunks)
                         if trial == 0 and mode == "enumerate":
                             assert sol.nodes_explored == 17_618
+                        if (cap, beam) == (exact.NODE_ELEMENTS,
+                                           exact.SAA_BEAM):
+                            work[floor] = sol.nodes_explored
                     assert len(seen) == 1
                     assert sol.optimal
+                    if mode == "branch_and_bound" and rule == "earliest":
+                        assert work[0] < work[float("inf")]
+
+    def test_table7_block_certifies_at_k1(self, table7):
+        # the scenario set `exact --scope saa --K 1 --seed 7` draws, with its
+        # optimum and the lexicographically first template that reaches it
+        scen = draw_scenarios(table7, DistributionSpec("normal"), 1, 7,
+                              tag="exact-saa")
+        sol = solve_saa_replication(table7, table7.costs, scen,
+                                    SearchConfig(mode="branch_and_bound"))
+        assert sol.optimal and sol.objective == Fraction("55.9")
+        assert [p.name for p in sol.template.slots] == [
+            "HC", "L", "MC", "MC", "MC", "LC", "M", "MC", "M", "LC", "HC",
+            "LC", "LC", "L", "L", "H"]
+        assert scenario_average_cost(sol.template, scen,
+                                     table7.costs) == sol.objective
+
+    def test_layer_limit_ends_the_pass_as_a_budget_out(self, ex1,
+                                                       monkeypatch):
+        # ex1 at K=3 holds 9 elements a row under "earliest"; its unmerged
+        # enumerate layers have 2, 7, 24, 78, 232 and then 610 rows, so a
+        # limit of 2,100 elements stops on the sixth layer (charged in full,
+        # 953 nodes) and completes the fifth; a limit of 1 stops on the
+        # first, before any schedule
+        scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 3, seed=4)
+        monkeypatch.setattr(exact, "LAYER_ELEMENTS", 2_100)
+        sol = solve_saa_replication(ex1, ex1.costs, scen)
+        assert not sol.optimal and sol.nodes_explored == 953
+        assert len(sol.template.slots) == 9
+        assert sol.objective == scenario_average_cost(sol.template, scen,
+                                                      ex1.costs)
+        monkeypatch.setattr(exact, "LAYER_ELEMENTS", 1)
+        with pytest.raises(ValueError, match=r"^the layer limit \(1 elements\) "
+                                             r"ran out before any complete"):
+            solve_saa_replication(ex1, ex1.costs, scen)
 
     def test_bnb_node_limit_returns_best_found(self, ex1):
         scen = draw_scenarios(ex1, DistributionSpec("normal"), 3, seed=2)
@@ -828,10 +902,12 @@ class TestLayeredDP:
                          for counts, _ in states)
 
     def test_merge_keeps_the_first_row_of_least_cost(self):
-        # the packed int64 key, lexsort on int64 (spans too wide to pack)
-        # and lexsort on Python integers keep the same rows as a plain scan
+        # the packed int64 key, the hash of the state (int64 spans too wide
+        # to pack) and lexsort on Python integers keep the same rows as a
+        # plain scan, for one lag column and for a tuple of int32 time
+        # columns (the saa model's state) alike
         rng = np.random.default_rng(91)
-        for trial in range(30):
+        for trial in range(36):
             n = int(rng.integers(1, 200))
             code, d, cost = (rng.integers(0, hi, n) for hi in (4, 5, 6))
             if trial % 3 == 1:
@@ -839,8 +915,14 @@ class TestLayeredDP:
             if trial % 3 == 2:
                 code, d, cost = (x.astype(object) * 2 ** 70
                                  for x in (code, d, cost))
+            if trial % 4 == 3:
+                d = tuple(d * (1 + k) % 3 for k in range(3))
+                if trial % 3 != 2:
+                    d = tuple(x.astype(np.int32) for x in d)
             first = {}
-            for row, key in enumerate(zip(code.tolist(), d.tolist())):
+            keys = zip(code.tolist(), *(x.tolist() for x in (
+                d if isinstance(d, tuple) else (d,))))
+            for row, key in enumerate(keys):
                 if key not in first or cost[row] < cost[first[key]]:
                     first[key] = row
             assert exact._first_of_each_state(code, d, cost).tolist() == \
@@ -889,11 +971,16 @@ class TestLongHorizons:
         assert sol.optimal and sol.objective == 153395
         assert len(sol.template.slots) == 1080
 
-    def test_saa_rejects_blocks_deeper_than_its_recursion(self):
-        inst = mk_instance([("A", 10, 15, 501)])
-        scen = draw_scenarios(inst, DistributionSpec("normal"), 1, seed=0)
-        with pytest.raises(ValueError, match=r"at most 500 slots, not 501"):
-            solve_saa_replication(inst, inst.costs, scen)
+    def test_saa_certifies_a_block_of_a_thousand_slots(self):
+        # one sequence, so one row a layer: the search has no depth limit
+        inst = mk_instance([("A", 10, 15, 1000)], costs=(1, 1, 1))
+        scen = draw_scenarios(inst, DistributionSpec("normal"), 2, seed=0)
+        for mode in MODES:
+            sol = solve_saa_replication(inst, inst.costs, scen,
+                                        SearchConfig(mode=mode))
+            assert sol.optimal and sol.nodes_explored == 1000
+            assert sol.objective == scenario_average_cost(
+                sol.template, scen, inst.costs)
 
     def test_bnb_certifies_a_thousand_slots(self, ex1):
         inst = ClinicInstance(ex1.types, ex1.costs, ex1.regular_time, 120)

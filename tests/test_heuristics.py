@@ -245,6 +245,14 @@ def test_algorithm1_without_qplus_returns_q_only(caplog):
     assert any("no Q+" in rec.message for rec in caplog.records)
 
 
+def test_algorithm1_on_an_empty_block_warns_nothing(caplog):
+    # balancing can empty a block; it is not a block of Q patients only
+    import logging
+    with caplog.at_level(logging.WARNING):
+        assert algorithm1(()) == ()
+    assert not caplog.records
+
+
 class TestReports:
     def test_bound_report_ordering_when_conformant(self):
         rng = np.random.default_rng(61)

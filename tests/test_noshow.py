@@ -394,9 +394,10 @@ def test_times_and_weights_run_as_int64_or_python_integers(
      "no-show probabilities must be in [0, 1]"),
     (lambda tpl: build_overbook_plan(tpl, "late", PROBS),
      "unknown overbooking strategy: LATE"),
-    # a probability above 1 passes only by building the record directly
-    (lambda tpl: build_overbook_plan(tpl, "lf", NoShowProbs(Fraction(2), 0)),
-     "LF capacity exceeded for Q+ group"),
+    # the record checks itself, so no plan asks for more duplicates than
+    # slots
+    (lambda tpl: NoShowProbs(Fraction(2), 0),
+     "no-show probabilities must be in [0, 1]"),
     (lambda tpl: expected_cost_per_patient(
         ExpectedMetrics(0, 0, 0, 0, 0, 1, 1), CostWeights.of(1, 1, 1), 0),
      "n_scheduled must be positive"),
