@@ -11,11 +11,12 @@ rows.  A model is a step, a state key and a least total cost on that loop:
   table7 at k=3 (474.86) enumeration takes 7,074,446 transitions, about
   1 s and 100 MB peak memory, and branch and bound 1,041,189 transitions,
   about 0.3 s and 56 MB (2 cores).
-- the scenario-averaged block model carries all K scenarios and every
-  appointment candidate in a row (see solve_saa_replication); branch and
+- the scenario-averaged block model carries all K scenarios in a row, one
+  search per appointment rank (see solve_saa_replication); branch and
   bound folds slack into the free times and merges on (type counts left,
   K assistant-free and K physician-free times).  It certifies the table7
-  block (seed 7) at K=1 (55.9), K=2 (47.9) and K=5 (57.176).
+  block (seed 7) at K=1, 2 and 5: 55.9, 47.9 and 57.176 under "earliest",
+  12.36, 34.63 and 50.46 under "quantile_grid".
 
 Every solver returns the lexicographically first optimal sequence.
 Sequences are over type multisets, not labeled patients; same-type patients
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -233,11 +235,6 @@ LAYER_ELEMENTS = 1 << 23   # elements of one layer's survivors, all told
 MERGE_FLOOR = 1024   # rows up to which a saa chunk or layer is not merged
 
 
-def _least(cost):
-    """Each row's least cost: over its candidates, when it has several."""
-    return cost if cost.ndim == 1 else cost.min(axis=1)
-
-
 def _take(rows: list, keep) -> list:
     """Cut each column of the list to the rows `keep`, in place, so each
     old column is freed as soon as it is cut."""
@@ -256,8 +253,8 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     open_types(code, t), the types each row may put in slot t;
     step(rows, par, kind, t), the children that give slot t of row par[i]
     to type kind[i]; total(rows, t), each row's least total cost once slot
-    t is filled (per appointment candidate, for a 2-D cost); and
-    merge(rows), the rows to keep, or None to keep them all.
+    t is filled; and merge(rows), the rows to keep, or None to keep them
+    all.
 
     Each layer is charged to the budget before its children are made.  The
     children are made in (parent, type) order, a chunk of parents at a
@@ -268,15 +265,16 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     rows of least cost (the first rows on ties).  Kept rows stay in order,
     so with an exact merge each row holds the lexicographically first of
     its state's cheapest prefixes, and the first row of least total cost
-    reads back the lexicographically first optimum (the lowest candidate
-    on ties).  If a layer's survivors pass LAYER_ELEMENTS, the pass ends as
-    if the budget had run out.
+    reads back the lexicographically first optimum.  If a layer's
+    survivors pass LAYER_ELEMENTS, the pass ends as if the budget had run
+    out.
 
-    Returns that least total, its type sequence and candidate, and whether
-    a layer was cut to the beam.  If the budget runs out before the
-    n_slots nodes one schedule needs, no schedule is reported; otherwise
-    each row of the last full layer is completed by its remaining counts in
-    type order and the cheapest completion is returned."""
+    Returns that least total, its type sequence, and whether a layer was
+    cut to the beam; None if every child of a layer was dropped.  If the
+    budget runs out before the n_slots nodes one schedule needs, no
+    schedule is reported; otherwise each row of the last full layer is
+    completed by its remaining counts in type order and the cheapest
+    completion is returned."""
     width = sum(x[:1].size for x in root)   # elements one row holds
     cap = max(1, NODE_ELEMENTS // (width + 2))   # children a chunk holds
     rows, links, cut = root, [], False
@@ -307,9 +305,9 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
             child = step(rows if len(bounds) == 2 else
                          [x[lo:hi] for x in rows], par, kind, depth)
             if incumbent is not None:
-                alive = _least(total(child, depth)) <= incumbent
+                alive = total(child, depth) <= incumbent
                 par, kind, child = par[alive], kind[alive], _take(child, alive)
-            keep = merge(child)
+            keep = merge(child) if len(par) else None
             if keep is not None:
                 par, kind, child = par[keep], kind[keep], _take(child, keep)
             if lo:
@@ -334,8 +332,10 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
             if keep is not None:
                 par, kind, child = par[keep], kind[keep], _take(child, keep)
         del parts
+        if not len(par):   # the incumbent pruned every child
+            return None
         if beam is not None and len(par) > beam:
-            keep = np.sort(np.argsort(_least(child[-1]), kind="stable")[:beam])
+            keep = np.sort(np.argsort(child[-1], kind="stable")[:beam])
             par, kind, child = par[keep], kind[keep], _take(child, keep)
             cut = True
         rows = child
@@ -352,39 +352,45 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
             kind = np.argmax(open_types(part[0], t), axis=1)
             part = step(part, np.arange(len(kind)), kind, t)
             tails.append(kind)
-        cost = total(part, n_slots - 1).reshape(len(part[0]), -1)
-        row, c = divmod(int(np.argmin(cost)), cost.shape[1])
-        if best is None or cost[row, c] < best[0]:
-            best = int(cost[row, c]), lo + row, c, [int(k[row]) for k in tails]
-    cost, row, c, tail = best
+        cost = total(part, n_slots - 1)
+        row = int(np.argmin(cost))
+        if best is None or cost[row] < best[0]:
+            best = int(cost[row]), lo + row, [int(k[row]) for k in tails]
+    cost, row, tail = best
     seq = []
     for par, kind in reversed(links):
         seq.append(int(kind[row]))
         row = par[row]
-    return cost, seq[::-1] + tail, c, cut
+    return cost, seq[::-1] + tail, cut
 
 
-def _search(budget, mode, beam, n_slots, root, open_types, step, total,
-            merge):
-    """Both modes on the layer loop: (least total, types, candidate).
+def _search(budget, mode, beam, n_slots, models):
+    """Both modes on the layer loop for models (root, open_types, step,
+    total, merge) that share the budget: the least (total, types, model).
 
-    "enumerate" makes one pass over every state.  "branch_and_bound" first
-    makes an incumbent pass that cuts each layer to `beam` rows; if no
-    layer was cut, that pass was the full search and its result is
-    returned.  Otherwise a pruned pass drops each child whose least total
-    exceeds the incumbent.  That total never falls along a path and
-    depends only on the state and its cost, so every state on an optimal
-    path keeps the row it has in the full search, and both modes return
-    the same schedule.  When the budget runs out in the pruned pass, the
-    cheaper of its completion and the incumbent is returned, and on a tie
-    the lexicographically first."""
-    model = (budget, n_slots, root, open_types, step, total, merge)
-    if mode == "enumerate":
-        return _layers(*model)[:3]
-    *found, cut = _layers(*model, beam=beam)
-    if cut and not budget.exhausted:
-        found = min(found, list(_layers(*model, incumbent=found[0])[:3]))
-    return tuple(found)
+    A pass starts only while the budget lasts.  "enumerate" makes one pass
+    per model.  "branch_and_bound" makes one per model that cuts each layer
+    to `beam` rows, then one per model with a cut layer that drops each
+    child whose least total exceeds the least result so far.  That total
+    never falls along a path and depends only on the state and its cost, so
+    every state on an optimal path keeps its row of the full search: both
+    modes return the lexicographically first optimum, of the first model
+    on ties."""
+    found, cut = [], []
+    for i, model in enumerate(models):
+        if not budget.exhausted:
+            *result, was_cut = _layers(budget, n_slots, *model, beam=(
+                beam if mode == "branch_and_bound" else None))
+            found.append((*result, i))
+            if was_cut:
+                cut.append(i)
+    for i in cut:
+        if not budget.exhausted:
+            result = _layers(budget, n_slots, *models[i],
+                             incumbent=min(found)[0])
+            if result is not None:
+                found.append((*result[:2], i))
+    return min(found)
 
 
 def _open_types(radix, sizes, qplus):
@@ -483,10 +489,10 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
         return extra
 
     root = [np.array([x], dtype) for x in (full, 0, 0)]
-    best, seq, _ = _search(budget, config.mode, BEAM, n_slots, root,
-                           _open_types(radix, sizes, qplus), advance,
-                           lambda rows, t: rows[2] + overtime(*rows[:2], t),
-                           lambda rows: _first_of_each_state(*rows))
+    best, seq, _ = _search(budget, config.mode, BEAM, n_slots, [(
+        root, _open_types(radix, sizes, qplus), advance,
+        lambda rows, t: rows[2] + overtime(*rows[:2], t),
+        lambda rows: _first_of_each_state(*rows))])
     return _solution(seq, best, denom * D, budget, blocks_patients)
 
 
@@ -500,35 +506,32 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
 
     Appointment times are first-stage (shared across scenarios): tau_rule
     "earliest" pins them to the mean prefix sums of the sequence;
-    "quantile_grid" tries each decile (order statistic) of the scenario
-    prefix-sum distribution and keeps the best.  Either way a slot's
-    appointment candidates depend only on the type counts placed, since
-    replicates are taken in order.
+    "quantile_grid" searches each distinct rank (one for K <= 2, nine for
+    K >= 10) of the nine deciles np.quantile(..., method="lower") picks of
+    the scenario prefix sums, as one model of _search.  Either way a slot's
+    appointment depends only on the type counts placed.
 
     The model runs on the layer loop (see _layers and _search).  A layer's
     columns are the counts code, the prefix that fixes the next
-    appointment candidates (the mean sum, or the K draw sums), and per
-    candidate the K scenarios' assistant-free and physician-free times and
-    one summed scaled cost (times in int32 and costs in int64 when a-priori
-    bounds fit, Python integers otherwise).  A row's least total is its
-    cheapest candidate's cost: waits and span idle never shrink, and there
-    is no overtime.  The incumbent pass keeps SAA_BEAM rows a layer.
+    appointment (the mean sum, or the K draw sums), the K scenarios'
+    assistant-free and physician-free times and the summed scaled cost
+    (times in int32 and costs in int64 when a-priori bounds fit, Python
+    integers otherwise).  A row's least total is its cost: waits and span
+    idle never shrink, and there is no overtime.  The incumbent pass keeps
+    SAA_BEAM rows a layer.
 
     "enumerate" neither merges nor folds, so it visits every prefix.
     "branch_and_bound" folds slack after each step, which is exact because
     every later slot shows and the block has no overtime:
-    - each assistant-free time is raised to the next appointment time of
-      its candidate, and the rise is booked as assistant idle (it would be
-      at the next slot);
+    - each assistant-free time is raised to the next appointment time, and
+      the rise is booked as assistant idle (it would be at the next slot);
     - each physician-free time is raised to the assistant-free time plus
       the least stage-1 draw of the next patient of any Q+ type left, and
       the rise is booked as physician idle; with no Q+ patient left it is
       set to 0.
-    Under "earliest", chunks and layers of more than MERGE_FLOOR rows are
-    then merged on (counts, K assistant-free, K physician-free times).
-    Rows of nine "quantile_grid" candidates are never merged, as one row's
-    candidate costs cannot stand for another's.  Both modes return the
-    lexicographically first optimal sequence, with the lowest decile on
+    Chunks and layers of more than MERGE_FLOOR rows are then merged on
+    (counts, K assistant-free, K physician-free times).  Both modes return
+    the lexicographically first optimal sequence, with the lowest decile on
     ties.  ``nodes_explored`` counts the children made, one per (row, open
     type), over every pass.  The optimality flag refers to the sequence
     search given the appointment rule.
@@ -547,9 +550,8 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     quantile = tau_rule == "quantile_grid"
     fold = config.mode == "branch_and_bound"
     K = scenario_set.K
-    if quantile:   # the deciles np.quantile(..., method="lower") picks
-        ranks = [int(np.quantile(np.arange(K), q / 10, method="lower"))
-                 for q in range(1, 10)]
+    ranks = sorted({int(np.quantile(np.arange(K), q / 10, method="lower"))
+                    for q in range(1, 10)}) if quantile else [None]
     # mean prefix sums may fall off the tenths grid: every time is scaled by
     # the common denominator of the mean stage-1 times (deciles are draw sums)
     D = 1 if quantile else lcm(*(Fraction(g.lam).denominator for g in groups))
@@ -569,7 +571,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     bound = 2 * n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
     sizes = [n + 1 for n in counts0]
     dtype = np.int64 if max(bound, prod(sizes)) < 2 ** 63 else object
-    # times, which a row holds 2CK of, in int32 when they fit: none exceeds
+    # times, which a row holds 2K of, in int32 when they fit: none exceeds
     # three horizons (a decile can be the largest draw sum)
     tdtype = np.int32 if dtype is np.int64 and 4 * horizon < 2 ** 31 else dtype
     lams, mus = (x.T.astype(tdtype) * D for x in (lam_draws, mu_draws))
@@ -581,44 +583,46 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     plus_lams = np.vstack((lams, lams.max(axis=0)))
     low = int(4 * horizon) + 1
 
-    def appointments(prefix):
-        """Each row's appointment candidates for the slot its prefix ends
-        at: the mean sum, or the deciles of the K draw sums."""
-        return np.sort(prefix, axis=1)[:, ranks] if quantile else prefix[:, None]
+    def appointments(prefix, rank):
+        """Each row's appointment for the slot its prefix ends at, as a
+        column: the mean sum, or the rank-th of the K draw sums."""
+        return (prefix[:, None] if rank is None else
+                np.partition(prefix, rank, axis=1)[:, rank, None])
 
-    def step(rows, par, kind, t):
-        """The children that give slot t of row par[i] to type kind[i].
+    def step(rows, par, kind, t, rank):
+        """The children that give slot t of row par[i] to type kind[i],
+        with appointments by `rank`.  Times are (rows, K), costs (rows,).
 
-        This is the slot recurrence of timeline._slot over K scenarios and C
-        candidates.  _slot takes the stage-1 start per child, where this
-        step takes it once per parent, and returns per-scenario increments,
-        where this step sums them first.  Run on _slot (children batched,
-        Q+ as a mask), the search gave the same results and node counts but
-        the saa workload's 36 branch-and-bound solves took 1,216 ms, not
-        514, and 4 enumerate solves at K=10 422 ms, not 188 (2 cores)."""
+        This is the slot recurrence of timeline._slot over K scenarios.
+        _slot takes the stage-1 start per child, where this step takes it
+        once per parent, and returns per-scenario increments, where this
+        step sums them first.  Run on _slot (children batched, Q+ as a
+        mask), the search gave the same results and node counts but the saa
+        workload's 36 branch-and-bound solves took 1,216 ms, not 514, and 4
+        enumerate solves at K=10 422 ms, not 188 (2 cores)."""
         code, prefix, pa, p, cost = rows
         # the stage-1 starts of the slot do not depend on its type: each
         # scenario either waits for the assistant or the assistant idles
         # (folded free times never lie below the appointment)
-        taus = appointments(prefix)[:, :, None]
+        taus = appointments(prefix, rank)
         ea = pa if fold else np.maximum(pa, taus)
-        cost = cost + w_alpha * (ea - taus).sum(axis=2)
+        cost = cost + w_alpha * (ea - taus).sum(axis=1)
         if not fold:
-            cost += w_ba * (ea - pa).sum(axis=2)
+            cost += w_ba * (ea - pa).sum(axis=1)
         code, step_code = code[par], radix[kind]
         pick = ends[kind] - (code // step_code % sizes[kind]).astype(np.intp)
         lam = lams[pick]
         child_pa = ea[par]
-        child_pa += lam[:, None, :]
+        child_pa += lam
         child_p, child_cost = p[par], cost[par]
         q = np.flatnonzero(qplus[kind])
         if len(q):
             pa_plus, p_plus = child_pa[q], child_p[q]
             ep = np.maximum(pa_plus, p_plus)   # stage-2 starts
-            inc = w_alpha * (ep - pa_plus).sum(axis=2)
+            inc = w_alpha * (ep - pa_plus).sum(axis=1)
             if t:   # a Q+ slot 0 starts the physician
-                inc += w_bp * (ep - p_plus).sum(axis=2)
-            ep += mus[pick[q]][:, None, :]
+                inc += w_bp * (ep - p_plus).sum(axis=1)
+            ep += mus[pick[q]]
             child_cost[q] += inc
             child_p[q] = ep
         code = code - step_code
@@ -626,8 +630,8 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         if not fold:
             return [code, prefix, child_pa, child_p, child_cost]
         if t + 1 < n_slots:
-            folded = np.maximum(child_pa, appointments(prefix)[:, :, None])
-            child_cost += w_ba * (folded - child_pa).sum(axis=2)
+            folded = np.maximum(child_pa, appointments(prefix, rank))
+            child_cost += w_ba * (folded - child_pa).sum(axis=1)
             child_pa = folded
         if len(plus):   # the floor depends on the counts alone
             codes, row_code = np.unique(code, return_inverse=True)
@@ -637,34 +641,29 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             # is then dropped
             floor = np.where(some[:, None], plus_lams[np.where(
                 left > 0, ends[plus] - left, len(uids))].min(axis=1), -low)
-            folded = np.maximum(child_p, child_pa + floor[row_code, None, :])
-            child_cost += w_bp * (folded - child_p).sum(axis=2)
+            folded = np.maximum(child_p, child_pa + floor[row_code])
+            child_cost += w_bp * (folded - child_p).sum(axis=1)
             child_p = folded
             child_p[~some[row_code]] = 0
         return [code, prefix, child_pa, child_p, child_cost]
 
     def merge(rows):
         code, _, pa, p, cost = rows
-        if len(code) <= MERGE_FLOOR:
-            return None
-        return _first_of_each_state(code, (*pa[:, 0].T, *p[:, 0].T), cost[:, 0])
+        if fold and len(code) > MERGE_FLOOR:
+            return _first_of_each_state(code, (*pa.T, *p.T), cost)
+        return None
 
-    C = 9 if quantile else 1   # appointment candidates per row
-    zeros = np.zeros((1, C, K), tdtype)
-    root = [np.array([full], dtype),
-            np.zeros((1, K) if quantile else 1, tdtype), zeros, zeros,
-            np.zeros((1, C), dtype)]
-    best, seq, c = _search(budget, config.mode, SAA_BEAM, n_slots, root,
-                           _open_types(radix, sizes, qplus), step,
-                           lambda rows, t: rows[-1],
-                           merge if fold and not quantile else lambda rows: None)
+    zeros = np.zeros((1, K), tdtype)
+    root = [np.array([full], dtype), zeros if quantile else zeros[:, 0],
+            zeros, zeros, np.zeros(1, dtype)]
+    models = [(root, _open_types(radix, sizes, qplus), partial(step, rank=r),
+               lambda rows, t: rows[-1], merge) for r in ranks]
+    best, seq, i = _search(budget, config.mode, SAA_BEAM, n_slots, models)
 
     slots = _patients_for(groups, seq)
-    if quantile:
-        taus, prefix = [], [0] * K
-        for s in slots:
-            taus.append(sorted(prefix)[ranks[c]])
-            prefix = list(map(add, prefix, scenario_set.lam[:, s.uid].tolist()))
+    if quantile:   # the rank-th of the K prefix sums before each slot
+        draws = scenario_set.lam[:, [s.uid for s in slots]]
+        taus = np.sort(draws.cumsum(axis=1) - draws, axis=0)[ranks[i]].tolist()
     else:
         taus = pa_prefix_taus(slots)
     template = AppointmentTemplate(slots, tuple(taus), (0, n_slots))

@@ -326,8 +326,8 @@ def instance_from_dict(data: dict) -> ClinicInstance:
         types.append(PatientType(str(name), values["lambda_mean"], values["lambda_sd"],
                                  values["mu_mean"], values["mu_sd"], ratio))
     costs_d = _need(data, "costs", "instance")
-    costs = CostWeights(*(Fraction(_number(costs_d, k, "costs"))
-                          for k in ("alpha", "beta_a", "beta_p", "o_a", "o_p")))
+    costs = CostWeights.of(*(_number(costs_d, k, "costs")
+                             for k in ("alpha", "beta_a", "beta_p", "o_a", "o_p")))
     regular = _time(data, "regular_time", "instance", "regular_time")
     blocks = _number(data, "blocks", "instance", integer=True)
     return ClinicInstance(tuple(types), costs, regular, blocks)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -392,6 +393,17 @@ SAA_EDGE_CASES = {
         lambda: mk_instance([("Q", "1.25", 0, 1), ("A", "1.05", "2.25", 2),
                              ("B", "0.65", "0.95", 1)]),
         DistributionSpec.uniform("0.4"), 3),
+    # every scenario draws the means, so all nine decile ranks tie and the
+    # lowest must win
+    "zero_width": (
+        lambda: mk_instance([("Q", 8, 0, 1), ("A", 10, 14, 2), ("B", 6, 9, 2)]),
+        DistributionSpec.uniform(0), 10),
+    # every schedule costs 0: the first sequence and the lowest decile win,
+    # and the nine ranks' appointment times differ
+    "zero_weights": (
+        lambda: mk_instance([("Q", 8, 0, 1), ("A", 10, 14, 2), ("B", 6, 9, 1)],
+                            costs=(0, 0, 0)),
+        DistributionSpec.uniform("0.4"), 10),
 }
 
 
@@ -431,8 +443,8 @@ class TestSaaChunkedSearch:
         branch and bound a beam of 1, the default SAA_BEAM and 10**6, give
         the same solutions and enumerate node counts; no chunk's children
         pass the cap unless they are one parent's.  Merging every layer
-        does change the work: branch and bound under "earliest" makes fewer
-        nodes than with no merging."""
+        does change the work: branch and bound makes fewer nodes than with
+        no merging, under either rule."""
         cases = [(mk_instance(self.SAA_BLOCK), DistributionSpec("normal"), 3)]
         rng = np.random.default_rng(97)
         for K, dist in ((1, DistributionSpec.uniform("0.4")),
@@ -480,13 +492,15 @@ class TestSaaChunkedSearch:
                         assert all(size <= cap or parents == 1
                                    for parents, size in chunks)
                         if trial == 0 and mode == "enumerate":
-                            assert sol.nodes_explored == 17_618
+                            # one search per distinct decile rank: two at K=3
+                            assert sol.nodes_explored == 17_618 * (
+                                2 if rule == "quantile_grid" else 1)
                         if (cap, beam) == (exact.NODE_ELEMENTS,
                                            exact.SAA_BEAM):
                             work[floor] = sol.nodes_explored
                     assert len(seen) == 1
                     assert sol.optimal
-                    if mode == "branch_and_bound" and rule == "earliest":
+                    if mode == "branch_and_bound":
                         assert work[0] < work[float("inf")]
 
     def test_table7_block_certifies_at_k1(self, table7):
@@ -500,6 +514,26 @@ class TestSaaChunkedSearch:
         assert [p.name for p in sol.template.slots] == [
             "HC", "L", "MC", "MC", "MC", "LC", "M", "MC", "M", "LC", "HC",
             "LC", "LC", "L", "L", "H"]
+        assert scenario_average_cost(sol.template, scen,
+                                     table7.costs) == sol.objective
+
+    def test_table7_block_certifies_under_quantile_grid(self, table7):
+        # one search per decile rank, each merged like "earliest": K=1 has
+        # one rank and certifies in well under a second
+        scen = draw_scenarios(table7, DistributionSpec("normal"), 1, 7,
+                              tag="exact-saa")
+        start = time.perf_counter()
+        sol = solve_saa_replication(table7, table7.costs, scen,
+                                    SearchConfig(mode="branch_and_bound"),
+                                    tau_rule="quantile_grid")
+        assert time.perf_counter() - start < 1
+        assert sol.optimal and sol.objective == Fraction("12.36")
+        assert [p.name for p in sol.template.slots] == [
+            "HC", "MC", "LC", "LC", "HC", "MC", "MC", "MC", "LC", "LC", "L",
+            "L", "L", "M", "M", "H"]
+        assert sol.template.taus == (0, 254, 345, 444, 567, 897, 992, 1062,
+                                     1199, 1274, 1364, 1402, 1486, 1576,
+                                     1670, 1694)
         assert scenario_average_cost(sol.template, scen,
                                      table7.costs) == sol.objective
 
@@ -735,6 +769,15 @@ class TestDominanceBranchAndBound:
                                   SearchConfig(mode="branch_and_bound"))
         assert dp.optimal and bnb.optimal
         assert (bnb.objective, bnb.template) == (dp.objective, dp.template)
+
+    def test_a_chunk_pruned_to_nothing_is_not_merged(self, ex2, monkeypatch):
+        # a chunk of one parent's children: the pruned pass drops every
+        # child of some chunks, and the search goes on as with whole layers
+        inst = ClinicInstance(ex2.types, ex2.costs, ex2.regular_time, 3)
+        config = SearchConfig(mode="branch_and_bound")
+        whole = solve_horizon_exact(inst, inst.costs, config)
+        monkeypatch.setattr(exact, "NODE_ELEMENTS", 1)
+        assert solve_horizon_exact(inst, inst.costs, config) == whole
 
     def test_dominance_prunes_the_fixture_searches(self, ex1, table7):
         # enumeration takes 491,933, 6,761 and 7,074,446 transitions; ex1 at

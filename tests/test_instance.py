@@ -13,7 +13,7 @@ from blocksched import (ClinicInstance, CostWeights, InstanceFormatError,
 from blocksched.instance import MAX_TIME
 from blocksched.units import tenths
 
-from conftest import mk_instance, random_conformant_instance
+from conftest import FIXDIR, mk_instance, random_conformant_instance
 
 
 class TestValidate:
@@ -187,6 +187,14 @@ class TestInstanceIO:
         path.write_text(json.dumps(instance_to_dict(ex1)))
         again = load_instance(path)
         assert again == ex1
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "table7"])
+    def test_dict_of_plain_floats_loads_as_the_file(self, name):
+        # json.load gives floats (alpha 0.2 in table7), which are read by
+        # their repr as load_instance's parse_float=Fraction reads them
+        path = FIXDIR / f"{name}.json"
+        inst = instance_from_dict(json.loads(path.read_text()))
+        assert inst == load_instance(str(path))
 
     def test_missing_ratio_names_field(self, tmp_path):
         data = instance_to_dict(mk_instance(
