@@ -8,9 +8,10 @@ rows.  A model is a step, a state key and a least total cost on that loop:
 
 - the deterministic pinned-appointment models (single block, horizon)
   merge on (block, type counts left, physician lag) (see _lag_dp).  On
-  table7 at k=3 (474.86) enumeration takes 7,074,446 transitions, about
-  1 s and 100 MB peak memory, and branch and bound 1,041,189 transitions,
-  about 0.3 s and 56 MB (2 cores).
+  table7 at k=3 (474.86) the ``exact`` command takes 7,074,446
+  transitions, about 0.73 s and 61 MB peak memory under enumeration, and
+  1,041,189 transitions, about 0.35 s and 45 MB under branch and bound
+  (2 cores).
 - the scenario-averaged block model carries all K scenarios in a row, one
   search per appointment rank (see solve_saa_replication); branch and
   bound folds slack into the free times and merges on (type counts left,
@@ -192,16 +193,20 @@ def _hash_rows(cols) -> np.ndarray:
 
 
 def _first_of_each_state(code, d, cost) -> np.ndarray:
-    """The rows, in order, that keep their state (code, d): the least cost,
-    the first row on ties.  d is the DP's lag, or a tuple of the saa
-    model's columns of free times.  The rows are sorted on (state, cost,
-    row), packed into one int64 key when the spans of the rows fit in it;
-    otherwise int64 rows are sorted on (hash of the state, cost) and Python
-    integers by lexsort.  A state starts wherever a column changes, so rows
-    of equal hash but unequal state stay apart (a hash collision can only
-    keep a row more)."""
+    """The rows, in order, that keep their state (code, *d): the least
+    cost, the first row on ties.  d is a tuple of further state columns
+    (the saa model's free times; the DP packs its lag into code and passes
+    none).  When (state, cost, row) packs into one int64 value, within the
+    spans of this call's rows, the packed values themselves are sorted: a
+    state starts where value // (cost span * n) changes, and its first
+    value holds the row (value % n).  Otherwise int64 rows are sorted on
+    (hash of the state, cost) and Python integers by lexsort, and a state
+    starts wherever a column changes, so rows of equal hash but unequal
+    state stay apart (a hash collision can only keep a row more)."""
     n = len(cost)
-    cols = [code, *d] if isinstance(d, tuple) else [code, d]
+    cols = [code, *d]
+    new = np.empty(n, bool)
+    new[0] = True
     if cost.dtype == object:   # and so is every column
         order = np.lexsort([cost, *cols[::-1]])
     else:
@@ -215,9 +220,15 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
                 break
             packed = packed * span + (x - lo)
         else:
-            order = np.argsort(packed * n + np.arange(n))
-    new = np.empty(n, bool)
-    new[0] = True
+            packed *= n
+            packed += np.arange(n)
+            packed.sort()
+            state = packed // (span * n)
+            np.not_equal(state[1:], state[:-1], out=new[1:])
+            kept = packed[new]
+            kept %= n
+            kept.sort()
+            return kept
     x = code[order]
     np.not_equal(x[1:], x[:-1], out=new[1:])
     for x in cols[1:]:
@@ -416,11 +427,16 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     state merging: the assistant never idles).  The block follows from the
     layer, and so does whether the physician has started: slot 0 takes a Q+
     type whenever one exists.  A layer's columns are the counts code, the
-    lag and the least cost that reaches the state; every chunk and layer is
-    merged on (code, lag).  A child's least total adds the overtime it
-    cannot avoid, and ``nodes_explored`` counts the transitions, one per
-    (state, open type), over every pass; the incumbent pass keeps BEAM
-    states a layer."""
+    lag and the least cost that reaches the state.  Every chunk and layer
+    is merged on one key column, code * (day_lam + day_mu + 1) + (lag +
+    day_lam), which is one-to-one: the lag lies in [-day_lam, day_mu],
+    because a Q type lowers it by its lambda and a Q+ type leaves at most
+    max(lag, 0) plus its mu.  The layers are int64 only when the key's
+    bound (the radix product times that span) and the cost bound fit, so no
+    key can wrap; they hold Python integers otherwise.  A child's least
+    total adds the overtime it cannot avoid, and ``nodes_explored`` counts
+    the transitions, one per (state, open type), over every pass; the
+    incumbent pass keeps BEAM states a layer."""
     denom, (w_alpha, _, w_bp, w_oa, w_op) = _scale(weights)
     budget = _Budget(config)
     R = regular_time
@@ -437,13 +453,15 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     block_lam, block_mu = (sum(map(mul, counts0, x)) for x in (lams, mus))
     day_lam, day_mu = blocks * block_lam, blocks * block_mu
     R = None if R is None else int(R * D)
-    # |d| stays within the day's lam and mu sums, so each slot costs at most
-    # (w_alpha + w_bp) times that, and overtime at most (w_oa + w_op) times
-    # that plus R; codes stay below the radix product
+    # d lies in [-day_lam, day_mu], so each slot costs at most (w_alpha +
+    # w_bp) times the day's lam and mu sums, and overtime at most (w_oa +
+    # w_op) times that plus R; codes stay below the radix product, and state
+    # keys below that product times the lag's span
     horizon = day_lam + day_mu + abs(R or 0)
     bound = (n_slots + 2) * horizon * (w_alpha + w_bp + w_oa + w_op)
     sizes = [n + 1 for n in counts0]
-    dtype = np.int64 if max(bound, prod(sizes)) < 2 ** 63 else object
+    lags = day_lam + day_mu + 1
+    dtype = np.int64 if max(bound, prod(sizes) * lags) < 2 ** 63 else object
     lam, mu, radix, sizes = (np.array(x, dtype)
                              for x in (lams, mus, radix, sizes))
     qplus = np.array([g.qplus for g in groups])
@@ -492,7 +510,8 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     best, seq, _ = _search(budget, config.mode, BEAM, n_slots, [(
         root, _open_types(radix, sizes, qplus), advance,
         lambda rows, t: rows[2] + overtime(*rows[:2], t),
-        lambda rows: _first_of_each_state(*rows))])
+        lambda rows: _first_of_each_state(
+            rows[0] * lags + (rows[1] + day_lam), (), rows[2]))])
     return _solution(seq, best, denom * D, budget, blocks_patients)
 
 

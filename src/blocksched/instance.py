@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import json
+import math
 
-from .units import Scalar, fmt_minutes, on_grid, tenths
+from .units import Scalar, fmt_minutes, tenths
 
 
 class InstanceFormatError(ValueError):
@@ -276,23 +277,26 @@ def _need(mapping, key, where):
 
 
 def _number(mapping, key, where, integer: bool = False):
-    """mapping[key] when it is a JSON number (an int when integer is set);
-    booleans and strings are not numbers, and the error names the field."""
+    """mapping[key] when it is a finite JSON number (an int when integer is
+    set); booleans, strings, inf and nan are not, and the error names the
+    field."""
     raw = _need(mapping, key, where)
     kinds = int if integer else (int, float, Fraction)
     if isinstance(raw, bool) or not isinstance(raw, kinds):
         kind = "an integer" if integer else "a number"
         raise InstanceFormatError(f"{where}.{key}: must be {kind}, not {raw!r}")
+    if isinstance(raw, float) and not math.isfinite(raw):
+        raise InstanceFormatError(
+            f"{where}.{key}: must be a finite number, not {raw!r}")
     return raw
 
 
 def _time(mapping, key, where, name) -> Scalar:
     """mapping[key] in tenths, when it is a number of minutes on the
     0.1-minute grid and within MAX_TIME; errors begin with name."""
-    raw = _number(mapping, key, where)
-    if not on_grid(raw):
+    value = tenths(_number(mapping, key, where))
+    if not isinstance(value, int):
         raise InstanceFormatError(f"{name}: finer than 0.1-minute resolution")
-    value = tenths(raw)
     if why := _beyond_limit(value):
         raise InstanceFormatError(f"{name}: {why}")
     return value

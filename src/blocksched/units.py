@@ -31,11 +31,6 @@ def tenths(minutes) -> Scalar:
     return value
 
 
-def on_grid(minutes) -> bool:
-    """True when the minutes value is a whole number of tenths."""
-    return isinstance(tenths(minutes), int)
-
-
 def fmt_minutes(value: Scalar) -> str:
     """Render a tenths value as a decimal-minute string ("17.8", "26.25", "90")."""
     frac = Fraction(value) / 10

@@ -743,6 +743,34 @@ def test_validate_names_the_field_on_stdout(tmp_path, capsys):
         "types[0] (T1): nonpositive stage-1 time"]
 
 
+@pytest.mark.parametrize("command", ["validate", "exact"])
+@pytest.mark.parametrize("section, key, value, message", [
+    ("costs", "alpha", float("inf"), "costs.alpha: must be a finite number, "
+     "not inf"),
+    ("costs", "alpha", float("nan"), "costs.alpha: must be a finite number, "
+     "not nan"),
+    ("types", "lambda_mean", float("inf"), "types[0].lambda_mean: must be a "
+     "finite number, not inf"),
+    ("types", "lambda_sd", float("-inf"), "types[0].lambda_sd: must be a "
+     "finite number, not -inf"),
+    (None, "regular_time", float("nan"), "instance.regular_time: must be a "
+     "finite number, not nan"),
+], ids=["alpha-inf", "alpha-nan", "lambda_mean-inf", "lambda_sd-minus-inf",
+        "regular_time-nan"])
+def test_non_finite_number_names_its_field(tmp_path, capsys, command, section,
+                                           key, value, message):
+    # json writes these as Infinity, -Infinity and NaN, which it also reads
+    data = json.loads((FIXDIR / "ex1.json").read_text())
+    {"costs": data["costs"], "types": data["types"][0], None: data}[
+        section][key] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert run([command, "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestTimesBeyondTheLimit:
     """Times above 10^6 minutes would wrap in the int64 arithmetic; the
     loader and --R reject them, naming the field or flag."""

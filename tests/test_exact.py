@@ -944,11 +944,11 @@ class TestLayeredDP:
                          sum(kinds[t].qplus for t, _ in counts)
                          for counts, _ in states)
 
-    def test_merge_keeps_the_first_row_of_least_cost(self):
-        # the packed int64 key, the hash of the state (int64 spans too wide
-        # to pack) and lexsort on Python integers keep the same rows as a
-        # plain scan, for one lag column and for a tuple of int32 time
-        # columns (the saa model's state) alike
+    def test_merge_keeps_the_first_row_of_least_cost(self, monkeypatch):
+        # the value sort of the packed int64 key, the hash of the state
+        # (int64 spans too wide to pack) and lexsort on Python integers keep
+        # the same rows as a plain scan, for one state column and for a
+        # tuple of int32 time columns (the saa model's state) alike
         rng = np.random.default_rng(91)
         for trial in range(36):
             n = int(rng.integers(1, 200))
@@ -958,18 +958,119 @@ class TestLayeredDP:
             if trial % 3 == 2:
                 code, d, cost = (x.astype(object) * 2 ** 70
                                  for x in (code, d, cost))
+            d = (d,)
             if trial % 4 == 3:
-                d = tuple(d * (1 + k) % 3 for k in range(3))
+                d = tuple(d[0] * (1 + k) % 3 for k in range(3))
                 if trial % 3 != 2:
                     d = tuple(x.astype(np.int32) for x in d)
-            first = {}
-            keys = zip(code.tolist(), *(x.tolist() for x in (
-                d if isinstance(d, tuple) else (d,))))
-            for row, key in enumerate(keys):
-                if key not in first or cost[row] < cost[first[key]]:
-                    first[key] = row
-            assert exact._first_of_each_state(code, d, cost).tolist() == \
-                sorted(first.values())
+            assert_merge_is_a_plain_scan(code, d, cost)
+        # the DP's one key column, code * (day_lam + day_mu + 1) + (lag +
+        # day_lam) with the lag in [-day_lam, day_mu], keeps a plain scan's
+        # rows on (code, lag), from one row up
+        day_lam, day_mu = 37, 23
+        for n in (1, 2, 40, 3000):
+            code = rng.integers(0, 50, n)
+            lag = rng.integers(-day_lam, day_mu + 1, n)
+            cost = rng.integers(0, 4, n)
+            rows = exact._first_of_each_state(
+                code * (day_lam + day_mu + 1) + (lag + day_lam), (), cost)
+            assert rows.tolist() == first_of_least_cost([code, lag], cost)
+        # layers of a few thousand rows with heavy cost ties
+        for n in (2000, 5000):
+            assert_merge_is_a_plain_scan(
+                rng.integers(0, 20, n), (rng.integers(-2, 3, n),),
+                rng.integers(0, 3, n))
+        # packed rooms (code max + 1) * n * cost span just below and at 2**63:
+        # the first takes the value sort, the second the hash path
+        hashed = []
+
+        def hash_rows(cols, hash_rows=exact._hash_rows):
+            hashed.append(1)
+            return hash_rows(cols)
+
+        monkeypatch.setattr(exact, "_hash_rows", hash_rows)
+        n, span = 8, 2 ** 40
+        for top, path in ((2 ** 20 - 1, []), (2 ** 20, [1])):
+            code = rng.choice([0, 1, top - 1], n)
+            code[0] = top - 1
+            cost = rng.choice([0, 5, span - 1], n)
+            cost[:2] = 0, span - 1
+            assert (top * n * span >= 2 ** 63) == bool(path)
+            hashed.clear()
+            assert_merge_is_a_plain_scan(code, (), cost)
+            assert hashed == path
+
+    def test_a_key_past_int64_runs_on_python_integers(self, monkeypatch):
+        # one Q type of two patients: the codes stay below 3 and the lags
+        # span 2 * lam + 1, and with only beta_a weighted (the assistant
+        # never idles) every cost bound is 0, so the key's bound alone
+        # decides whether the DP may run on int64
+        dtypes = []
+
+        def spy(code, d, cost, merge=exact._first_of_each_state):
+            dtypes.append(code.dtype)
+            return merge(code, d, cost)
+
+        monkeypatch.setattr(exact, "_first_of_each_state", spy)
+        top = (2 ** 63 // 3 - 1) // 2   # 3 * (2 * lam + 1) < 2**63 up to here
+        for lam, dtype in ((top, np.int64), (top + 1, object)):
+            inst = ClinicInstance((PatientType("Q", lam, 0, 0, 0, 2),),
+                                  CostWeights(0, 1, 0, 0, 0), 0, 1)
+            dtypes.clear()
+            sol = solve_block_exact(expand_block(inst), inst.costs)
+            assert sol.optimal and sol.objective == 0
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_dp_merge_keeps_a_plain_scans_rows(self, monkeypatch,
+                                                     mode):
+        # seeded random blocks and horizons, Q-only ones and cost ties
+        # among them: each merge the DP makes keeps the rows of a plain
+        # first-of-least-cost scan of its arguments
+        calls = []
+
+        def spy(code, d, cost, merge=exact._first_of_each_state):
+            rows = merge(code, d, cost)
+            assert rows.tolist() == first_of_least_cost([code, *d], cost)
+            calls.append(len(cost))
+            return rows
+
+        monkeypatch.setattr(exact, "_first_of_each_state", spy)
+        rng = np.random.default_rng(93)
+        config = SearchConfig(mode=mode)
+        for kind in ("mixed", "ties", "all_qplus", "off_grid", "q_only"):
+            for blocks, max_r in ((1, 10), (2, 6), (3, 4)) * 3:
+                if kind == "q_only":
+                    types = tuple(PatientType(f"Q{i}", int(rng.integers(
+                        30, 250)), 0, 0, 0, int(rng.integers(1, 3)))
+                        for i in range(3))
+                    inst = ClinicInstance(types, CostWeights(1, 1, 1, 2, 3),
+                                          0, blocks)
+                else:
+                    inst = dominance_instance(rng, kind, blocks, max_r)
+                day_lam = blocks * sum(t.ratio * t.lam for t in inst.types)
+                if blocks == 1:
+                    assert solve_block_exact(expand_block(inst), inst.costs,
+                                             config).optimal
+                day = ClinicInstance(inst.types, inst.costs, day_lam // 2,
+                                     blocks)
+                assert solve_horizon_exact(day, inst.costs, config).optimal
+        assert len(calls) > 400 and max(calls) > 500
+
+
+def first_of_least_cost(cols, cost) -> list[int]:
+    """The rows, in order, that a plain scan keeps: for each state (a row
+    of cols), its first row of least cost."""
+    first = {}
+    for row, key in enumerate(zip(*(x.tolist() for x in cols))):
+        if key not in first or cost[row] < cost[first[key]]:
+            first[key] = row
+    return sorted(first.values())
+
+
+def assert_merge_is_a_plain_scan(code, d, cost):
+    assert exact._first_of_each_state(code, d, cost).tolist() == \
+        first_of_least_cost([code, *d], cost)
 
 
 class TestRejectedConfigs:

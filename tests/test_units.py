@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from blocksched.units import (fmt_minutes, fmt_number, on_grid,
-                              round_half_away, tenths)
+from blocksched.units import fmt_minutes, fmt_number, round_half_away, tenths
 
 
 def test_tenths_roundtrip():
@@ -13,8 +12,9 @@ def test_tenths_roundtrip():
 
 
 def test_on_grid():
-    assert on_grid("6") and on_grid("10.7")
-    assert not on_grid("10.55")
+    # a value on the 0.1-minute grid converts to an int, one off it does not
+    assert isinstance(tenths("6"), int) and isinstance(tenths("10.7"), int)
+    assert not isinstance(tenths("10.55"), int)
 
 
 def test_fmt_minutes():
