@@ -9,8 +9,8 @@ rows.  A model is a step, a state key and a least total cost on that loop:
 - the deterministic pinned-appointment models (single block, horizon)
   merge on (block, type counts left, physician lag) (see _lag_dp).  On
   table7 at k=3 (474.86) the ``exact`` command takes 7,074,446
-  transitions, about 0.73 s and 61 MB peak memory under enumeration, and
-  1,041,189 transitions, about 0.35 s and 45 MB under branch and bound
+  transitions, about 0.7 s and 57 MB peak memory under enumeration, and
+  1,041,189 transitions, about 0.35 s and 44 MB under branch and bound
   (2 cores).
 - the scenario-averaged block model carries all K scenarios in a row, one
   search per appointment rank (see solve_saa_replication); branch and
@@ -76,8 +76,8 @@ class _Budget:
         self.exhausted = False
         self.spent_limit = None   # the limit that ran out first
 
-    def spend_many(self, n: int) -> int:
-        """Count n nodes at once; how many of them the budget allows.  The
+    def spend_many(self, n: int):
+        """Count n nodes at once, or as many as the budget allows.  The
         clock is read on every call.  Once the budget is gone, the node
         that found it gone is counted too."""
         if time.monotonic() > self.deadline:
@@ -89,7 +89,6 @@ class _Budget:
                 self.spent_limit = f"node limit ({self.node_limit} nodes)"
         self.exhausted = self.spent_limit is not None
         self.nodes += allowed + self.exhausted
-        return allowed
 
     def stop(self, limit: str):
         """End the search as if its budget had run out, naming `limit`."""
@@ -202,11 +201,13 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
     value holds the row (value % n).  Otherwise int64 rows are sorted on
     (hash of the state, cost) and Python integers by lexsort, and a state
     starts wherever a column changes, so rows of equal hash but unequal
-    state stay apart (a hash collision can only keep a row more)."""
+    state stay apart (a hash collision can only keep a row more).  Either
+    way the kept rows are marked in one mask and read back in order."""
     n = len(cost)
     cols = [code, *d]
     new = np.empty(n, bool)
     new[0] = True
+    keep = np.zeros(n, bool)
     if cost.dtype == object:   # and so is every column
         order = np.lexsort([cost, *cols[::-1]])
     else:
@@ -225,18 +226,16 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
             packed.sort()
             state = packed // (span * n)
             np.not_equal(state[1:], state[:-1], out=new[1:])
-            kept = packed[new]
-            kept %= n
-            kept.sort()
-            return kept
-    x = code[order]
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    for x in cols[1:]:
-        x = x[order]
-        new[1:] |= x[1:] != x[:-1]
-    keep = np.zeros(n, bool)
-    keep[order[new]] = True
-    return np.flatnonzero(keep)
+            keep[packed[new] % n] = True
+            order = None
+    if order is not None:
+        x = code[order]
+        np.not_equal(x[1:], x[:-1], out=new[1:])
+        for x in cols[1:]:
+            x = x[order]
+            new[1:] |= x[1:] != x[:-1]
+        keep[order[new]] = True
+    return keep.nonzero()[0]
 
 
 BEAM = 512   # states per layer in the DP's incumbent pass
@@ -267,18 +266,21 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     t is filled; and merge(rows), the rows to keep, or None to keep them
     all.
 
-    Each layer is charged to the budget before its children are made.  The
-    children are made in (parent, type) order, a chunk of parents at a
-    time: a chunk's children hold at most NODE_ELEMENTS elements, or one
-    parent's children when those alone pass it.  With an incumbent, each
-    child whose least total exceeds it is dropped.  Each chunk is merged,
-    then the layer; the incumbent pass then cuts the layer to its `beam`
-    rows of least cost (the first rows on ties).  Kept rows stay in order,
-    so with an exact merge each row holds the lexicographically first of
-    its state's cheapest prefixes, and the first row of least total cost
-    reads back the lexicographically first optimum.  If a layer's
-    survivors pass LAYER_ELEMENTS, the pass ends as if the budget had run
-    out.
+    The children are made in (parent, type) order, a chunk of parents at a
+    time.  A chunk is a run of NODE_ELEMENTS // (row width + 2) // (number
+    of types) parent rows, one at least, so its children hold at most
+    NODE_ELEMENTS elements, or one parent's.  Each chunk is charged to the
+    budget before its children are made, so the clock is read once per
+    chunk, and a pass that the budget stops counts only the chunks it
+    made.  With an incumbent, each child whose least total exceeds it is
+    dropped.  Each chunk is merged, then the layer of several chunks; the
+    incumbent pass then cuts the layer to its `beam` rows of least cost
+    (the first rows on ties).  Kept rows stay in order, so with an exact
+    merge each row holds the lexicographically first of its state's
+    cheapest prefixes, and the first row of least total cost reads back the
+    lexicographically first optimum.  If a layer's survivors pass
+    LAYER_ELEMENTS, the pass ends as if the budget had run out, after the
+    chunk that passed it.
 
     Returns that least total, its type sequence, and whether a layer was
     cut to the beam; None if every child of a layer was dropped.  If the
@@ -288,33 +290,19 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     completion is returned."""
     width = sum(x[:1].size for x in root)   # elements one row holds
     cap = max(1, NODE_ELEMENTS // (width + 2))   # children a chunk holds
+    n_types = open_types(root[0], 0).shape[1]
+    run, kind_type = max(1, cap // n_types), np.min_scalar_type(n_types)
     rows, links, cut = root, [], False
     depth = 0
     while depth < n_slots:
-        code = rows[0]
-        if len(code) <= cap:
-            open_ = open_types(code, depth)
-        else:   # a chunk of rows at a time: their counts left take a word each
-            open_ = np.concatenate([open_types(code[i:i + cap], depth)
-                                    for i in range(0, len(code), cap)])
-        n = int(np.count_nonzero(open_))
-        if budget.spend_many(n) < n:
-            break
-        if not depth:
-            kind_type = np.min_scalar_type(open_.shape[1])
-        bounds = [0, len(open_)]
-        if n > cap:   # chunks: parents with at most cap children, one at least
-            ends = np.cumsum(np.count_nonzero(open_, axis=1))
-            del bounds[1:]
-            while bounds[-1] < len(open_):
-                lo = bounds[-1]
-                bounds.append(max(lo + 1, int(np.searchsorted(
-                    ends, (ends[lo - 1] if lo else 0) + cap, "right"))))
         parts, held = [], 0
-        for lo, hi in zip(bounds, bounds[1:]):
-            par, kind = np.nonzero(open_[lo:hi])
-            child = step(rows if len(bounds) == 2 else
-                         [x[lo:hi] for x in rows], par, kind, depth)
+        for lo in range(0, len(rows[0]), run):
+            part = [x[lo:lo + run] for x in rows]
+            par, kind = np.nonzero(open_types(part[0], depth))
+            budget.spend_many(len(par))
+            if budget.exhausted:
+                break
+            child = step(part, par, kind, depth)
             if incumbent is not None:
                 alive = total(child, depth) <= incumbent
                 par, kind, child = par[alive], kind[alive], _take(child, alive)
@@ -330,7 +318,6 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
                 break
         if budget.exhausted:
             break
-        del open_
         par, kind, child = parts[0]
         if len(parts) > 1:
             par, kind = (np.concatenate([p[i] for p in parts]) for i in (0, 1))

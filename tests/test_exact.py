@@ -73,6 +73,32 @@ def oracle_saa(inst, weights, scen, tau_rule="earliest"):
 MODES = ("enumerate", "branch_and_bound")
 
 
+def record_steps(monkeypatch) -> list:
+    """Spy on the step of every _layers pass: the list it returns gets, for
+    each call, the slot, the parent rows passed, the children asked for and
+    the elements one child holds with its link (par and kind)."""
+    calls = []
+    layers = exact._layers
+
+    def spy(budget, n_slots, root, open_types, step, *rest, **kwargs):
+        def counted(rows, par, kind, t):
+            width = sum(x[:1].size for x in rows) + 2
+            calls.append((t, len(rows[0]), len(par), width))
+            return step(rows, par, kind, t)
+        return layers(budget, n_slots, root, open_types, counted, *rest,
+                      **kwargs)
+
+    monkeypatch.setattr(exact, "_layers", spy)
+    return calls
+
+
+def chunks_fit(calls, cap) -> bool:
+    """Whether no chunk's children pass cap elements unless they are one
+    parent's."""
+    return all(children * width <= cap or parents == 1
+               for _, parents, children, width in calls)
+
+
 class TestBlockExact:
     def test_example1_at_most_90(self, ex1):
         w = CostWeights.of(1, 1, 1)
@@ -453,18 +479,7 @@ class TestSaaChunkedSearch:
         caps = (1, exact.NODE_ELEMENTS, 1 << 20)
         floors = (0, exact.MERGE_FLOOR, float("inf"))
         beams = (1, exact.SAA_BEAM, 10 ** 6)
-        chunks = []
-        layers = exact._layers
-
-        def spy(budget, n_slots, root, open_types, step, *rest, **kwargs):
-            def counted(rows, par, kind, t):
-                width = sum(x[:1].size for x in rows) + 2   # + par and kind
-                chunks.append((len(rows[0]), len(par) * width))
-                return step(rows, par, kind, t)
-            return layers(budget, n_slots, root, open_types, counted, *rest,
-                          **kwargs)
-
-        monkeypatch.setattr(exact, "_layers", spy)
+        chunks = record_steps(monkeypatch)
         for trial, (inst, dist, K) in enumerate(cases):
             scen = draw_scenarios(inst, dist, K, seed=trial, tag="budget")
             for rule in ("earliest", "quantile_grid"):
@@ -489,8 +504,7 @@ class TestSaaChunkedSearch:
                         seen.add((sol.objective, sol.template, sol.optimal)
                                  + ((sol.nodes_explored,)
                                     if mode == "enumerate" else ()))
-                        assert all(size <= cap or parents == 1
-                                   for parents, size in chunks)
+                        assert chunks_fit(chunks, cap)
                         if trial == 0 and mode == "enumerate":
                             # one search per distinct decile rank: two at K=3
                             assert sol.nodes_explored == 17_618 * (
@@ -541,9 +555,9 @@ class TestSaaChunkedSearch:
                                                        monkeypatch):
         # ex1 at K=3 holds 9 elements a row under "earliest"; its unmerged
         # enumerate layers have 2, 7, 24, 78, 232 and then 610 rows, so a
-        # limit of 2,100 elements stops on the sixth layer (charged in full,
-        # 953 nodes) and completes the fifth; a limit of 1 stops on the
-        # first, before any schedule
+        # limit of 2,100 elements stops on the sixth layer (one chunk, so
+        # charged in full: 953 nodes) and completes the fifth; a limit of 1
+        # stops on the first, before any schedule
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 3, seed=4)
         monkeypatch.setattr(exact, "LAYER_ELEMENTS", 2_100)
         sol = solve_saa_replication(ex1, ex1.costs, scen)
@@ -906,6 +920,97 @@ class TestLayeredDP:
             with pytest.raises(ValueError, match=r"node limit \(25 nodes\)"):
                 solve_horizon_exact(ex2, ex2.costs,
                                     SearchConfig(mode=mode, node_limit=25))
+
+    def test_chunk_cap_changes_only_speed(self, ex2, table7, monkeypatch):
+        """A NODE_ELEMENTS of 1, 2**12, the default and 2**20 give the same
+        solution, node count included, on the table7 block and on ex2 at
+        three blocks, in both modes; no chunk's children pass the cap unless
+        they are one parent's, and below the default some layer spans
+        several chunks (enumerate calls step more often than once a slot).
+        The table7 block skips one-parent chunks under enumerate, which
+        take about 8 s (one chunk per state, some 100,000 of them)."""
+        ex2_k3 = ClinicInstance(ex2.types, ex2.costs, ex2.regular_time, 3)
+        default = exact.NODE_ELEMENTS
+        runs = [(16, lambda c: solve_block_exact(expand_block(table7),
+                                                 table7.costs, c)),
+                (39, lambda c: solve_horizon_exact(ex2_k3, ex2.costs, c))]
+        steps = record_steps(monkeypatch)
+        for n_slots, run in runs:
+            for mode in MODES:
+                seen = set()
+                for cap in (1, 1 << 12, default, 1 << 20):
+                    if cap == 1 and n_slots == 16 and mode == "enumerate":
+                        continue
+                    monkeypatch.setattr(exact, "NODE_ELEMENTS", cap)
+                    steps.clear()
+                    sol = run(SearchConfig(mode=mode))
+                    seen.add(sol)
+                    assert len(sol.template.slots) == n_slots
+                    assert chunks_fit(steps, cap)
+                    if mode == "enumerate" and cap < default:
+                        assert len(steps) > n_slots
+                assert len(seen) == 1 and sol.optimal
+
+    # at NODE_ELEMENTS = 2**10 a DP chunk is 51 parent rows (1024 // 5
+    # children over 4 types), and ex2's layers from slot 5 on span several
+    CHUNKED = 1 << 10
+
+    def chunks_of_the_whole_dp(self, ex2, monkeypatch, mode):
+        """The slot of each chunk that ex2's DP makes in `mode` at CHUNKED,
+        and the nodes charged once it is made."""
+        monkeypatch.setattr(exact, "NODE_ELEMENTS", self.CHUNKED)
+        steps = record_steps(monkeypatch)
+        solve_horizon_exact(ex2, ex2.costs, SearchConfig(mode=mode))
+        slots = [t for t, *_ in steps]
+        made = list(itertools.accumulate(n for _, _, n, _ in steps))
+        return slots, made
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_node_limit_runs_out_mid_layer(self, ex2, monkeypatch, mode):
+        # the limit runs out halfway through a chunk that follows a chunk of
+        # its own layer; the layers before it are completed
+        slots, made = self.chunks_of_the_whole_dp(ex2, monkeypatch, mode)
+        i = next(i for i in range(1, len(slots))
+                 if slots[i] == slots[i - 1] and made[i - 1] > 1000)
+        limit = (made[i - 1] + made[i]) // 2
+        sol = solve_horizon_exact(ex2, ex2.costs,
+                                  SearchConfig(mode=mode, node_limit=limit))
+        assert not sol.optimal and sol.nodes_explored == limit + 1
+        m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                            regular_time=ex2.regular_time)
+        assert oracle_cost(m, ex2.costs) == sol.objective
+
+    def test_a_layer_limit_counts_only_the_chunks_made(self, ex2,
+                                                       monkeypatch):
+        # slot 6's chunks take 142, 168 and 73 nodes after the 409 of slots
+        # 0-5; 600 elements (200 merged rows) pass on its second chunk, so
+        # the pass counts 719 nodes, not the layer's 792, and completes slot
+        # 5's rows
+        monkeypatch.setattr(exact, "NODE_ELEMENTS", self.CHUNKED)
+        monkeypatch.setattr(exact, "LAYER_ELEMENTS", 600)
+        for mode in MODES:
+            sol = solve_horizon_exact(ex2, ex2.costs, SearchConfig(mode=mode))
+            assert not sol.optimal and sol.nodes_explored == 719
+            m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                                regular_time=ex2.regular_time)
+            assert oracle_cost(m, ex2.costs) == sol.objective
+
+    def test_the_clock_is_read_once_a_chunk(self, ex2, monkeypatch):
+        # a clock that ticks once a read: the budget reads it once at the
+        # start and once a chunk, so a time limit of i + 0.5 is out at chunk
+        # i, the second of its layer; the pass ends there, and only the
+        # node that found the clock out is counted past chunk i - 1
+        slots, made = self.chunks_of_the_whole_dp(ex2, monkeypatch,
+                                                  "enumerate")
+        i = next(i for i in range(1, len(slots)) if slots[i] == slots[i - 1])
+        ticks = itertools.count()
+        monkeypatch.setattr(exact.time, "monotonic", lambda: next(ticks))
+        sol = solve_horizon_exact(ex2, ex2.costs,
+                                  SearchConfig(time_limit=i + 0.5))
+        assert not sol.optimal and sol.nodes_explored == made[i - 1] + 1
+        m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
+                            regular_time=ex2.regular_time)
+        assert oracle_cost(m, ex2.costs) == sol.objective
 
     def test_budget_out_fills_each_state_in_type_order(self, ex1):
         # brute force over the ex1 block: a node limit that covers the
