@@ -132,6 +132,12 @@ def _dist_from_args(args) -> stochastic.DistributionSpec:
     return stochastic.DistributionSpec("normal")
 
 
+def _check_paths(paths):
+    if paths < 1:
+        raise ValueError(f"--paths {paths}: at least one sample path is "
+                         "needed")
+
+
 def _check_nonempty(flag, values):
     if not values:
         raise ValueError(f"{flag} is empty: give at least one value")
@@ -260,6 +266,9 @@ def _cmd_exact(args):
         "template": _template_payload(f"exact-{args.scope}", solution.template),
     }
     _write_json(payload, args.output)
+    if not solution.optimal:
+        print(f"warning: the {solution.spent_limit} ran out; the schedule "
+              "is not certified optimal", file=sys.stderr)
     if args.csv:
         ev = evaluate(solution.template, regular_time=regular)
         _write_csv_rows(evaluation_rows(solution.template, ev, weights),
@@ -304,6 +313,7 @@ def _cmd_saa(args):
 
 def _cmd_simulate(args):
     _check_k(args)
+    _check_paths(args.paths)
     inst = _load_valid(args.instance, args.k)
     template = _build_template(inst, args.method, args.seed)
     stats = stochastic.evaluate_template_mc(
@@ -375,6 +385,7 @@ def _cmd_compare(args):
     for flag, values in (("--methods", methods), ("--alphas", alphas),
                          ("--overtimes", overtimes)):
         _check_nonempty(flag, values)
+    _check_paths(args.paths)
     beta = _weight(args.beta, "--beta")
     inst = _load_valid(args.instance)
     dist = _dist_from_args(args)

@@ -13,11 +13,12 @@ rows.  A model is a step, a state key and a least total cost on that loop:
   1,041,189 transitions, about 0.35 s and 44 MB under branch and bound
   (2 cores).
 - the scenario-averaged block model carries all K scenarios in a row, one
-  search per appointment rank (see solve_saa_replication); branch and
-  bound folds slack into the free times and merges on (type counts left,
-  K assistant-free and K physician-free times).  It certifies the table7
-  block (seed 7) at K=1, 2 and 5: 55.9, 47.9 and 57.176 under "earliest",
-  12.36, 34.63 and 50.46 under "quantile_grid".
+  search per appointment rank (see solve_saa_replication); both modes fold
+  slack into the free times as each child is made, and branch and bound
+  merges on (type counts left, K assistant-free and K physician-free
+  times).  It certifies the table7 block (seed 7) at K=1, 2 and 5: 55.9,
+  47.9 and 57.176 under "earliest", 12.36, 34.63 and 50.46 under
+  "quantile_grid".
 
 Every solver returns the lexicographically first optimal sequence.
 Sequences are over type multisets, not labeled patients; same-type patients
@@ -65,6 +66,7 @@ class Solution:
     objective: Fraction
     optimal: bool
     nodes_explored: int
+    spent_limit: str | None = None   # the limit that ended an uncertified run
 
 
 class _Budget:
@@ -156,7 +158,7 @@ def _solution(seq, cost, denom, budget, blocks_patients) -> Solution:
         bounds.append(len(slots))
     template = AppointmentTemplate(slots, pa_prefix_taus(slots), tuple(bounds))
     return Solution(template, _objective_fraction(cost, denom),
-                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
+                    not budget.exhausted, budget.nodes, budget.spent_limit)
 
 
 def solve_block_exact(block: PatientList, weights: CostWeights,
@@ -526,21 +528,22 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     idle never shrink, and there is no overtime.  The incumbent pass keeps
     SAA_BEAM rows a layer.
 
-    "enumerate" neither merges nor folds, so it visits every prefix.
-    "branch_and_bound" folds slack after each step, which is exact because
-    every later slot shows and the block has no overtime:
-    - each assistant-free time is raised to the next appointment time, and
-      the rise is booked as assistant idle (it would be at the next slot);
+    Both modes fold slack into each child as it is made, which is exact
+    because every later slot shows and the block has no overtime:
+    - each assistant-free time is raised to the next slot's appointment,
+      which the counts placed fix; the rise is booked as assistant idle
+      and the rest of the gap as stage-1 wait;
     - each physician-free time is raised to the assistant-free time plus
       the least stage-1 draw of the next patient of any Q+ type left, and
       the rise is booked as physician idle; with no Q+ patient left it is
       set to 0.
-    Chunks and layers of more than MERGE_FLOOR rows are then merged on
-    (counts, K assistant-free, K physician-free times).  Both modes return
-    the lexicographically first optimal sequence, with the lowest decile on
-    ties.  ``nodes_explored`` counts the children made, one per (row, open
-    type), over every pass.  The optimality flag refers to the sequence
-    search given the appointment rule.
+    "enumerate" neither merges nor prunes, so it visits every prefix;
+    "branch_and_bound" merges chunks and layers of more than MERGE_FLOOR
+    rows on (counts, K assistant-free, K physician-free times).  Both modes
+    return the lexicographically first optimal sequence, with the lowest
+    decile on ties.  ``nodes_explored`` counts the children made, one per
+    (row, open type), over every pass.  The optimality flag refers to the
+    sequence search given the appointment rule.
     """
     if tau_rule not in ("earliest", "quantile_grid"):
         raise ValueError(f"unknown tau rule: {tau_rule}")
@@ -554,7 +557,6 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     denom, (w_alpha, w_ba, w_bp, _, _) = _scale(weights)
     budget = _Budget(config)
     quantile = tau_rule == "quantile_grid"
-    fold = config.mode == "branch_and_bound"
     K = scenario_set.K
     ranks = sorted({int(np.quantile(np.arange(K), q / 10, method="lower"))
                     for q in range(1, 10)}) if quantile else [None]
@@ -600,25 +602,17 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         with appointments by `rank`.  Times are (rows, K), costs (rows,).
 
         This is the slot recurrence of timeline._slot over K scenarios.
-        _slot takes the stage-1 start per child, where this step takes it
-        once per parent, and returns per-scenario increments, where this
-        step sums them first.  Run on _slot (children batched, Q+ as a
-        mask), the search gave the same results and node counts but the saa
-        workload's 36 branch-and-bound solves took 1,216 ms, not 514, and 4
-        enumerate solves at K=10 422 ms, not 188 (2 cores)."""
+        _slot returns per-scenario increments, where this step sums them
+        over K first.  Run on _slot (children batched, Q+ as a mask), when
+        this step still took each stage-1 start once per parent, the search
+        gave the same results and node counts but the saa workload's 36
+        branch-and-bound solves took 1,216 ms, not 514, and 4 enumerate
+        solves at K=10 422 ms, not 188 (2 cores)."""
         code, prefix, pa, p, cost = rows
-        # the stage-1 starts of the slot do not depend on its type: each
-        # scenario either waits for the assistant or the assistant idles
-        # (folded free times never lie below the appointment)
-        taus = appointments(prefix, rank)
-        ea = pa if fold else np.maximum(pa, taus)
-        cost = cost + w_alpha * (ea - taus).sum(axis=1)
-        if not fold:
-            cost += w_ba * (ea - pa).sum(axis=1)
         code, step_code = code[par], radix[kind]
         pick = ends[kind] - (code // step_code % sizes[kind]).astype(np.intp)
         lam = lams[pick]
-        child_pa = ea[par]
+        child_pa = pa[par]
         child_pa += lam
         child_p, child_cost = p[par], cost[par]
         q = np.flatnonzero(qplus[kind])
@@ -633,11 +627,13 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             child_p[q] = ep
         code = code - step_code
         prefix = prefix[par] + (lam if quantile else lam_bar[kind])
-        if not fold:
-            return [code, prefix, child_pa, child_p, child_cost]
         if t + 1 < n_slots:
-            folded = np.maximum(child_pa, appointments(prefix, rank))
-            child_cost += w_ba * (folded - child_pa).sum(axis=1)
+            # the next slot's stage-1 start does not depend on its type:
+            # each scenario either idles the assistant or waits for it
+            taus = appointments(prefix, rank)
+            folded = np.maximum(child_pa, taus)
+            child_cost += (w_ba * (folded - child_pa).sum(axis=1)
+                           + w_alpha * (folded - taus).sum(axis=1))
             child_pa = folded
         if len(plus):   # the floor depends on the counts alone
             codes, row_code = np.unique(code, return_inverse=True)
@@ -655,7 +651,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
 
     def merge(rows):
         code, _, pa, p, cost = rows
-        if fold and len(code) > MERGE_FLOOR:
+        if config.mode == "branch_and_bound" and len(code) > MERGE_FLOOR:
             return _first_of_each_state(code, (*pa.T, *p.T), cost)
         return None
 
@@ -674,4 +670,4 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         taus = pa_prefix_taus(slots)
     template = AppointmentTemplate(slots, tuple(taus), (0, n_slots))
     return Solution(template, Fraction(best, denom * 10 * K * D),
-                    optimal=not budget.exhausted, nodes_explored=budget.nodes)
+                    not budget.exhausted, budget.nodes, budget.spent_limit)

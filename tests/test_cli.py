@@ -153,6 +153,23 @@ class TestDispatch:
         assert Fraction(payload["objective"]) == 153395
         assert len(payload["template"]["slots"]) == 1080
 
+    @pytest.mark.parametrize("limit, stderr", [
+        ([], ""),
+        (["--node-limit", "1000"], "warning: the node limit (1000 nodes) "
+         "ran out; the schedule is not certified optimal\n")],
+        ids=["certified", "node-limit"])
+    def test_exact_names_the_limit_that_left_it_uncertified(
+            self, table7_path, limit, stderr):
+        # in a fresh process, so stderr holds all the run wrote there
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(blocksched.__file__).parents[1])]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-m", "blocksched.cli", "exact",
+                               "--instance", table7_path, *limit], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == stderr
+        assert json.loads(proc.stdout)["optimal"] is not bool(limit)
+
     def test_balance_example2(self, tmp_path, capsys):
         dst = tmp_path / "ex2.json"
         shutil.copy(str(FIXDIR / "ex2.json"), dst)
@@ -437,7 +454,6 @@ class TestRejectedInputs:
         ["exact", "--scope", "saa", "--K", "-1"],
         ["saa", "--K", "0", "--nu0", "2", "--nu-max", "2"],
         ["saa", "--K", "-1", "--nu0", "2", "--nu-max", "2", "--inner", "alg4"],
-        ["simulate", "--method", "alg4", "--paths", "0"],
     ])
     def test_fewer_than_one_scenario_exits_one(self, ex1_path, capsys,
                                                command):
@@ -446,6 +462,23 @@ class TestRejectedInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: K = ")
         assert "at least one is needed" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--method", "alg4"], ["compare"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("paths", ["0", "-1"])
+    def test_fewer_than_one_path_names_paths_before_drawing(
+            self, ex1_path, tmp_path, capsys, monkeypatch, command, paths):
+        from blocksched import stochastic
+        drawn = []
+        monkeypatch.setattr(stochastic, "draw_scenarios",
+                            lambda *a, **k: drawn.append(a))
+        out = tmp_path / "out"
+        assert run(command + ["--instance", ex1_path, "--paths", paths,
+                              "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert drawn == [] and captured.out == "" and not out.exists()
+        assert captured.err == (f"error: --paths {paths}: at least one "
+                                "sample path is needed\n")
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_horizon_with_fewer_than_one_block_exits_one(self, ex1_path,

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -235,25 +236,28 @@ class TestSaaReplication:
 
     @pytest.mark.parametrize("mode, limits", [
         ("enumerate", (9, 953, 4533, 6772)),
-        ("branch_and_bound", (9, 500, 841, 1000, 1869))])
+        ("branch_and_bound", (9, 500, 800, 842, 1000, 1568))])
     def test_budget_out_completes_the_last_full_layer(self, ex1, mode,
                                                       limits):
         # ex1 at K=3 (nine slots): enumerate charges its layers 2, 9, 33,
         # 111, 343, 953, 2293, 4533 and 6773 nodes in all; branch and
-        # bound's incumbent pass takes 841 nodes and its pruned pass 1029
-        # more.  Each limit runs out on some layer, the last one of the
-        # incumbent pass or the first of the pruned pass among them, and the
-        # rows of the layer before are completed in type order
+        # bound's incumbent pass charges 2, 9, 33, 111, 305, 486, 650, 778
+        # and 842, and its pruned pass 844, 851, 875, 941, 1088, 1304,
+        # 1508, 1568 and 1569.  Each limit runs out on some layer (800 on
+        # the last of the incumbent pass, 842 on the first of the pruned
+        # pass, 1568 on its last), and the rows of the layer before are
+        # completed in type order
         w = CostWeights.of(1, 1, 1)
         scen = draw_scenarios(ex1, DistributionSpec.uniform("0.4"), 3, seed=4)
         best = solve_saa_replication(ex1, w, scen, SearchConfig(mode=mode))
-        assert best.optimal
+        assert best.optimal and best.spent_limit is None
         assert best.nodes_explored == {"enumerate": 6773,
-                                       "branch_and_bound": 1870}[mode]
+                                       "branch_and_bound": 1569}[mode]
         for limit in limits:
             sol = solve_saa_replication(
                 ex1, w, scen, SearchConfig(node_limit=limit, mode=mode))
             assert not sol.optimal and sol.nodes_explored == limit + 1
+            assert sol.spent_limit == f"node limit ({limit} nodes)"
             assert len(sol.template.slots) == 9
             assert sol.objective == scenario_average_cost(sol.template, scen, w)
             assert sol.objective >= best.objective
@@ -315,6 +319,59 @@ class TestSaaReplication:
                     assert sol.optimal and sol.objective == best
                     assert (sol.template.slots, sol.template.taus) == (slots,
                                                                        taus)
+
+    def test_every_sequence_costs_its_scenario_average(self, monkeypatch):
+        """Under enumerate, which neither merges nor prunes, the children
+        made at the last slot are every distinct Q+-first sequence, once per
+        appointment rank, and each one's cost (waits and idle booked when a
+        child is made, a slot early) is the brute-force scenario average of
+        its template, in the solver's scaled units.  Blocks of at most 6
+        patients, K = 1 and 3, both rules, normal and uniform(2) draws."""
+        leaves = []
+        layers = exact._layers
+
+        def spy(budget, n_slots, root, open_types, step, *rest, **kwargs):
+            def last(rows, par, kind, t):
+                child = step(rows, par, kind, t)
+                if t == n_slots - 1:
+                    leaves.extend(int(c) for c in child[-1])
+                return child
+            return layers(budget, n_slots, root, open_types, last, *rest,
+                          **kwargs)
+
+        monkeypatch.setattr(exact, "_layers", spy)
+        rng = np.random.default_rng(83)
+        dists = (DistributionSpec("normal"), DistributionSpec.uniform(2))
+        for trial in range(12):
+            inst = random_conformant_instance(rng, max_r=6)
+            w = CostWeights.of(*(Fraction(int(rng.integers(1, 11)), 10)
+                                 for _ in range(3)))
+            K = (1, 3)[trial % 2]
+            scen = draw_scenarios(inst, dists[trial // 2 % 2], K, seed=trial,
+                                  tag="leaves")
+            block = expand_block(inst)
+            denom = lcm(*(x.denominator for x in (w.alpha, w.beta_a, w.beta_p)))
+            for rule in ("earliest", "quantile_grid"):
+                leaves.clear()
+                solve_saa_replication(inst, w, scen, tau_rule=rule)
+                if rule == "earliest":   # mean sums off the tenths grid
+                    scale = lcm(*(Fraction(p.lam).denominator for p in block))
+                else:
+                    scale = 1
+                scale *= denom * 10 * K
+                costs = []
+                for perm in distinct_sequences(block):
+                    if rule == "earliest":
+                        candidates = [pa_prefix_taus(perm)]
+                    else:   # the nine "lower" deciles of K=1 or 3 draw
+                        # sums are the sums of rank 0, or of ranks 0 and 1
+                        draws = scen.lam[:, [p.uid for p in perm]]
+                        sums = np.sort(draws.cumsum(axis=1) - draws, axis=0)
+                        candidates = sums[:1 if K == 1 else 2].tolist()
+                    costs += [scale * scenario_average_cost(AppointmentTemplate(
+                        perm, tuple(taus), (0, len(perm))), scen, w)
+                        for taus in candidates]
+                assert sorted(leaves) == sorted(costs)
 
     def test_both_modes_match_the_oracle_on_504_seeded_solves(
             self, monkeypatch):
@@ -562,6 +619,7 @@ class TestSaaChunkedSearch:
         monkeypatch.setattr(exact, "LAYER_ELEMENTS", 2_100)
         sol = solve_saa_replication(ex1, ex1.costs, scen)
         assert not sol.optimal and sol.nodes_explored == 953
+        assert sol.spent_limit == "layer limit (2100 elements)"
         assert len(sol.template.slots) == 9
         assert sol.objective == scenario_average_cost(sol.template, scen,
                                                       ex1.costs)
@@ -911,6 +969,7 @@ class TestLayeredDP:
         sol = solve_horizon_exact(ex2, ex2.costs,
                                   SearchConfig(mode=mode, node_limit=limit))
         assert not sol.optimal and sol.nodes_explored == limit + 1
+        assert sol.spent_limit == f"node limit ({limit} nodes)"
         m = oracle_timeline(sol.template.slots, taus=sol.template.taus,
                             regular_time=ex2.regular_time)
         assert oracle_cost(m, ex2.costs) == sol.objective >= optimum
