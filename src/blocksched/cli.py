@@ -304,6 +304,10 @@ def _cmd_saa(args):
         "incumbent_average": fmt_number(result.incumbent_average),
         "incumbent_objective": fmt_number(result.incumbent.objective),
     }, args.output)
+    for u, limit in enumerate(result.spent_limits, 1):
+        if limit is not None:
+            print(f"warning: K={result.K} replication {u}: the {limit} ran "
+                  "out; psi_bar is not a valid bound", file=sys.stderr)
     if args.csv:
         rows = [{"replication": u + 1, "psi": fmt_number(psi)}
                 for u, psi in enumerate(result.psi_values)]

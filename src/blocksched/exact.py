@@ -136,14 +136,15 @@ def _objective_fraction(scaled_cost, denom) -> Fraction:
     return Fraction(scaled_cost, denom * 10)
 
 
-def _radix(counts) -> tuple[list[int], int]:
+def _radix(counts, order=None) -> tuple[list[int], int]:
     """Mixed-radix place values of the type counts and the code of counts
     itself: taking one patient of type i subtracts radix[i] from the code,
-    and the code is 0 once the block is placed."""
-    radix, place = [], 1
-    for n in counts:
-        radix.append(place)
-        place *= n + 1
+    and the code is 0 once the block is placed.  The types take the places
+    from the lowest up in `order`, type order by default."""
+    radix, place = [0] * len(counts), 1
+    for i in range(len(counts)) if order is None else order:
+        radix[i] = place
+        place *= counts[i] + 1
     return radix, sum(n * r for n, r in zip(counts, radix))
 
 
@@ -507,6 +508,26 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
 # ---------------------------------------------------------------------------
 # Scenario-averaged exact block model
 
+def _floor_table(lams, ends, counts, plus, low) -> np.ndarray:
+    """The physician floor of every Q+ counts code, one row of K per code.
+
+    The Q+ types `plus` take the low places of the counts code in type
+    order (see _radix), so a code c below the product of their counts + 1
+    codes the Q+ counts left.  Row c holds, per scenario, the least
+    stage-1 draw lams[ends[i] - n] of the next patient of each Q+ type i
+    with n > 0 left (lams has one row per patient, in group order), and
+    row 0, with none left, holds -low.  The table grows one Q+ type at a
+    time, as a running minimum of its rows and that type's next draws."""
+    top = lams.max(axis=0)   # no less than every draw: no patient left
+    floors = top[None]
+    for i in plus:
+        nexts = np.repeat(top[None, None], counts[i] + 1, axis=0)
+        nexts[1:, 0] = lams[ends[i] - np.arange(1, counts[i] + 1)]
+        floors = np.minimum(nexts, floors).reshape(-1, len(top))
+    floors[0] = -low
+    return floors
+
+
 def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
                           scenario_set, config: SearchConfig | None = None,
                           tau_rule: str = "earliest") -> Solution:
@@ -537,6 +558,14 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
       the least stage-1 draw of the next patient of any Q+ type left, and
       the rise is booked as physician idle; with no Q+ patient left it is
       set to 0.
+    That floor depends on the Q+ counts left alone.  The Q+ types take the
+    low places of the counts code (the types keep their order, and so do
+    rows and ties), so code % plus_span codes those counts, plus_span being
+    the product of the Q+ counts + 1.  A table of plus_span rows of K
+    floors (see _floor_table), built once per solve and shared by every
+    rank, gives each child its floor by that code.  If the table would pass
+    LAYER_ELEMENTS, the solve stops before its first layer as a layer-limit
+    stop; a block needs about 20 single-patient Q+ types for that at K=15.
     "enumerate" neither merges nor prunes, so it visits every prefix;
     "branch_and_bound" merges chunks and layers of more than MERGE_FLOOR
     rows on (counts, K assistant-free, K physician-free times).  Both modes
@@ -565,12 +594,18 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     D = 1 if quantile else lcm(*(Fraction(g.lam).denominator for g in groups))
 
     # patients in group order; a row's next patient of group i is
-    # ends[i] - (counts left of i)
+    # ends[i] - (counts left of i).  The Q+ types take the low places of
+    # the counts code, so code % plus_span codes the Q+ counts left
     counts0 = [len(g.patients) for g in groups]
-    radix, full = _radix(counts0)
+    qplus = np.array([g.qplus for g in groups], dtype=bool)
+    plus = np.flatnonzero(qplus)
+    radix, full = _radix(counts0, [*plus, *np.flatnonzero(~qplus)])
+    plus_span = prod(counts0[i] + 1 for i in plus)
+    if plus_span * K > LAYER_ELEMENTS:   # the floor table would not fit
+        budget.stop(f"layer limit ({LAYER_ELEMENTS} elements)")
+        raise budget.out_of_budget()
     uids = [p.uid for g in groups for p in g.patients]
     ends = np.cumsum(counts0)
-    qplus = np.array([g.qplus for g in groups], dtype=bool)
     lam_draws, mu_draws = scenario_set.lam[:, uids], scenario_set.mu[:, uids]
     # the horizon: the largest draw sums plus the mean sum; each slot adds at
     # most (2 w_alpha + w_ba + w_bp) K times twice that to a cost
@@ -585,11 +620,14 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     lams, mus = (x.T.astype(tdtype) * D for x in (lam_draws, mu_draws))
     lam_bar = np.array([int(g.lam * D) for g in groups], tdtype)
     radix, sizes = np.array(radix, dtype), np.array(sizes, dtype)
-    # the next patient of each Q+ type, or a row no less than every draw
-    # for a type with none left; no time reaches `low`
-    plus = np.flatnonzero(qplus)
-    plus_lams = np.vstack((lams, lams.max(axis=0)))
-    low = int(4 * horizon) + 1
+    # the physician floor of each Q+ counts code; no time reaches four
+    # horizons, so the floor with no Q+ patient left lies below every time
+    floors = _floor_table(lams, ends, counts0, plus, int(4 * horizon) + 1)
+
+    def row_sums(x):
+        """Each row's exact sum, in the cost dtype (einsum takes about half
+        the time of x.sum(axis=1) on rows of 1,000 or more)."""
+        return np.einsum("ij->i", x, dtype=dtype)
 
     def appointments(prefix, rank):
         """Each row's appointment for the slot its prefix ends at, as a
@@ -602,12 +640,9 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         with appointments by `rank`.  Times are (rows, K), costs (rows,).
 
         This is the slot recurrence of timeline._slot over K scenarios.
-        _slot returns per-scenario increments, where this step sums them
-        over K first.  Run on _slot (children batched, Q+ as a mask), when
-        this step still took each stage-1 start once per parent, the search
-        gave the same results and node counts but the saa workload's 36
-        branch-and-bound solves took 1,216 ms, not 514, and 4 enumerate
-        solves at K=10 422 ms, not 188 (2 cores)."""
+        _slot returns per-scenario increments, where this step sums each
+        child's over K first, exactly, in the cost dtype.  A child's
+        physician floor is the floor-table row of its Q+ counts code."""
         code, prefix, pa, p, cost = rows
         code, step_code = code[par], radix[kind]
         pick = ends[kind] - (code // step_code % sizes[kind]).astype(np.intp)
@@ -619,9 +654,9 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         if len(q):
             pa_plus, p_plus = child_pa[q], child_p[q]
             ep = np.maximum(pa_plus, p_plus)   # stage-2 starts
-            inc = w_alpha * (ep - pa_plus).sum(axis=1)
+            inc = w_alpha * row_sums(ep - pa_plus)
             if t:   # a Q+ slot 0 starts the physician
-                inc += w_bp * (ep - p_plus).sum(axis=1)
+                inc += w_bp * row_sums(ep - p_plus)
             ep += mus[pick[q]]
             child_cost[q] += inc
             child_p[q] = ep
@@ -632,21 +667,16 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             # each scenario either idles the assistant or waits for it
             taus = appointments(prefix, rank)
             folded = np.maximum(child_pa, taus)
-            child_cost += (w_ba * (folded - child_pa).sum(axis=1)
-                           + w_alpha * (folded - taus).sum(axis=1))
+            child_cost += (w_ba * row_sums(folded - child_pa)
+                           + w_alpha * row_sums(folded - taus))
             child_pa = folded
-        if len(plus):   # the floor depends on the counts alone
-            codes, row_code = np.unique(code, return_inverse=True)
-            left = (codes[:, None] // radix[plus] % sizes[plus]).astype(np.intp)
-            some = (left > 0).any(axis=1)
-            # with no Q+ patient left, a floor below every time: p stays, and
-            # is then dropped
-            floor = np.where(some[:, None], plus_lams[np.where(
-                left > 0, ends[plus] - left, len(uids))].min(axis=1), -low)
-            folded = np.maximum(child_p, child_pa + floor[row_code])
-            child_cost += w_bp * (folded - child_p).sum(axis=1)
+        if len(plus):   # the floor depends on the Q+ counts alone
+            plus_code = (code % plus_span).astype(np.intp)
+            # with no Q+ patient left (code 0), p stays, and is then dropped
+            folded = np.maximum(child_p, child_pa + floors[plus_code])
+            child_cost += w_bp * row_sums(folded - child_p)
             child_p = folded
-            child_p[~some[row_code]] = 0
+            child_p[plus_code == 0] = 0
         return [code, prefix, child_pa, child_p, child_cost]
 
     def merge(rows):

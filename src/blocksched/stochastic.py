@@ -361,6 +361,9 @@ class SAAResult:
     K: int
     stopped: bool                # stopping rule satisfied (vs. limits hit)
     all_inner_optimal: bool      # every replication of this K certified
+    # per replication of this K, the limit that ended its search uncertified,
+    # or None (certified, or a fixed template's replication)
+    spent_limits: tuple[str | None, ...] = ()
 
 
 def incumbent_selection(solutions, scenario_sets, evaluator):
@@ -438,7 +441,8 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
     being its .regular_time or None when it has none: the tournament takes
     it as that average, and evaluates every other (template, set) pair once.
     A replication counts as certified only when its .optimal is true, so
-    fixed-template replications never do.
+    fixed-template replications never do; its .spent_limit, if it has one,
+    names the limit that ended its search.
     """
     dist = dist or DistributionSpec("normal")
     K = config.K
@@ -472,7 +476,9 @@ def saa_procedure(inst: ClinicInstance, weights: CostWeights,
         last_state = SAAResult(
             psi_bar, h, nu, incumbent, running, tuple(psis), S2, K, stopped,
             all_inner_optimal=all(getattr(sol, "optimal", False)
-                                  for sol in sols))
+                                  for sol in sols),
+            spent_limits=tuple(getattr(sol, "spent_limit", None)
+                               for sol in sols))
         if stopped:
             return last_state
         K += config.k_step

@@ -650,7 +650,8 @@ class TestRejectedInputs:
     # the budget cuts every table7 replication short
     ("table7", ["--inner", "exact", "--K", "3", "--node-limit", "1000"], False),
     ("ex1", ["--inner", "exact", "--K", "2", "--dist", "uniform"], True),
-    # a fixed template bounds the replication optimum, never certifies it
+    # a fixed template bounds the replication optimum, never certifies it,
+    # and no search of it runs out
     ("ex1", ["--inner", "alg4", "--K", "2"], False),
 ])
 def test_saa_reports_whether_replications_certified(fixture, args, certified,
@@ -659,7 +660,53 @@ def test_saa_reports_whether_replications_certified(fixture, args, certified,
     shutil.copy(str(FIXDIR / f"{fixture}.json"), path)
     assert run(["saa", "--instance", str(path), "--nu0", "2", "--nu-max", "2"]
                + args) == 0
-    assert json.loads(capsys.readouterr().out)["all_inner_optimal"] is certified
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["all_inner_optimal"] is certified
+    # each uncertified replication of the reported K is named on stderr
+    limit = "node limit (1000 nodes)" if "--node-limit" in args else None
+    assert captured.err == "".join(
+        f"warning: K={report['K']} replication {u}: the {limit} ran out; "
+        "psi_bar is not a valid bound\n" for u in (1, 2) if limit)
+
+
+# runs the CLI on argv in this fresh process, then writes its peak RSS in KB
+# as the last line of stderr
+RUN_AND_PEAK = """\
+import resource, sys
+from blocksched.cli import run
+code = run(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("n_types, fits", [(24, False), (12, True)])
+def test_saa_floor_table_bound_stops_before_the_search(tmp_path, n_types,
+                                                        fits):
+    # one patient of each of n Q+ types: the physician floor table has 2^n
+    # codes of K=1, which passes LAYER_ELEMENTS (2^23) at 24 types, so the
+    # solve stops before its first layer; at 12 types branch and bound
+    # certifies
+    path = instance_file(tmp_path, types=[
+        {"name": f"P{i}", "lambda_mean": 5 + i, "lambda_sd": 1,
+         "mu_mean": 10 + i, "mu_sd": 2, "ratio": 1} for i in range(n_types)])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(blocksched.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_AND_PEAK, "exact", "--instance", path,
+         "--scope", "saa", "--K", "1", "--mode", "branch_and_bound"],
+        env=env, capture_output=True, text=True)
+    *err, peak_kb = proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr and int(peak_kb) < 100 * 1024
+    if fits:
+        assert proc.returncode == 0 and err == []
+        assert json.loads(proc.stdout)["optimal"] is True
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert err == [f"error: the layer limit ({1 << 23} elements) ran "
+                       "out before any complete schedule was found; raise it"]
 
 
 @pytest.mark.parametrize("command", [

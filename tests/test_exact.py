@@ -490,6 +490,52 @@ SAA_EDGE_CASES = {
 }
 
 
+class TestSaaFloorTable:
+    def test_table_rows_match_a_plain_loop_on_random_blocks(self):
+        """Blocks of 0-4 Q+ types with 1-3 patients each, and Q types before
+        and between them in type order: with the Q+ types on the low
+        places, the codes of all count vectors are distinct, code %
+        plus_span gives back the Q+ counts, and each row of the floor
+        table holds the least draw of the next patient of each Q+ type
+        left (-low with none left)."""
+        rng = np.random.default_rng(28)
+        low = 10 ** 6
+        for _ in range(40):
+            qplus = [False]
+            for j in range(int(rng.integers(0, 5))):
+                qplus.append(True)
+                if j == 0 or rng.random() < 0.5:
+                    qplus.append(False)
+            qplus = np.array(qplus)
+            counts = [int(rng.integers(1, 4)) if q else int(rng.integers(1, 3))
+                      for q in qplus]
+            plus = np.flatnonzero(qplus)
+            K = int(rng.integers(1, 4))
+            lams = rng.integers(0, 1000, (sum(counts), K))
+            ends = np.cumsum(counts)
+            radix, full = exact._radix(counts,
+                                       [*plus, *np.flatnonzero(~qplus)])
+            plus_span = int(np.prod([counts[i] + 1 for i in plus]))
+            floors = exact._floor_table(lams, ends, counts, plus, low)
+            assert floors.shape == (plus_span, K)
+            codes = set()
+            for left in itertools.product(*(range(n + 1) for n in counts)):
+                code = sum(n * r for n, r in zip(left, radix))
+                codes.add(code)
+                plus_left = [left[i] for i in plus]
+                c = code % plus_span
+                assert [c // radix[i] % (counts[i] + 1)
+                        for i in plus] == plus_left
+                floor = [-low] * K
+                if any(plus_left):
+                    floor = [min(int(lams[ends[i] - left[i], s])
+                                 for i in plus if left[i])
+                             for s in range(K)]
+                assert floors[c].tolist() == floor
+            assert len(codes) == np.prod([n + 1 for n in counts])
+            assert full == max(codes)
+
+
 class TestSaaChunkedSearch:
     @pytest.mark.parametrize("case", sorted(SAA_EDGE_CASES))
     def test_edge_cases_match_bruteforce(self, case):
