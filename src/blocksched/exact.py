@@ -9,9 +9,9 @@ rows.  A model is a step, a state key and a least total cost on that loop:
 - the deterministic pinned-appointment models (single block, horizon)
   merge on (block, type counts left, physician lag) (see _lag_dp).  On
   table7 at k=3 (474.86) the ``exact`` command takes 7,074,446
-  transitions, about 0.7 s and 57 MB peak memory under enumeration, and
-  1,041,189 transitions, about 0.35 s and 44 MB under branch and bound
-  (2 cores).
+  transitions, about 0.65 s and 57 MB peak memory under enumeration, and
+  1,041,189 transitions, about 0.3 s and 40 MB under branch and bound
+  (2 cores; the solver's share is 0.53 and 0.09 s).
 - the scenario-averaged block model carries all K scenarios in a row, one
   search per appointment rank (see solve_saa_replication); both modes fold
   slack into the free times as each child is made, and branch and bound
@@ -77,6 +77,7 @@ class _Budget:
         self.nodes = 0
         self.exhausted = False
         self.spent_limit = None   # the limit that ran out first
+        self.fixed = False   # whether that is a memory bound of the module
 
     def spend_many(self, n: int):
         """Count n nodes at once, or as many as the budget allows.  The
@@ -92,14 +93,17 @@ class _Budget:
         self.exhausted = self.spent_limit is not None
         self.nodes += allowed + self.exhausted
 
-    def stop(self, limit: str):
-        """End the search as if its budget had run out, naming `limit`."""
-        self.spent_limit = limit
-        self.exhausted = True
+    def stop(self, limit: str, elements: int):
+        """End the search as if its budget had run out, at the memory bound
+        `limit` of `elements`, a module constant that no option sets."""
+        self.spent_limit = f"{limit} ({elements} elements)"
+        self.exhausted = self.fixed = True
 
     def out_of_budget(self) -> ValueError:
+        fix = ("it is a fixed memory bound that no option raises"
+               if self.fixed else "raise it")
         return ValueError(f"the {self.spent_limit} ran out before any "
-                          "complete schedule was found; raise it")
+                          f"complete schedule was found; {fix}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,23 @@ def _radix(counts, order=None) -> tuple[list[int], int]:
         radix[i] = place
         place *= counts[i] + 1
     return radix, sum(n * r for n, r in zip(counts, radix))
+
+
+def _counts_table(counts, radix, budget, elements=0) -> np.ndarray:
+    """The type counts left of every counts code (see _radix), one row per
+    code: row c is c // radix % (counts + 1), in the least unsigned dtype
+    that holds the counts.  Built once per solve, it turns each decode of a
+    row's code into a gather.  If the table, or the model's own per-solve
+    table of `elements`, would pass TABLE_ELEMENTS, the solve stops before
+    its first layer at the table limit; so every code of a solve fits in
+    int64."""
+    n_codes = prod(n + 1 for n in counts)
+    if max(n_codes * len(counts), elements) > TABLE_ELEMENTS:
+        budget.stop("table limit", TABLE_ELEMENTS)
+        raise budget.out_of_budget()
+    left = np.arange(n_codes)[:, None] // np.array(radix, np.int64)
+    left %= np.array(counts, np.int64) + 1
+    return left.astype(np.min_scalar_type(max(counts, default=0)))
 
 
 def _solution(seq, cost, denom, budget, blocks_patients) -> Solution:
@@ -211,7 +232,7 @@ def _first_of_each_state(code, d, cost) -> np.ndarray:
     new = np.empty(n, bool)
     new[0] = True
     keep = np.zeros(n, bool)
-    if cost.dtype == object:   # and so is every column
+    if cost.dtype == object:   # and so is every column but an int64 code
         order = np.lexsort([cost, *cols[::-1]])
     else:
         packed, room = code, (int(code.max()) + 1) * n
@@ -245,7 +266,22 @@ BEAM = 512   # states per layer in the DP's incumbent pass
 SAA_BEAM = 64   # rows per layer in the saa model's incumbent pass
 NODE_ELEMENTS = 1 << 18   # elements of one chunk's children, all told
 LAYER_ELEMENTS = 1 << 23   # elements of one layer's survivors, all told
+TABLE_ELEMENTS = 1 << 23   # elements of one per-solve table of codes
 MERGE_FLOOR = 1024   # rows up to which a saa chunk or layer is not merged
+
+
+def _least(cost, beam: int) -> np.ndarray:
+    """The rows of the `beam` least costs, the first rows on ties, in row
+    order: np.sort(np.argsort(cost, kind="stable")[:beam]), by selection
+    in O(n).  Every row below the beam-th least cost is kept, then the
+    first rows equal to it, up to `beam` rows in all."""
+    if beam >= len(cost):
+        return np.arange(len(cost))
+    edge = np.partition(cost, beam - 1)[beam - 1]
+    keep = cost < edge
+    ties = np.flatnonzero(cost == edge)
+    keep[ties[:beam - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _take(rows: list, keep) -> list:
@@ -261,9 +297,12 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     """One pass of the layered search that serves every exact model.
 
     A layer is a list of numpy arrays with one row per state: first the
-    type counts left as one mixed-radix code (see _radix), last the cost,
-    and the model's own columns between.  The model gives four functions:
-    open_types(code, t), the types each row may put in slot t;
+    type counts left as one mixed-radix code (see _radix), in int64 even
+    when the costs are Python integers, last the cost, and the model's own
+    columns between.  A model reads what a code holds from its per-solve
+    tables (see _counts_table), so no row is decoded by division.  The
+    model gives four functions: open_types(code, t), the types each row
+    may put in slot t;
     step(rows, par, kind, t), the children that give slot t of row par[i]
     to type kind[i]; total(rows, t), each row's least total cost once slot
     t is filled; and merge(rows), the rows to keep, or None to keep them
@@ -278,7 +317,8 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
     made.  With an incumbent, each child whose least total exceeds it is
     dropped.  Each chunk is merged, then the layer of several chunks; the
     incumbent pass then cuts the layer to its `beam` rows of least cost
-    (the first rows on ties).  Kept rows stay in order, so with an exact
+    (the first rows on ties), by selection rather than a sort (see
+    _least).  Kept rows stay in order, so with an exact
     merge each row holds the lexicographically first of its state's
     cheapest prefixes, and the first row of least total cost reads back the
     lexicographically first optimum.  If a layer's survivors pass
@@ -317,7 +357,7 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
             parts.append((par.astype(np.int32), kind.astype(kind_type), child))
             held += len(par) * width
             if held > LAYER_ELEMENTS:
-                budget.stop(f"layer limit ({LAYER_ELEMENTS} elements)")
+                budget.stop("layer limit", LAYER_ELEMENTS)
                 break
         if budget.exhausted:
             break
@@ -336,7 +376,7 @@ def _layers(budget, n_slots, root, open_types, step, total, merge,
         if not len(par):   # the incumbent pruned every child
             return None
         if beam is not None and len(par) > beam:
-            keep = np.sort(np.argsort(child[-1], kind="stable")[:beam])
+            keep = _least(child[-1], beam)
             par, kind, child = par[keep], kind[keep], _take(child, keep)
             cut = True
         rows = child
@@ -394,16 +434,16 @@ def _search(budget, mode, beam, n_slots, models):
     return min(found)
 
 
-def _open_types(radix, sizes, qplus):
-    """The model's open_types for _layers: the types each row may put in
+def _open_types(left, qplus):
+    """The model's open_types for _layers, read by each row's code from the
+    counts table `left` (see _counts_table): the types each row may put in
     slot t are those it has left, and only Q+ types in slot 0 when there
     are any."""
-    first = qplus if qplus.any() else None
-
     def open_types(code, t):
-        open_ = code[:, None] // radix % sizes > 0
-        if not t and first is not None:
-            open_ &= first
+        # np.take gathers whole rows about 3x as fast as left[code]
+        open_ = np.take(left, code, axis=0) > 0
+        if not t and qplus.any():
+            open_ &= qplus
         return open_
     return open_types
 
@@ -416,14 +456,19 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     assistant free, or none until the physician starts (Held-Karp-style
     state merging: the assistant never idles).  The block follows from the
     layer, and so does whether the physician has started: slot 0 takes a Q+
-    type whenever one exists.  A layer's columns are the counts code, the
-    lag and the least cost that reaches the state.  Every chunk and layer
+    type whenever one exists.  A layer's columns are the counts code (in
+    type order, see _radix), the lag and the least cost that reaches the
+    state.  The open types and each code's sum of counts left times
+    (lambda - mu), which the overtime bound reads, come from one counts
+    table per solve (see _counts_table); past its bound the solve stops
+    before its first layer.  Every chunk and layer
     is merged on one key column, code * (day_lam + day_mu + 1) + (lag +
     day_lam), which is one-to-one: the lag lies in [-day_lam, day_mu],
     because a Q type lowers it by its lambda and a Q+ type leaves at most
     max(lag, 0) plus its mu.  The layers are int64 only when the key's
     bound (the radix product times that span) and the cost bound fit, so no
-    key can wrap; they hold Python integers otherwise.  A child's least
+    key can wrap; they hold Python integers otherwise, all but the code,
+    which the table bound keeps in int64.  A child's least
     total adds the overtime it cannot avoid, and ``nodes_explored`` counts
     the transitions, one per (state, open type), over every pass; the
     incumbent pass keeps BEAM states a layer."""
@@ -432,6 +477,7 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     R = regular_time
     counts0 = [len(g.patients) for g in groups]
     radix, full = _radix(counts0)
+    left = _counts_table(counts0, radix, budget)
     block_size = sum(counts0)
     n_slots = blocks * block_size
     has_qplus = any(g.qplus for g in groups)
@@ -449,12 +495,13 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
     # keys below that product times the lag's span
     horizon = day_lam + day_mu + abs(R or 0)
     bound = (n_slots + 2) * horizon * (w_alpha + w_bp + w_oa + w_op)
-    sizes = [n + 1 for n in counts0]
     lags = day_lam + day_mu + 1
-    dtype = np.int64 if max(bound, prod(sizes) * lags) < 2 ** 63 else object
-    lam, mu, radix, sizes = (np.array(x, dtype)
-                             for x in (lams, mus, radix, sizes))
+    dtype = np.int64 if max(bound, (full + 1) * lags) < 2 ** 63 else object
+    lam, mu = np.array(lams, dtype), np.array(mus, dtype)
+    radix = np.array(radix, np.int64)
     qplus = np.array([g.qplus for g in groups])
+    # each code's sum of counts left times (lambda - mu), for the overtime
+    spread = (left * (lam - mu)).sum(axis=1)
 
     def advance(rows, par, kind, t):
         """The children that give slot t of row par[i] to type kind[i]: a
@@ -489,19 +536,19 @@ def _lag_dp(groups, blocks: int, weights: CostWeights, config: SearchConfig,
             return 0
         extra = w_oa * max(0, day_lam - R)
         if has_qplus:
-            left = code[:, None] // radix % sizes
             end = (d + day_mu
                    + ((t + 1) // block_size + 1) * (block_lam - block_mu)
-                   - (left * (lam - mu)).sum(axis=1))
+                   - spread[code])
             extra = extra + w_op * np.maximum(end - R, 0)
         return extra
 
-    root = [np.array([x], dtype) for x in (full, 0, 0)]
+    root = [np.array([full], np.int64), np.zeros(1, dtype), np.zeros(1, dtype)]
     best, seq, _ = _search(budget, config.mode, BEAM, n_slots, [(
-        root, _open_types(radix, sizes, qplus), advance,
+        root, _open_types(left, qplus), advance,
         lambda rows, t: rows[2] + overtime(*rows[:2], t),
         lambda rows: _first_of_each_state(
-            rows[0] * lags + (rows[1] + day_lam), (), rows[2]))])
+            rows[0].astype(dtype, copy=False) * lags + (rows[1] + day_lam),
+            (), rows[2]))])
     return _solution(seq, best, denom * D, budget, blocks_patients)
 
 
@@ -541,7 +588,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     appointment depends only on the type counts placed.
 
     The model runs on the layer loop (see _layers and _search).  A layer's
-    columns are the counts code, the prefix that fixes the next
+    columns are the counts code (int64), the prefix that fixes the next
     appointment (the mean sum, or the K draw sums), the K scenarios'
     assistant-free and physician-free times and the summed scaled cost
     (times in int32 and costs in int64 when a-priori bounds fit, Python
@@ -562,10 +609,13 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     low places of the counts code (the types keep their order, and so do
     rows and ties), so code % plus_span codes those counts, plus_span being
     the product of the Q+ counts + 1.  A table of plus_span rows of K
-    floors (see _floor_table), built once per solve and shared by every
-    rank, gives each child its floor by that code.  If the table would pass
-    LAYER_ELEMENTS, the solve stops before its first layer as a layer-limit
-    stop; a block needs about 20 single-patient Q+ types for that at K=15.
+    floors (see _floor_table) gives each child its floor by that code.
+    The counts table (see _counts_table) gives each row its open types and
+    the next patient of each type, and a per-code column its Q+ code; all
+    three are built once per solve and shared by every rank, so no row is
+    decoded by division.  If the counts table or the floor table would pass
+    TABLE_ELEMENTS, the solve stops before its first layer at the table
+    limit; 19 single-patient types pass it (2^19 codes of 19 counts).
     "enumerate" neither merges nor prunes, so it visits every prefix;
     "branch_and_bound" merges chunks and layers of more than MERGE_FLOOR
     rows on (counts, K assistant-free, K physician-free times).  Both modes
@@ -595,15 +645,15 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
 
     # patients in group order; a row's next patient of group i is
     # ends[i] - (counts left of i).  The Q+ types take the low places of
-    # the counts code, so code % plus_span codes the Q+ counts left
+    # the counts code, so code % plus_span codes the Q+ counts left, which
+    # plus_codes holds per code; the floor table has plus_span rows of K
     counts0 = [len(g.patients) for g in groups]
     qplus = np.array([g.qplus for g in groups], dtype=bool)
     plus = np.flatnonzero(qplus)
     radix, full = _radix(counts0, [*plus, *np.flatnonzero(~qplus)])
     plus_span = prod(counts0[i] + 1 for i in plus)
-    if plus_span * K > LAYER_ELEMENTS:   # the floor table would not fit
-        budget.stop(f"layer limit ({LAYER_ELEMENTS} elements)")
-        raise budget.out_of_budget()
+    left = _counts_table(counts0, radix, budget, plus_span * K)
+    plus_codes = np.arange(full + 1) % plus_span
     uids = [p.uid for g in groups for p in g.patients]
     ends = np.cumsum(counts0)
     lam_draws, mu_draws = scenario_set.lam[:, uids], scenario_set.mu[:, uids]
@@ -612,14 +662,13 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
     horizon = D * (max(map(sum, lam_draws.tolist()))
                    + max(map(sum, mu_draws.tolist())) + sum(p.lam for p in block))
     bound = 2 * n_slots * K * horizon * (2 * w_alpha + w_ba + w_bp)
-    sizes = [n + 1 for n in counts0]
-    dtype = np.int64 if max(bound, prod(sizes)) < 2 ** 63 else object
+    dtype = np.int64 if bound < 2 ** 63 else object
     # times, which a row holds 2K of, in int32 when they fit: none exceeds
     # three horizons (a decile can be the largest draw sum)
     tdtype = np.int32 if dtype is np.int64 and 4 * horizon < 2 ** 31 else dtype
     lams, mus = (x.T.astype(tdtype) * D for x in (lam_draws, mu_draws))
     lam_bar = np.array([int(g.lam * D) for g in groups], tdtype)
-    radix, sizes = np.array(radix, dtype), np.array(sizes, dtype)
+    radix = np.array(radix, np.int64)
     # the physician floor of each Q+ counts code; no time reaches four
     # horizons, so the floor with no Q+ patient left lies below every time
     floors = _floor_table(lams, ends, counts0, plus, int(4 * horizon) + 1)
@@ -641,11 +690,13 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
 
         This is the slot recurrence of timeline._slot over K scenarios.
         _slot returns per-scenario increments, where this step sums each
-        child's over K first, exactly, in the cost dtype.  A child's
-        physician floor is the floor-table row of its Q+ counts code."""
+        child's over K first, exactly, in the cost dtype.  The next patient
+        of a type and a child's Q+ counts code are gathered from the
+        per-code tables; its physician floor is the floor-table row of that
+        Q+ code."""
         code, prefix, pa, p, cost = rows
-        code, step_code = code[par], radix[kind]
-        pick = ends[kind] - (code // step_code % sizes[kind]).astype(np.intp)
+        code = code[par]
+        pick = ends[kind] - left[code, kind]
         lam = lams[pick]
         child_pa = pa[par]
         child_pa += lam
@@ -660,7 +711,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
             ep += mus[pick[q]]
             child_cost[q] += inc
             child_p[q] = ep
-        code = code - step_code
+        code = code - radix[kind]
         prefix = prefix[par] + (lam if quantile else lam_bar[kind])
         if t + 1 < n_slots:
             # the next slot's stage-1 start does not depend on its type:
@@ -671,7 +722,7 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
                            + w_alpha * row_sums(folded - taus))
             child_pa = folded
         if len(plus):   # the floor depends on the Q+ counts alone
-            plus_code = (code % plus_span).astype(np.intp)
+            plus_code = plus_codes[code]
             # with no Q+ patient left (code 0), p stays, and is then dropped
             folded = np.maximum(child_p, child_pa + floors[plus_code])
             child_cost += w_bp * row_sums(folded - child_p)
@@ -686,9 +737,10 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         return None
 
     zeros = np.zeros((1, K), tdtype)
-    root = [np.array([full], dtype), zeros if quantile else zeros[:, 0],
+    root = [np.array([full], np.int64), zeros if quantile else zeros[:, 0],
             zeros, zeros, np.zeros(1, dtype)]
-    models = [(root, _open_types(radix, sizes, qplus), partial(step, rank=r),
+    open_types = _open_types(left, qplus)   # one table for every rank
+    models = [(root, open_types, partial(step, rank=r),
                lambda rows, t: rows[-1], merge) for r in ranks]
     best, seq, i = _search(budget, config.mode, SAA_BEAM, n_slots, models)
 

@@ -682,11 +682,13 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize("n_types, fits", [(24, False), (12, True)])
-def test_saa_floor_table_bound_stops_before_the_search(tmp_path, n_types,
-                                                        fits):
-    # one patient of each of n Q+ types: the physician floor table has 2^n
-    # codes of K=1, which passes LAYER_ELEMENTS (2^23) at 24 types, so the
-    # solve stops before its first layer; at 12 types branch and bound
+@pytest.mark.parametrize("scope", ["saa", "block"])
+def test_saa_floor_table_bound_stops_before_the_search(tmp_path, scope,
+                                                        n_types, fits):
+    # one patient of each of n Q+ types: the counts table has 2^n codes of n
+    # types, and the saa model's physician floor table 2^n codes of K=1;
+    # the counts table passes TABLE_ELEMENTS (2^23) at 24 types, so either
+    # model stops before its first layer; at 12 types branch and bound
     # certifies
     path = instance_file(tmp_path, types=[
         {"name": f"P{i}", "lambda_mean": 5 + i, "lambda_sd": 1,
@@ -696,7 +698,8 @@ def test_saa_floor_table_bound_stops_before_the_search(tmp_path, n_types,
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run(
         [sys.executable, "-c", RUN_AND_PEAK, "exact", "--instance", path,
-         "--scope", "saa", "--K", "1", "--mode", "branch_and_bound"],
+         "--scope", scope, "--mode", "branch_and_bound"]
+        + (["--K", "1"] if scope == "saa" else []),
         env=env, capture_output=True, text=True)
     *err, peak_kb = proc.stderr.splitlines()
     assert "Traceback" not in proc.stderr and int(peak_kb) < 100 * 1024
@@ -705,8 +708,9 @@ def test_saa_floor_table_bound_stops_before_the_search(tmp_path, n_types,
         assert json.loads(proc.stdout)["optimal"] is True
     else:
         assert proc.returncode == 1 and proc.stdout == ""
-        assert err == [f"error: the layer limit ({1 << 23} elements) ran "
-                       "out before any complete schedule was found; raise it"]
+        assert err == [f"error: the table limit ({1 << 23} elements) ran "
+                       "out before any complete schedule was found; it is "
+                       "a fixed memory bound that no option raises"]
 
 
 @pytest.mark.parametrize("command", [

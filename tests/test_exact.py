@@ -536,6 +536,120 @@ class TestSaaFloorTable:
             assert full == max(codes)
 
 
+class TestCountsTable:
+    def test_rows_match_a_plain_decode_in_both_radix_orders(self):
+        """Blocks of 1-5 types, Q and Q+ in any order, under the DP's type
+        order and the saa model's order with the Q+ types on the low
+        places: row c of the table holds c // radix % (counts + 1), and the
+        open types of c are the types left, only Q+ ones in slot 0 when the
+        block has any."""
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            qplus = rng.random(n) < 0.5
+            counts = [int(rng.integers(1, 4)) for _ in range(n)]
+            plus = np.flatnonzero(qplus)
+            for order in (None, [*plus, *np.flatnonzero(~qplus)]):
+                radix, full = exact._radix(counts, order)
+                left = exact._counts_table(counts, radix,
+                                           exact._Budget(SearchConfig()))
+                assert left.shape == (full + 1, n)
+                open_types = exact._open_types(left, qplus)
+                codes = np.arange(full + 1)
+                later, first = open_types(codes, 3), open_types(codes, 0)
+                for code in range(full + 1):
+                    decode = [code // r % (c + 1)
+                              for r, c in zip(radix, counts)]
+                    assert left[code].tolist() == decode
+                    has = [c > 0 for c in decode]
+                    assert later[code].tolist() == has
+                    assert first[code].tolist() == (
+                        [h and q for h, q in zip(has, qplus)]
+                        if qplus.any() else has)
+
+    def test_a_table_past_its_bound_stops_before_the_search(self,
+                                                            monkeypatch):
+        # three single-patient types: 8 codes of 3 counts, 24 elements
+        monkeypatch.setattr(exact, "TABLE_ELEMENTS", 24)
+        budget = exact._Budget(SearchConfig())
+        assert exact._counts_table([1, 1, 1], [1, 2, 4], budget,
+                                   24).shape == (8, 3)
+        for elements in (0, 25):   # the table itself, or the model's own
+            monkeypatch.setattr(exact, "TABLE_ELEMENTS", 24 - (not elements))
+            budget = exact._Budget(SearchConfig())
+            with pytest.raises(ValueError, match="the table limit .* no "
+                                                 "option raises$"):
+                exact._counts_table([1, 1, 1], [1, 2, 4], budget, elements)
+            assert budget.exhausted and budget.nodes == 0
+
+    def test_dp_overtime_bound_sums_lambda_minus_mu_of_the_counts_left(
+            self, monkeypatch):
+        """The horizon DP's least total of each state (code, d) after slot
+        t adds the overtime of a physician free at pa + d with the mu of
+        every patient left still to serve, pa being the lambda of the
+        blocks begun less that of the counts left."""
+        models = []
+        search = exact._search
+
+        def spy(budget, mode, beam, n_slots, ms):
+            models.extend(ms)
+            return search(budget, mode, beam, n_slots, ms)
+
+        monkeypatch.setattr(exact, "_search", spy)
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            blocks = int(rng.integers(1, 4))
+            inst = random_conformant_instance(rng, max_r=5, blocks=blocks)
+            day_lam = blocks * sum(t.ratio * t.lam for t in inst.types)
+            inst = dataclasses.replace(
+                inst, regular_time=day_lam // 2, costs=CostWeights.of(
+                    *(int(w) for w in rng.integers(1, 6, 5))))
+            solve_horizon_exact(inst, inst.costs)
+            _, _, _, total, _ = models.pop()
+            _, (_, _, _, w_oa, w_op) = exact._scale(inst.costs)
+            lam, mu, counts = ([getattr(t, f) for t in inst.types]
+                               for f in ("lam", "mu", "ratio"))
+            size = sum(counts)
+            radix, full = exact._radix(counts)
+            block_lam, block_mu = (sum(map(np.multiply, counts, x))
+                                   for x in (lam, mu))
+            R = inst.regular_time
+            codes = np.arange(full + 1)
+            for t in range(blocks * size):
+                d = rng.integers(-day_lam, 2 * day_lam, len(codes))
+                got = total([codes, d, np.zeros(len(codes), np.int64)], t)
+                begun = (t + 1) // size + 1   # the next slot's block too
+                for code in range(full + 1):
+                    left = [code // r % (c + 1)
+                            for r, c in zip(radix, counts)]
+                    pa = begun * block_lam - sum(map(np.multiply, left, lam))
+                    rest = ((blocks - begun) * block_mu
+                            + sum(map(np.multiply, left, mu)))
+                    end = pa + int(d[code]) + rest
+                    assert got[code] == (w_oa * max(0, day_lam - R)
+                                         + w_op * max(0, end - R))
+
+
+class TestBeamCut:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_selection_keeps_the_rows_of_a_stable_sort(self, dtype):
+        """The beam cut keeps exactly the rows a stable sort's first `beam`
+        pick, in row order: on seeded costs with few to many distinct
+        values (heavy ties), beam 1, and beam at or past the row count."""
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            spread = int(rng.choice([1, 2, 5, n, 10 ** 6]))
+            cost = rng.integers(0, spread, n)
+            if dtype is object:   # Python integers past int64
+                cost = cost.astype(object) * (2 ** 70) + 3
+            for beam in {1, 2, int(rng.integers(1, n + 1)), n - 1, n, n + 5}:
+                if beam < 1:
+                    continue
+                assert exact._least(cost, beam).tolist() == np.sort(
+                    np.argsort(cost, kind="stable")[:beam]).tolist()
+
+
 class TestSaaChunkedSearch:
     @pytest.mark.parametrize("case", sorted(SAA_EDGE_CASES))
     def test_edge_cases_match_bruteforce(self, case):
