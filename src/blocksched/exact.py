@@ -285,10 +285,17 @@ def _least(cost, beam: int) -> np.ndarray:
 
 
 def _take(rows: list, keep) -> list:
-    """Cut each column of the list to the rows `keep`, in place, so each
-    old column is freed as soon as it is cut."""
+    """Cut each column of the list to the rows `keep` (a boolean mask or
+    row numbers), in place, so each old column is freed as soon as it is
+    cut.  np.compress and np.take gather the rows of a 2-D column 3-4x as
+    fast as indexing; a 1-D column is indexed, which is faster there."""
     for i, x in enumerate(rows):
-        rows[i] = x[keep]
+        if x.ndim == 1:
+            rows[i] = x[keep]
+        elif keep.dtype == bool:
+            rows[i] = np.compress(keep, x, axis=0)
+        else:
+            rows[i] = np.take(x, keep, axis=0)
     return rows
 
 
@@ -697,22 +704,26 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         code, prefix, pa, p, cost = rows
         code = code[par]
         pick = ends[kind] - left[code, kind]
-        lam = lams[pick]
-        child_pa = pa[par]
+        # np.take gathers the rows of a (rows, K) column 3-4x as fast as
+        # indexing; 1-D columns are indexed
+        lam = np.take(lams, pick, axis=0)
+        child_pa = np.take(pa, par, axis=0)
         child_pa += lam
-        child_p, child_cost = p[par], cost[par]
+        child_p, child_cost = np.take(p, par, axis=0), cost[par]
         q = np.flatnonzero(qplus[kind])
         if len(q):
-            pa_plus, p_plus = child_pa[q], child_p[q]
+            pa_plus, p_plus = (np.take(x, q, axis=0)
+                               for x in (child_pa, child_p))
             ep = np.maximum(pa_plus, p_plus)   # stage-2 starts
             inc = w_alpha * row_sums(ep - pa_plus)
             if t:   # a Q+ slot 0 starts the physician
                 inc += w_bp * row_sums(ep - p_plus)
-            ep += mus[pick[q]]
+            ep += np.take(mus, pick[q], axis=0)
             child_cost[q] += inc
             child_p[q] = ep
         code = code - radix[kind]
-        prefix = prefix[par] + (lam if quantile else lam_bar[kind])
+        prefix = (np.take(prefix, par, axis=0) + lam if quantile
+                  else prefix[par] + lam_bar[kind])
         if t + 1 < n_slots:
             # the next slot's stage-1 start does not depend on its type:
             # each scenario either idles the assistant or waits for it
@@ -724,7 +735,8 @@ def solve_saa_replication(inst: ClinicInstance, weights: CostWeights,
         if len(plus):   # the floor depends on the Q+ counts alone
             plus_code = plus_codes[code]
             # with no Q+ patient left (code 0), p stays, and is then dropped
-            folded = np.maximum(child_p, child_pa + floors[plus_code])
+            folded = np.maximum(child_p, child_pa
+                                + np.take(floors, plus_code, axis=0))
             child_cost += w_bp * row_sums(folded - child_p)
             child_p = folded
             child_p[plus_code == 0] = 0

@@ -1,6 +1,8 @@
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from blocksched import CostWeights, algorithm2, expand_block, noshow
 from blocksched.noshow import (ExpectedMetrics, NoShowProbs,
                                build_overbook_plan, enumerate_expected_metrics,
                                expected_cost_per_patient)
-from blocksched.timeline import AppointmentTemplate, evaluate_paths
+from blocksched.timeline import (AppointmentTemplate, _overtime, _slot,
+                                 evaluate_paths)
 from blocksched.units import tenths
 
 from conftest import mk_instance, oracle_cost, oracle_timeline
@@ -87,6 +90,62 @@ def brute_force_expected(plan, probs, regular_time):
         totals["overtime_p"] += prob * ev["b_p"]
         mass += prob
     return {k: v / 10 for k, v in totals.items()}, mass
+
+
+def merged_pass_oracle(plan, probs, regular_time, budget=10**6):
+    """Oracle: the exact pass without slack folding.  Show patterns merge
+    slot by slot on equal (assistant free, physician free, started flags)
+    only, so its states grow with the plan; `budget` bounds them."""
+    tpl = plan.template()
+    no_show = [probs.for_patient(slot) for slot in tpl.slots]
+    denominator = prod(q.denominator for q in no_show)
+    D = lcm(*(Fraction(x).denominator for x in (
+        regular_time, *tpl.taus,
+        *(v for slot in tpl.slots for v in (slot.lam, slot.mu)))))
+    R = int(regular_time * D)
+    day = int(D * (max((abs(tau) for tau in tpl.taus), default=0)
+                   + sum(slot.lam + slot.mu for slot in tpl.slots)))
+    bound = 2 * day + abs(R) + 1
+    time_dtype = np.int64 if 4 * (day + 1)**2 + abs(R) < 2**63 else object
+    weight_dtype = (np.int64 if time_dtype is np.int64
+                    and denominator * bound < 2**63 else object)
+    state = (*np.zeros((2, 1), time_dtype), *np.zeros((2, 1), bool))
+    W = np.ones(1, weight_dtype)
+    wait = idle_a = idle_p = 0
+    rest = denominator
+    visited = 0
+    for t, slot in enumerate(tpl.slots):
+        q = no_show[t]
+        show_num = q.denominator - q.numerator
+        rest //= q.denominator
+        (pa, pp, _, sp), (d_wait_a, d_wait_p, d_idle_a, d_idle_p), _ = _slot(
+            *state, *(int(x * D) for x in (tpl.taus[t], slot.lam, slot.mu)),
+            slot.qplus)
+        started = np.full(len(W), True)
+        show_state = (pa, pp, started, started if slot.qplus else sp)
+        wait += int(W.dot(d_wait_a + d_wait_p)) * show_num * rest
+        idle_a += int(W.dot(d_idle_a)) * show_num * rest
+        if slot.qplus:
+            idle_p += int(W.dot(d_idle_p)) * show_num * rest
+        weights, kids = zip(*((w, kid) for w, kid in
+                              ((q.numerator, state), (show_num, show_state))
+                              if w))
+        pa, p, sa, sp = (np.concatenate(column) for column in zip(*kids))
+        key = (pa * (day + 1) + p) * 4 + sa * 2 + sp
+        order = np.argsort(key)
+        key = key[order]
+        runs = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first = order[runs]
+        state = (pa[first], p[first], sa[first], sp[first])
+        W = np.add.reduceat(np.concatenate([W * w for w in weights])[order],
+                            runs)
+        assert len(W) <= budget, f"{len(W)} oracle states after slot {t + 1}"
+        visited += len(W)
+    overtime = [int(W.dot(x)) for x in _overtime(*state, R)]
+    to_minutes = lambda v: Fraction(v, denominator * D) / 10
+    return ExpectedMetrics(*map(to_minutes, (wait, idle_a, idle_p, *overtime)),
+                           2**plan.n_scheduled,
+                           Fraction(int(W.sum()), denominator), visited)
 
 
 class TestEnumerate:
@@ -272,11 +331,120 @@ def test_merged_pass_matches_brute_force_on_seeded_random_plans():
     assert checked == 54 and multi_copy >= 4
 
 
+class HandBuiltPlan:
+    """A no-duplicate plan whose template keeps its appointment times in the
+    given order, which AppointmentTemplate rejects when they decrease."""
+
+    def __init__(self, slots, taus):
+        self.tpl = AppointmentTemplate(tuple(slots), tuple(sorted(taus)),
+                                       (0, len(slots)))
+        object.__setattr__(self.tpl, "taus", tuple(taus))
+        self.n_scheduled = len(slots)
+
+    def template(self):
+        return self.tpl
+
+
+CROSS_CHECK_KINDS = ("alg2", "fraction", "unsorted", "alg4")
+
+
+def random_noshow_case(rng, kind):
+    """A seeded (plan, probs, regular_time) of one kind: an alg2 block, a
+    robust (Fraction) template with service means off the tenths grid, a
+    hand-built template with unsorted appointment times, or an alg4
+    horizon of 1-5 blocks.  No-show probabilities include 0 and 1, and the
+    regular time falls before the day, at its start, at or a tenth of a
+    minute before an appointment, inside the day or past its end."""
+    from blocksched import algorithm4
+    from blocksched.heuristics import robust_template
+    levels = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 10),
+              Fraction(1, 5), Fraction(7, 9))
+    while True:
+        probs = NoShowProbs(levels[rng.integers(6)], levels[rng.integers(6)])
+        types = [(f"Q{i}", int(rng.integers(2, 12)), 0,
+                  int(rng.integers(1, 4)))
+                 for i in range(int(rng.integers(0, 3)))]
+        types += [(f"A{i}", int(rng.integers(2, 12)),
+                   int(rng.integers(2, 20)), int(rng.integers(1, 4)))
+                  for i in range(int(rng.integers(1, 4)))]
+        inst = mk_instance(types, blocks=int(rng.integers(1, 6))
+                           if kind == "alg4" else 1)
+        if kind == "fraction":
+            inst = replace(inst, types=tuple(
+                replace(t, lam=t.lam + Fraction(int(rng.integers(1, 7)), 7),
+                        mu=t.mu and t.mu + Fraction(int(rng.integers(1, 5)),
+                                                    3))
+                for t in inst.types))
+        strategy = ("none", "lf", "ff")[rng.integers(3)]
+        try:
+            if kind == "alg4":
+                base = algorithm4(inst)
+            else:
+                base = algorithm2(expand_block(inst))
+            if kind == "fraction":
+                base = robust_template(base.slots, Fraction(
+                    int(rng.integers(1, 10)), 11))
+            if kind == "unsorted":
+                taus = [0] + [int(rng.integers(0, 400))
+                              for _ in base.slots[1:]]
+                rng.shuffle(taus)
+                plan = HandBuiltPlan(base.slots, taus)
+            else:
+                plan = build_overbook_plan(base, strategy, probs)
+        except ValueError:   # an unbalanceable instance
+            continue
+        if plan.n_scheduled <= 60:
+            break
+    tpl = plan.template()
+    day = max(tpl.taus) + sum(s.lam + s.mu for s in tpl.slots)
+    tau = tpl.taus[int(rng.integers(len(tpl.taus)))]
+    R = (int(rng.integers(-60, 0)), 0, tau, tau - 1,
+         Fraction(int(rng.integers(0, 7 * day)), 7),
+         day + int(rng.integers(0, 30)))[rng.integers(6)]
+    return plan, probs, R
+
+
+def test_folded_pass_matches_the_unfolded_oracle_on_seeded_plans():
+    """Every field but `states` equals the unfolded pass's on 1,000 seeded
+    plans, and the folded pass never holds more states; on the smallest
+    plans the oracle itself equals brute force."""
+    rng = np.random.default_rng(3131)
+    fewer = brute = 0
+    for trial in range(1000):
+        kind = CROSS_CHECK_KINDS[trial % len(CROSS_CHECK_KINDS)]
+        plan, probs, R = random_noshow_case(rng, kind)
+        got = enumerate_expected_metrics(plan, probs, R)
+        want = merged_pass_oracle(plan, probs, R)
+        assert replace(got, states=0) == replace(want, states=0), (
+            trial, kind)
+        assert got.mass == 1
+        assert got.states <= want.states
+        fewer += got.states < want.states
+        if plan.n_scheduled <= 7 and trial % 3 == 0:
+            oracle, mass = brute_force_expected(plan, probs, R)
+            assert want.as_tuple() == tuple(oracle[k] for k in (
+                "wait", "idle_a", "idle_p", "overtime_a", "overtime_p"))
+            brute += 1
+    assert fewer >= 400 and brute >= 50
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("strategy", ["lf", "ff"])
+def test_table7_horizons_match_the_unfolded_oracle(table7, strategy, k):
+    """The table7 alg4 horizons that the unfolded pass can price (up to k=5,
+    83 patients and 46,031 live states), on the oracle's own budget."""
+    from blocksched import algorithm4
+    inst = replace(table7, blocks=k)
+    plan = build_overbook_plan(algorithm4(inst), strategy, PROBS)
+    got = enumerate_expected_metrics(plan, PROBS, inst.regular_time)
+    want = merged_pass_oracle(plan, PROBS, inst.regular_time)
+    assert replace(got, states=0) == replace(want, states=0)
+    assert got.mass == 1 and got.states < want.states
+
+
 def test_table7_k2_lf_within_five_se_of_monte_carlo(table7):
     """35 patients: beyond brute force, so check against the show-mask
     Monte-Carlo fallback at mean service times (all sds zero)."""
-    from dataclasses import replace
-
     from blocksched import DistributionSpec, algorithm4
     from blocksched.stochastic import evaluate_template_mc
     inst = replace(table7, blocks=2,
@@ -301,8 +469,6 @@ def test_fraction_times_match_brute_force():
     """Robust-template (Fraction) appointment times, service means off the
     tenths grid and a Fraction regular time: the pass scales every time to
     an exact integer and back."""
-    from dataclasses import replace
-
     from blocksched.heuristics import robust_template
     rng = np.random.default_rng(313)
     checked = 0
@@ -348,12 +514,20 @@ def test_fraction_times_match_brute_force():
     # robust-template times over about 2*10**12 do not fit int64 when squared
     (Fraction(1, 3), Fraction(1, 4), Fraction(1, 10**12 + 39),
      ["object", "object"]),
+    # a weight denominator near 2**59 fits int64, though its product with
+    # the bound does not, as for the table7 LF and FF plans: every weighted
+    # sum is two int64 dots on a split of the weights
+    (Fraction(1, 1999), Fraction(3, 211), None, ["int64", "int64"]),
+    # robust-template times scaled by 10,007 reach about 10**7, and the same
+    # denominator then leaves no split whose low dot stays in int64
+    (Fraction(1, 1999), Fraction(3, 211), Fraction(1, 10007),
+     ["int64", "object"]),
 ])
 def test_times_and_weights_run_as_int64_or_python_integers(
         monkeypatch, p_plus, p, width, dtypes):
-    """Times and weights are int64 when every key and weighted sum provably
-    fits, Python integers otherwise; each gives the brute-force
-    expectation."""
+    """Times are int64 when every key provably fits, and weights when their
+    denominator fits and every weighted sum splits into two int64 dots;
+    Python integers otherwise.  Each gives the brute-force expectation."""
 
     from blocksched import noshow
     from blocksched.heuristics import robust_template
@@ -387,6 +561,48 @@ def test_times_and_weights_run_as_int64_or_python_integers(
     assert metrics.as_tuple() == (oracle["wait"], oracle["idle_a"],
                                   oracle["idle_p"], oracle["overtime_a"],
                                   oracle["overtime_p"])
+
+
+def test_split_sums_are_exact_at_their_bounds():
+    """Σ W·x from the two int64 dots on W's halves equals the Python-integer
+    sum for weights that sum to 2^63 - 1, on the most rows a slot makes,
+    with x at its bound, where one int64 dot wraps.  Past the largest bound
+    no shift serves, and Python-integer weights give the exact sum."""
+    from blocksched.noshow import STATE_BUDGET, _dot, _halves, _weight_shift
+    rng = np.random.default_rng(3101)
+    rows, total = 2 * STATE_BUDGET, 2**63 - 1
+    shows = slice(-STATE_BUDGET, None)
+    W = rng.integers(0, 2**40, rows)
+    W[0] = total - int(W[1:].sum())          # one weight near 2^63 - 1
+    exact = lambda W, x: sum(w * v for w, v in zip(W.tolist(), x.tolist()))
+    for x_bound in (1, 7_000, 2**20 + 1, 2**23):
+        shift = _weight_shift(total, x_bound, rows)
+        assert shift is not None
+        halves = _halves(W, shift)
+        for x in (np.full(rows, x_bound), np.full(rows, -x_bound),
+                  rng.integers(-x_bound, x_bound + 1, rows)):
+            want = exact(W, x)
+            assert _dot(halves, x, shift) == want
+            assert _dot(halves, x[shows], shift, shows) == exact(W[shows],
+                                                                 x[shows])
+        if x_bound > 1:
+            assert int(W.dot(np.full(rows, x_bound))) != x_bound * total
+    # the largest x bound a split serves, with every other low half full
+    lo, hi = 1, 2**40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = ((mid, hi) if _weight_shift(total, mid, rows) is not None
+                  else (lo, mid))
+    shift = _weight_shift(total, lo, rows)
+    W = np.full(rows, (1 << shift) - 1)
+    W[0] = total - int(W[1:].sum())
+    x = np.full(rows, lo)
+    assert _dot(_halves(W, shift), x, shift) == exact(W, x)
+    x_bound = hi
+    assert _weight_shift(total, x_bound, rows) is None
+    W = np.array([*W.tolist(), 2**70], object)
+    x = np.append(rng.integers(-x_bound, x_bound + 1, rows), x_bound)
+    assert _dot(_halves(W, 0), x, 0) == exact(W, x)
 
 
 @pytest.mark.parametrize("call, message", [
